@@ -11,6 +11,16 @@ Rotations are exact: corners are rational points on the unit circle
 polygon is verified against 1/cos(max half-gap) <= 1+eps by exact rational
 comparison.  Corners come in opposite pairs, so one in-frame orientation per
 corner covers both primal orientations.
+
+ApproxSolver runs the exact solver's k-independent analysis
+(OrientationAnalysis: vertex scan, envelopes, MinMax curve) once per wedge;
+solve(k) takes the best wedge_optimum over the valid arrangement vertices,
+the curve's vertices and valid crossings, and the slab walls.  The
+delta-decision structure (DeltaContext, decide_delta) answers "is there a
+valid separator with vertical error <= delta in this wedge"; solve_wedge
+uses it only to certify an optimum when given a context.  DynApprox keeps a
+live set under semi-online updates and re-solves it with ApproxSolver on
+every report.
 """
 
 from __future__ import annotations
@@ -20,11 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chains import Chain, ChainKind, ChainPiece, Direction, DLine, \
-    chain_crossings_any, chain_decomposition, chain_pair_intersections, \
-    cross_x, envelope
+from .chains import Chain, ChainPiece, Direction, DLine, \
+    chain_decomposition, chain_pair_intersections, envelope
 from .core import (
-    Color,
     LabeledPoint,
     LineR2,
     Orientation,
@@ -34,8 +42,8 @@ from .core import (
     split_colors,
 )
 from .errors import EmptyColor, InfeasibleWedge, NonPositiveEps, SepkitError
-from .exactkmm import OrientationAnalysis, midpoint_curve
-from .lpviol import PlyStructure
+from .exactkmm import MinMaxCurve, OrientationAnalysis, VerticalError
+from .lpviol import PlyStructure, check_schedule
 from .rat import R0, Rat, RatLike, RatT, rat
 from .scans import ColumnProfile, segment_valid_crossings
 
@@ -74,10 +82,6 @@ class TGon:
     eps: RatT
     corners: list[tuple[RatT, RatT]]
     wedges: list[Wedge]
-
-    @property
-    def realized_corners(self) -> int:
-        return len(self.corners)
 
 
 def _circle_point(angle: float, prec: int) -> tuple[RatT, RatT]:
@@ -159,7 +163,7 @@ def _bisector_slope(w: tuple[RatT, RatT], nb: tuple[RatT, RatT]) -> RatT:
 
 
 @dataclass
-class DeltaContext:
+class DeltaContext(VerticalError):
     """Decision-problem data for one wedge in its rotated frame."""
 
     wedge: Wedge
@@ -173,16 +177,6 @@ class DeltaContext:
     env_lo: Chain
     env_hi: Chain
     p_min: Optional[tuple[RatT, RatT, int, RatT]]   # x, y, mis, err
-
-    def vert_err(self, x: RatT, y: RatT) -> RatT:
-        e = R0
-        g = y - self.env_lo.value_at(x)
-        if g > e:
-            e = g
-        g = self.env_hi.value_at(x) - y
-        if g > e:
-            e = g
-        return e
 
     def in_slab(self, x: RatT) -> bool:
         return self.wedge.m_lo <= x <= self.wedge.m_hi
@@ -207,18 +201,14 @@ def rotated_duals(
 
 
 def build_delta_context(
-    pts: Sequence[LabeledPoint], k: int, wedge: Wedge,
-    chains_override: Optional[tuple[list[Chain], list[Chain]]] = None,
+    pts: Sequence[LabeledPoint], k: int, wedge: Wedge
 ) -> DeltaContext:
     below, above = rotated_duals(pts, wedge)
     if not below or not above:
         raise EmptyColor("both colors required")
     kk = min(k, len(below) + len(above))
-    if chains_override is not None:
-        red_chains, blue_chains = chains_override
-    else:
-        red_chains = chain_decomposition(below, kk, Direction.LOWER).chains
-        blue_chains = chain_decomposition(above, kk, Direction.UPPER).chains
+    red_chains = chain_decomposition(below, kk, Direction.LOWER).chains
+    blue_chains = chain_decomposition(above, kk, Direction.UPPER).chains
     red_ply = [PlyStructure(c, blue_chains) for c in red_chains]
     blue_ply = [PlyStructure(c, red_chains) for c in blue_chains]
     env_lo = envelope(below, Direction.LOWER)
@@ -310,17 +300,17 @@ class WedgeSolution:
     mis: int
 
 
-class WedgeFrame:
+class WedgeFrame(VerticalError):
     """Envelope/curve geometry of one wedge in its rotated frame."""
 
     def __init__(self, wedge: Wedge, below: list[DLine], above: list[DLine],
-                 env_lo: Chain, env_hi: Chain, curve=None):
+                 env_lo: Chain, env_hi: Chain, curve: MinMaxCurve):
         self.wedge = wedge
         self.below = below
         self.above = above
         self.env_lo = env_lo
         self.env_hi = env_hi
-        self.curve = curve if curve is not None else midpoint_curve(env_lo, env_hi)
+        self.curve = curve
         self._columns: dict = {}
 
     def column(self, x: RatT) -> ColumnProfile:
@@ -329,16 +319,6 @@ class WedgeFrame:
             col = ColumnProfile(self.below, self.above, x)
             self._columns[x] = col
         return col
-
-    def vert_err(self, x: RatT, y: RatT) -> RatT:
-        e = R0
-        g = y - self.env_lo.value_at(x)
-        if g > e:
-            e = g
-        g = self.env_hi.value_at(x) - y
-        if g > e:
-            e = g
-        return e
 
 
 def wedge_optimum(frame: WedgeFrame, vertex_cands, k: int) -> Optional[WedgeSolution]:
@@ -509,33 +489,14 @@ def solve_approx(
 # ---------------------------------------------------------------------------
 
 
-def _envelope_from_hull(points: list[PointR2], direction: Direction,
-                        duals: dict[int, DLine],
-                        id_of: dict[tuple, int]) -> Chain:
-    """Envelope of the duals of a point set from its maintained hull chain:
-    the lower envelope of the dual lines consists of the duals of the upper
-    hull vertices (in decreasing slope), and symmetrically for the upper."""
-    if direction is Direction.LOWER:
-        verts = list(reversed(points))      # upper hull, decreasing x = slope
-        kind = ChainKind.CONCAVE
-    else:
-        verts = points                      # lower hull, increasing x = slope
-        kind = ChainKind.CONVEX
-    lines = [duals[id_of[(p.x, p.y)]] for p in verts]
-    pieces = []
-    prev = None
-    for i, l in enumerate(lines):
-        hi = cross_x(l, lines[i + 1]) if i + 1 < len(lines) else None
-        pieces.append(ChainPiece(l, prev, hi))
-        prev = hi
-    return Chain(kind, pieces)
-
-
 class DynApprox:
-    """Maintains a (1+eps)-approximate optimal separator under semi-online
-    updates: per wedge, the chains/intersection machinery of the LP module
-    runs on the rotated duals and the envelopes come from dynamically
-    maintained convex hulls of the rotated points."""
+    """(1+eps)-approximate optimal separator under semi-online updates.
+
+    The state is the live points, their promised deletion times and the
+    update counter; every report re-solves the live set with ApproxSolver.
+    Updates follow the deletion contract of lpviol.check_schedule, and a
+    rejected update raises before it changes anything.
+    """
 
     def __init__(
         self,
@@ -544,123 +505,32 @@ class DynApprox:
         eps: RatLike,
         schedule: dict[int, Optional[int]],
     ):
-        from .hullmargin import DynHull
-        from .lpviol import ConstraintSet, DynState
-
         self.k = k
         self.eps = rat(eps)
-        self.tgon = make_tgon(eps)
-        self.live: dict[int, LabeledPoint] = {}
-        self.states: list[DynState] = []
-        self.hulls: list[tuple[DynHull, DynHull]] = []
-        for w in self.tgon.wedges:
-            below, above = rotated_duals(pts, w)
-            st = DynState(ConstraintSet(below, above), schedule, min(k, max(len(pts), 1)))
-            self.states.append(st)
-            hr, hb = DynHull(), DynHull()
-            for p in pts:
-                q = w.rotate(p.point)
-                (hr if p.color is Color.RED else hb).insert(q, p.id)
-            self.hulls.append((hr, hb))
-        for p in pts:
-            self.live[p.id] = p
+        if self.eps <= 0:
+            raise NonPositiveEps("eps must be > 0")
+        self.live: dict[int, LabeledPoint] = {p.id: p for p in pts}
+        self.delete_at = {id_: schedule.get(id_) for id_ in self.live}
+        self.u = 0
 
     def insert(self, p: LabeledPoint, delete_at: Optional[int]) -> ApproxReport:
-        for w, st, (hr, hb) in zip(self.tgon.wedges, self.states, self.hulls):
-            q = w.rotate(p.point)
-            st.insert(DLine(p.id, q.x, -q.y), p.color, delete_at)
-            (hr if p.color is Color.RED else hb).insert(q, p.id)
+        check_schedule(self.delete_at, self.u, p.id, inserting=True,
+                       due=delete_at)
+        self.u += 1
         self.live[p.id] = p
+        self.delete_at[p.id] = delete_at
         return self.report()
 
     def delete(self, id_: int) -> ApproxReport:
-        p = self.live.pop(id_)
-        for st, (hr, hb) in zip(self.states, self.hulls):
-            st.delete(id_)
-            (hr if p.color is Color.RED else hb).delete(id_)
+        check_schedule(self.delete_at, self.u, id_, inserting=False)
+        self.u += 1
+        del self.live[id_]
+        del self.delete_at[id_]
         return self.report()
-
-    def _wedge_frame(self, idx: int) -> WedgeFrame:
-        from .hullmargin import hull_chains
-
-        w = self.tgon.wedges[idx]
-        st = self.states[idx]
-        below = st._lines(Color.RED)
-        above = st._lines(Color.BLUE)
-        duals = {l.id: l for l in below + above}
-        hr, hb = self.hulls[idx]
-        red_pts = [PointR2(x, y) for x, y, _ in hr._pts]
-        blue_pts = [PointR2(x, y) for x, y, _ in hb._pts]
-        _, red_upper = hull_chains(red_pts)
-        blue_lower, _ = hull_chains(blue_pts)
-        env_lo = _envelope_from_hull(red_upper, Direction.LOWER, duals, hr.id_map())
-        env_hi = _envelope_from_hull(blue_lower, Direction.UPPER, duals, hb.id_map())
-        return WedgeFrame(w, below, above, env_lo, env_hi)
-
-    def _vertex_candidates(self, idx: int, k: int):
-        """Valid-vertex candidates from the maintained structures: the
-        red-blue intersection set I (exact counts) plus same-color chain
-        crossings and piece breakpoints."""
-        st = self.states[idx]
-        out = []
-        for t in st.forest.trees:
-            for pt in t.alive_points():
-                if pt.count <= k:
-                    out.append((pt.x, pt.y, pt.count))
-        below = st._lines(Color.RED)
-        above = st._lines(Color.BLUE)
-
-        def mis(x, y):
-            from .lpviol import violations_at
-
-            return violations_at(PointR2(x, y), below, above)
-
-        for color in (Color.RED, Color.BLUE):
-            chains = st._all_chains(color)
-            cands = set()
-            for c in chains:
-                for p in c.pieces[:-1]:
-                    cands.add((p.x_hi, p.line.y_at(p.x_hi)))
-            for i in range(len(chains)):
-                for j in range(i + 1, len(chains)):
-                    cands.update(chain_crossings_any(chains[i], chains[j]))
-            for x, y in cands:
-                m = mis(x, y)
-                if m <= k:
-                    out.append((x, y, m))
-        return out
 
     def report(self, k: Optional[int] = None) -> ApproxReport:
         k = self.k if k is None else k
-        if not self.live:
-            raise EmptyColor("no live points")
-        best = None
-        for idx in range(len(self.tgon.wedges)):
-            frame = self._wedge_frame(idx)
-            if not frame.below or not frame.above:
-                raise EmptyColor("both colors required")
-            sol = wedge_optimum(frame, self._vertex_candidates(idx, k), k)
-            if sol is None:
-                continue
-            key = (sol.delta, idx)
-            if best is None or key < best[0]:
-                best = (key, sol, self.tgon.wedges[idx])
-        if best is None:
-            raise Infeasible(f"no separator misclassifies at most {k} points")
-        _, sol, wedge = best
-        sep = _unrotate_separator(sol.point, wedge)
-        rep = classify_mis(sep, list(self.live.values()))
-        assert rep.mis <= k
-        return ApproxReport(
-            separator=sep,
-            mis=rep.mis,
-            approx_err=sol.delta,
-            euclid_max_sq=rep.max_sq,
-            eps=self.eps,
-            t=self.tgon.t,
-            wedge=wedge.index,
-            dual_point=sol.point,
-        )
+        return ApproxSolver(list(self.live.values()), k, self.eps).solve(k)
 
 
 def dyn_approx_build(

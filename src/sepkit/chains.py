@@ -84,9 +84,6 @@ class Chain:
     def breakpoints(self) -> list[RatT]:
         return [p.x_hi for p in self.pieces[:-1]]
 
-    def x_range(self) -> tuple[Optional[RatT], Optional[RatT]]:
-        return self.pieces[0].x_lo, self.pieces[-1].x_hi
-
     def check_shape(self) -> None:
         """Verify monotone slope ordering and that pieces abut."""
         for a, b in zip(self.pieces, self.pieces[1:]):
@@ -270,40 +267,6 @@ def chain_pair_intersections(concave: Chain, convex: Chain) -> list[tuple[RatT, 
     seen = set()
     out = []
     for x, y in sorted(pts, key=lambda t: t[0]):
-        if (x, y) not in seen:
-            seen.add((x, y))
-            out.append((x, y))
-    return out
-
-
-def chain_crossings_any(c1: Chain, c2: Chain) -> list[tuple[RatT, RatT]]:
-    """Crossing/touching points of two arbitrary chains (no shape assumed):
-    walks the merged piece boundaries and solves per-interval line pairs."""
-    bounds: list[RatT] = sorted(
-        {p.x_hi for p in c1.pieces[:-1]} | {p.x_hi for p in c2.pieces[:-1]}
-    )
-    pts: list[tuple[RatT, RatT]] = []
-
-    def seg(x0: Optional[RatT], x1: Optional[RatT]) -> None:
-        xm = _interior_point(x0, x1)
-        la = c1.piece_at(xm).line
-        lb = c2.piece_at(xm).line
-        x = cross_x(la, lb)
-        if x is None:
-            return
-        if (x0 is None or x > x0) and (x1 is None or x < x1):
-            pts.append((x, la.y_at(x)))
-
-    prev: Optional[RatT] = None
-    for b in bounds:
-        seg(prev, b)
-        if c1.value_at(b) == c2.value_at(b):
-            pts.append((b, c1.value_at(b)))
-        prev = b
-    seg(prev, None)
-    seen = set()
-    out = []
-    for x, y in sorted(pts):
         if (x, y) not in seen:
             seen.add((x, y))
             out.append((x, y))

@@ -27,8 +27,8 @@ from .hullmargin import StripStatus, max_margin_static
 from .levels import overlay_and_label
 from .lpviol import ConstraintSet, DynState, LPStatus, static_leftmost_valid, \
     static_min_violations
-from .oracle import oracle_1d, oracle_kmm, oracle_minmis
-from .rat import Rat, rat, rat_str, sqrt_decimal_str
+from .oracle import oracle_1d, oracle_1d_table, oracle_kmm, oracle_minmis
+from .rat import rat, rat_str, sqrt_decimal_str
 from .sep1d import Point1D, Tree1D
 
 EXIT_OK = 0
@@ -168,26 +168,38 @@ def _solve_2d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
 
 
 def _solve_1d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
+    if cfg.problem not in ("minmax", "minmis", "kmm"):
+        raise ParseError(
+            f"--dim 1 supports minmax, minmis and kmm, not {cfg.problem}"
+        )
     pts1 = [Point1D(p.point.x, p.color, p.id) for p in pts]
-    k = cfg.k if cfg.k is not None else len(pts1)
+    problem = f"{cfg.problem}-1d"
+    if use_oracle:
+        k_min = min(row[0] for row in oracle_1d_table(pts1))
+    else:
+        t = Tree1D()
+        for p in pts1:
+            t.insert(p)
+        k_min = t.min_mis()
+    if cfg.problem == "minmis":
+        return {"status": "ok", "problem": problem, "dim": 1,
+                "k_min": k_min}, EXIT_OK
+    k = len(pts1) if cfg.problem == "minmax" else cfg.k
     if use_oracle:
         rep = oracle_1d(pts1, k)
         if rep.value is None:
-            return {"status": "infeasible", "problem": "kmm-1d",
-                    "dim": 1, "k_min": 0}, EXIT_INFEASIBLE
+            return {"status": "infeasible", "problem": problem,
+                    "dim": 1, "k_min": k_min}, EXIT_INFEASIBLE
         w = rep.witness or {}
-        return {"status": "ok", "problem": "kmm-1d", "dim": 1,
+        return {"status": "ok", "problem": problem, "dim": 1,
                 "separator_x": rat_str(w["separator_x"]) if w else None,
                 "mis": w.get("mis", 0),
                 "max_dist": rat_str(rep.value)}, EXIT_OK
-    t = Tree1D()
-    for p in pts1:
-        t.insert(p)
     res = t.query(k)
     if res is None:
-        return {"status": "infeasible", "problem": "kmm-1d", "dim": 1,
-                "k_min": t.min_mis()}, EXIT_INFEASIBLE
-    return {"status": "ok", "problem": "kmm-1d", "dim": 1,
+        return {"status": "infeasible", "problem": problem, "dim": 1,
+                "k_min": k_min}, EXIT_INFEASIBLE
+    return {"status": "ok", "problem": problem, "dim": 1,
             "separator_x": None if res.separator_x is None
             else rat_str(res.separator_x),
             "mis": res.mis, "max_dist": rat_str(res.max_dist)}, EXIT_OK

@@ -130,23 +130,6 @@ def euclid_dist_sq(p: PointR2, l: LineR2) -> RatT:
     return v * v / (l.m * l.m + R1)
 
 
-def point_seg_dist_sq(p: PointR2, a: PointR2, b: PointR2) -> RatT:
-    """Exact squared distance from p to segment ab."""
-    abx, aby = b.x - a.x, b.y - a.y
-    apx, apy = p.x - a.x, p.y - a.y
-    ab_sq = abx * abx + aby * aby
-    if ab_sq == 0:
-        return apx * apx + apy * apy
-    dot = apx * abx + apy * aby
-    if dot <= 0:
-        return apx * apx + apy * apy
-    if dot >= ab_sq:
-        bpx, bpy = p.x - b.x, p.y - b.y
-        return bpx * bpx + bpy * bpy
-    cross = apx * aby - apy * abx
-    return cross * cross / ab_sq
-
-
 def misclassified(sep: Separator, lp: LabeledPoint) -> bool:
     """Points exactly on the line are never misclassified."""
     v = vertical_distance(lp.point, sep.line)

@@ -17,12 +17,11 @@ attained candidate is flagged rather than silently accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chains import Chain, ChainKind, ChainPiece, Direction, DLine, envelope
 from .core import (
-    Color,
     LabeledPoint,
     LineR2,
     Orientation,
@@ -34,7 +33,6 @@ from .errors import EmptyColor
 from .rat import R0, R1, Rat, RatT
 from .scans import (
     ColumnProfile,
-    FarGap,
     far_gaps,
     scan_vertices,
     segment_valid_crossings,
@@ -122,7 +120,26 @@ def minmax_curve(pts: Sequence[LabeledPoint]) -> MinMaxCurve:
     return midpoint_curve(env_r, env_b)
 
 
-class OrientationAnalysis:
+class VerticalError:
+    """Vertical error of a dual point against the envelope pair env_lo (of
+    the duals that must stay below) and env_hi (of those that must stay
+    above): how far the point sits above env_lo or below env_hi."""
+
+    env_lo: Chain
+    env_hi: Chain
+
+    def vert_err(self, x: RatT, y: RatT) -> RatT:
+        e = R0
+        g = y - self.env_lo.value_at(x)
+        if g > e:
+            e = g
+        g = self.env_hi.value_at(x) - y
+        if g > e:
+            e = g
+        return e
+
+
+class OrientationAnalysis(VerticalError):
     """k-independent scan data for one orientation (roles already assigned:
     `below` duals must stay below the separator point, `above` duals above)."""
 
@@ -143,21 +160,9 @@ class OrientationAnalysis:
 
     # -- error evaluation --------------------------------------------------
 
-    def vert_err(self, x: RatT, y: RatT) -> RatT:
-        e = R0
-        g = y - self.env_lo.value_at(x)
-        if g > e:
-            e = g
-        g = self.env_hi.value_at(x) - y
-        if g > e:
-            e = g
-        return e
-
     def max_sq(self, x: RatT, y: RatT) -> RatT:
         e = self.vert_err(x, y)
         return e * e / (x * x + R1)
-
-    # -- unbounded-direction probes ----------------------------------------
 
     # -- candidate families --------------------------------------------------
 

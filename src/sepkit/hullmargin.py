@@ -22,11 +22,10 @@ from .core import (
     Orientation,
     PointR2,
     Separator,
-    point_seg_dist_sq,
     split_colors,
 )
 from .errors import UnknownId, VerticalSeparator
-from .rat import R0, Rat, RatT
+from .rat import RatT
 
 
 class StripStatus(enum.Enum):
@@ -65,25 +64,6 @@ def convex_hull(points: Sequence[PointR2]) -> list[PointR2]:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
-
-
-def hull_chains(points: Sequence[PointR2]) -> tuple[list[PointR2], list[PointR2]]:
-    """(lower, upper) hull chains ordered by increasing x."""
-    pts = sorted(set((p.x, p.y) for p in points))
-    pts = [PointR2(x, y) for x, y in pts]
-    if len(pts) <= 1:
-        return list(pts), list(pts)
-    lower: list[PointR2] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[PointR2] = []
-    for p in pts:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) >= 0:
-            upper.pop()
-        upper.append(p)
-    return lower, upper
 
 
 def _segments(hull: list[PointR2]):

@@ -12,10 +12,10 @@ are recovered by merging cells across walls.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chains import Chain, ChainKind, ChainPiece, Direction, DLine, cross_x
+from .chains import Direction, DLine, cross_x
 from .errors import EmptyInput
 from .rat import R0, Rat, RatT
 
@@ -47,58 +47,6 @@ class LevelSubdivision:
     @property
     def metrics(self) -> dict:
         return {"edges": len(self.edges), "vertices": len(self.vertices)}
-
-    def cells(self) -> list[list["Cell"]]:
-        """Clipped face complex of this one subdivision: vertical slabs
-        through every vertex, cells stacked between edges, each labeled
-        with the count of lines strictly on the defining side."""
-        import bisect as _bisect
-
-        feat_x = [v.x for v in self.vertices]
-        x_min, x_max = (min(feat_x), max(feat_x)) if feat_x else (R0, R0)
-        pad = (x_max - x_min) or Rat(1)
-        xlo, xhi = x_min - pad, x_max + pad
-        ys = [l.y_at(xlo) for l in self.lines] + [l.y_at(xhi) for l in self.lines]
-        pady = (max(ys) - min(ys)) or Rat(1)
-        ylo, yhi = min(ys) - pady, max(ys) + pady
-        walls = sorted({x for x in feat_x if xlo < x < xhi} | {xlo, xhi})
-        lower = self.direction is Direction.LOWER
-        out: list[list[Cell]] = []
-        for s in range(len(walls) - 1):
-            a, b = walls[s], walls[s + 1]
-            mid = (a + b) / 2
-            present = sorted(
-                ((e.line.y_at(mid), e) for e in self.edges if _edge_covers(e, a, b)),
-                key=lambda t: t[0],
-            )
-            vals = sorted(l.y_at(mid) for l in self.lines)
-            col = []
-            for idx in range(len(present) + 1):
-                low_v = present[idx - 1][0] if idx > 0 else ylo
-                high_v = present[idx][0] if idx < len(present) else yhi
-                ysamp = (low_v + high_v) / 2
-                cnt = (
-                    _bisect.bisect_left(vals, ysamp)
-                    if lower
-                    else len(vals) - _bisect.bisect_right(vals, ysamp)
-                )
-                col.append(
-                    Cell(
-                        slab=s, idx=idx, x_lo=a, x_hi=b,
-                        lo_edge=present[idx - 1][1] if idx > 0 else None,
-                        hi_edge=present[idx][1] if idx < len(present) else None,
-                        red_below=cnt if lower else 0,
-                        blue_above=0 if lower else cnt,
-                        mis=cnt,
-                        in_red_region=lower and cnt <= self.k,
-                        in_blue_region=(not lower) and cnt <= self.k,
-                        valid=cnt <= self.k,
-                        touches_box=(s == 0 or s == len(walls) - 2 or idx == 0
-                                     or idx == len(present)),
-                    )
-                )
-            out.append(col)
-        return out
 
 
 def build_leq_k(

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chains import Chain, ChainKind, ChainPiece, ChainSet, DLine, Direction, \
     chain_decomposition, chain_pair_intersections
 from .core import Color, PointR2
-from .errors import EmptyInput, ScheduleViolation, UnknownId
+from .errors import ScheduleViolation, UnknownId
 from .parttree import PartitionForest, PTPoint, median_partitioner
 from .rat import Rat, RatT
 
@@ -235,6 +235,33 @@ def static_min_violations(cs: ConstraintSet) -> tuple[int, LPResult]:
 # ---------------------------------------------------------------------------
 
 
+def check_schedule(delete_at: dict[int, Optional[int]], u: int, id_: int,
+                   inserting: bool, due: Optional[int] = None) -> None:
+    """Deletion contract for update u + 1 of a semi-online structure whose
+    live ids are the keys of delete_at, mapped to their promised times.
+
+    An insertion needs a new id, and its promised time `due`, if any, must
+    be after u + 1.  A deletion needs a live id with a promised time at or
+    before u + 1: late is legal, early or unpromised is not.  Raises
+    UnknownId or ScheduleViolation; changes nothing.
+    """
+    if inserting:
+        if id_ in delete_at:
+            raise UnknownId(f"line id {id_} already live")
+        if due is not None and due <= u + 1:
+            raise ScheduleViolation(
+                f"deletion time {due} not after insertion update {u + 1}"
+            )
+        return
+    if id_ not in delete_at:
+        raise UnknownId(f"no live line {id_}")
+    da = delete_at[id_]
+    if da is None or da > u + 1:
+        raise ScheduleViolation(
+            f"line {id_} deleted at update {u + 1}, promised {da}"
+        )
+
+
 @dataclass
 class _Layer:
     index: int
@@ -438,12 +465,8 @@ class DynState:
     # -- updates ----------------------------------------------------------------
 
     def insert(self, line: DLine, color: Color, delete_at: Optional[int]) -> None:
-        if line.id in self.live:
-            raise UnknownId(f"line id {line.id} already live")
-        if delete_at is not None and delete_at <= self.u + 1:
-            raise ScheduleViolation(
-                f"deletion time {delete_at} not after insertion update {self.u + 1}"
-            )
+        check_schedule(self.delete_at, self.u, line.id, inserting=True,
+                       due=delete_at)
         self.u += 1
         self.updates_since_init += 1
         self.live[line.id] = (line, color)
@@ -465,14 +488,9 @@ class DynState:
         self._maybe_expensive()
 
     def delete(self, id_: int) -> None:
-        if id_ not in self.live:
-            raise UnknownId(f"no live line {id_}")
+        check_schedule(self.delete_at, self.u, id_, inserting=False)
         line, color = self.live[id_]
         da = self.delete_at[id_]
-        if da is None or da > self.u + 1:
-            raise ScheduleViolation(
-                f"line {id_} deleted at update {self.u + 1}, promised {da}"
-            )
         self.u += 1
         self.updates_since_init += 1
         # the leftover list holds every line due by the next expensive update

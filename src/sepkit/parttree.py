@@ -16,7 +16,7 @@ of cells a line crosses (recorded in the stats hook).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .chains import DLine

@@ -271,11 +271,7 @@ def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int) -> list[
                 return max(Rat(0), m_red - alpha, alpha - m_blue)
             return max(Rat(0), alpha - m_red, m_blue - alpha)
 
-        if side < 0:
-            astar = (m_red + m_blue) / 2
-        else:
-            astar = (m_red + m_blue) / 2
-        a = astar
+        a = (m_red + m_blue) / 2
         if alo is not None and a < alo:
             a = alo
         if ahi is not None and a > ahi:
@@ -356,9 +352,6 @@ class ColumnProfile:
                 return self.heights[i]
             i -= 1
         return None
-
-    def valid_heights(self, k: int) -> list[RatT]:
-        return [h for h, m in zip(self.heights, self.onpoint) if m <= k]
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,6 @@ class Tree1D:
 
     def _extreme(self, color: Color, want_max: bool) -> Optional[RatT]:
         u = self.root
-        best = None
         while u:
             if want_max:
                 cnt = (u.right.R if u.right else 0) if color is Color.RED else (
@@ -246,7 +245,7 @@ class Tree1D:
                 if u.color is color:
                     return u.x
                 u = u.right
-        return best
+        return None
 
     # -- query ------------------------------------------------------------
 
@@ -261,12 +260,6 @@ class Tree1D:
         if u is None:
             return 0
         return u.m_rl if orient is Orient1D.RED_LEFT else u.m_bl
-
-    def _wrong_if_right(self, color: Color, orient: Orient1D) -> bool:
-        # point strictly right of the separator is misclassified?
-        if orient is Orient1D.RED_LEFT:
-            return color is Color.RED
-        return color is Color.BLUE
 
     def _rightmost_valid(self, u: Optional[_Node], base: int, X: RatT,
                          k: int, orient: Orient1D) -> Optional[RatT]:

@@ -7,7 +7,6 @@ from typing import Optional, Sequence
 from .core import Color, LabeledPoint, Separator
 from .levels import OverlayFaceMap
 from .exactkmm import MinMaxCurve
-from .rat import RatT
 
 
 def _f(x) -> float:
@@ -74,25 +73,6 @@ def _cell_corners(cell, box):
         (b, val(cell.hi_edge, b, yhi)),
         (a, val(cell.hi_edge, a, yhi)),
     ]
-
-
-def add_chain_layer(b: SvgBuilder, chains, group: str, stroke: str) -> None:
-    """Render a chain set as one dashed-polyline SVG group."""
-    dash = 0
-    for chain in chains:
-        dash += 1
-        for p in chain.pieces:
-            a = p.x_lo if p.x_lo is not None else b.xlo
-            c = p.x_hi if p.x_hi is not None else b.xhi
-            a, c = max(float(a), b.xlo), min(float(c), b.xhi)
-            if a >= c:
-                continue
-            x1, y1 = b.tx(a, p.line.y_at(a))
-            x2, y2 = b.tx(c, p.line.y_at(c))
-            b.add(group,
-                  f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" '
-                  f'y2="{y2:.3f}" stroke="{stroke}" stroke-width="1.2" '
-                  f'stroke-dasharray="{2 + dash} 3"/>')
 
 
 def plot_overlay(

@@ -18,7 +18,8 @@ from sepkit.approxkmm import (
     wedge_optimum,
 )
 from sepkit.core import Color, LabeledPoint, classify_mis
-from sepkit.errors import InfeasibleWedge, NonPositiveEps
+from sepkit.errors import InfeasibleWedge, NonPositiveEps, ScheduleViolation, \
+    UnknownId
 from sepkit.exactkmm import ExactSolver
 from sepkit.rat import R0, Rat
 from tests.conftest import random_instance, random_separable_instance
@@ -266,3 +267,32 @@ def test_dyn_insert_delete_inverse(rng):
     after = dyn.delete(50)
     assert after.approx_err == base.approx_err
     assert after.euclid_max_sq == base.euclid_max_sq
+
+
+def test_dyn_approx_schedule_contract(rng):
+    pts = random_instance(rng, 10, coord=1000)
+    a, b = pts[0].id, pts[1].id          # a is promised at update 3, b never
+    dyn = dyn_approx_build(pts, 3, 1, {a: 3})
+    base = dyn.report()
+    live = dict(dyn.live)
+    new = LabeledPoint.of(4444, 5555, Color.RED, 50)
+    with pytest.raises(ScheduleViolation):
+        dyn.delete(a)                    # update 1, before its promise
+    assert dyn.live == live
+    assert dyn.report() == base
+    with pytest.raises(UnknownId):
+        dyn.delete(9999)
+    with pytest.raises(UnknownId):
+        dyn.insert(pts[2], 5)            # already live
+    for due in (0, 1):                   # at or before the insert, update 1
+        with pytest.raises(ScheduleViolation):
+            dyn.insert(new, due)
+    with pytest.raises(ScheduleViolation):
+        dyn.delete(b)                    # no promised time
+    assert dyn.live == live
+    assert dyn.report() == base
+    # rejected updates take no number: update 1 inserts, 2 and 3 delete
+    dyn.insert(new, 2)
+    dyn.delete(new.id)
+    assert dyn.delete(a).mis <= 3
+    assert set(dyn.live) == set(live) - {a}

@@ -3,11 +3,9 @@ import random
 import pytest
 
 from sepkit.chains import (
-    Chain,
     ChainKind,
     Direction,
     DLine,
-    chain_crossings_any,
     chain_decomposition,
     chain_pair_intersections,
     envelope,
@@ -212,12 +210,3 @@ def test_bichromatic_intersection_completeness(rng):
                 if _level_of(red, x, y, Direction.LOWER) <= k and \
                         _level_of(blue, x, y, Direction.UPPER) <= k:
                     assert (x, y) in found
-
-
-def test_chain_crossings_any(rng):
-    a = Chain(ChainKind.CONCAVE, envelope(
-        random_lines(rng, 5), Direction.LOWER).pieces)
-    b = Chain(ChainKind.CONCAVE, envelope(
-        random_lines(rng, 5, first_id=10), Direction.LOWER).pieces)
-    for x, y in chain_crossings_any(a, b):
-        assert a.value_at(x) == b.value_at(x) == y

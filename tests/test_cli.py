@@ -72,6 +72,40 @@ def test_solve_1d(capsys):
     assert docs[0]["separator_x"] == "3" and docs[0]["max_dist"] == "2"
 
 
+@pytest.mark.parametrize("cmd", ["solve", "oracle"])
+def test_1d_problems(capsys, cmd):
+    ds1 = os.path.join(DATA, "ds1.csv")
+    code, docs = run(capsys, cmd, "--dim", "1", "--problem", "minmis", ds1)
+    assert code == 0
+    assert docs[0] == {"status": "ok", "problem": "minmis-1d", "dim": 1,
+                       "k_min": 1}
+    _schema().validate(docs[0])
+    code, docs = run(capsys, cmd, "--dim", "1", "--problem", "minmax", ds1)
+    assert code == 0
+    assert docs[0]["problem"] == "minmax-1d"
+    assert (docs[0]["separator_x"], docs[0]["mis"], docs[0]["max_dist"]) == \
+        ("4", 2, "1")
+    _schema().validate(docs[0])
+    code, docs = run(capsys, cmd, "--dim", "1", "--problem", "kmm",
+                     "--k", "0", ds1)
+    assert code == 3
+    assert docs[0] == {"status": "infeasible", "problem": "kmm-1d", "dim": 1,
+                       "k_min": 1}
+    _schema().validate(docs[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "maxstrip"],
+    ["--problem", "kmm-approx", "--k", "1", "--eps", "1"],
+])
+def test_1d_unsupported_problem_exit_2(capsys, argv):
+    code = main(["solve", "--dim", "1", *argv,
+                 os.path.join(DATA, "ds1.csv")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "--dim 1 supports minmax, minmis and kmm" in err
+
+
 def test_usage_errors(capsys, tmp_path):
     code, _ = run(capsys, "solve", "--problem", "kmm", DS3)  # missing --k
     assert code == 2
