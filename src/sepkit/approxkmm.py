@@ -531,19 +531,3 @@ class DynApprox:
     def report(self, k: Optional[int] = None) -> ApproxReport:
         k = self.k if k is None else k
         return ApproxSolver(list(self.live.values()), k, self.eps).solve(k)
-
-
-def dyn_approx_build(
-    pts: Sequence[LabeledPoint], k: int, eps: RatLike,
-    schedule: dict[int, Optional[int]],
-) -> DynApprox:
-    return DynApprox(pts, k, eps, schedule)
-
-
-def dyn_approx_update(state: DynApprox, op) -> ApproxReport:
-    """op: ("insert", LabeledPoint, delete_at) or ("delete", id)."""
-    if op[0] == "insert":
-        return state.insert(op[1], op[2])
-    if op[0] == "delete":
-        return state.delete(op[1])
-    raise ValueError(f"unknown op {op!r}")

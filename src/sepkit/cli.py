@@ -1,19 +1,25 @@
 """Command-line front end.
 
-Subcommands: solve, oracle, simulate, bench, plot.  Exit codes: 0 ok,
-2 usage/parse error, 3 infeasible, 4 schedule violation, 5 internal
-invariant failure.  SEPKIT_SEED overrides --seed.
+Each subcommand takes only the flags it reads; argparse rejects any other
+flag with exit code 2.
+
+  solve     --problem --dim --k --eps --tol --perturb --strict --out INPUT
+  oracle    --problem {minmis,minmax,kmm} --dim --k --perturb --strict
+            --out INPUT
+  simulate  --k --verify --out STREAM
+  plot      --k --svg --perturb --strict INPUT
+
+--k is required for kmm and kmm-approx and rejected for the other
+problems; --eps is required for kmm-approx and, like --tol, rejected for
+the others.  Exit codes: 0 ok, 2 usage/parse error, 3 infeasible, 4
+schedule violation, 5 internal invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
-from dataclasses import dataclass
-from typing import Optional
 
 from . import dataio
 from .approxkmm import Infeasible, solve_approx
@@ -38,44 +44,30 @@ EXIT_SCHEDULE = 4
 EXIT_INTERNAL = 5
 
 PROBLEMS = ("maxstrip", "minmax", "minmis", "kmm", "kmm-approx")
+ORACLE_PROBLEMS = ("minmis", "minmax", "kmm")
 
 
-@dataclass
-class RunConfig:
-    problem: str
-    dim: int = 2
-    k: Optional[int] = None
-    eps: Optional[str] = None
-    tol: str = "1/1000000000000"
-    seed: int = 0
-    perturb: bool = False
-    input: Optional[str] = None
-    output: Optional[str] = None
-    svg: Optional[str] = None
-    mode: str = "solve"
-    strict: bool = False
-
-    def validate(self) -> None:
-        if self.problem in ("kmm", "kmm-approx") and self.k is None:
-            raise ParseError(f"--k is required for problem {self.problem}")
-        if self.problem == "kmm-approx" and self.eps is None:
-            raise ParseError("--eps is required for problem kmm-approx")
-        if self.problem != "kmm-approx" and self.eps is not None:
-            raise ParseError("--eps only applies to kmm-approx")
+def _check_k(args) -> None:
+    if args.problem in ("kmm", "kmm-approx"):
+        if args.k is None:
+            raise ParseError(f"--k is required for problem {args.problem}")
+    elif args.k is not None:
+        raise ParseError(f"--k only applies to kmm and kmm-approx, "
+                         f"not {args.problem}")
 
 
-def _load(cfg: RunConfig, strict: bool = False) -> list[LabeledPoint]:
-    pts = dataio.load_points(cfg.input)
-    if cfg.perturb:
+def _load(args) -> list[LabeledPoint]:
+    pts = dataio.load_points(args.input)
+    if args.perturb:
         pts = perturb_points(pts)
-    validate_points(pts, strict=strict or cfg.perturb)
+    validate_points(pts, strict=args.strict or args.perturb)
     return pts
 
 
-def _emit(cfg: RunConfig, doc: dict) -> None:
+def _emit(args, doc: dict) -> None:
     text = json.dumps(doc)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -85,8 +77,8 @@ def _line_doc(line) -> dict:
     return {"m": rat_str(line.m), "c": rat_str(line.c)}
 
 
-def _solve_2d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
-    if cfg.problem == "maxstrip":
+def _solve_2d(args, pts, use_oracle: bool) -> tuple[dict, int]:
+    if args.problem == "maxstrip":
         res = max_margin_static(pts)
         if res.status is StripStatus.SEPARABLE:
             return {
@@ -100,7 +92,7 @@ def _solve_2d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
         return {"status": "not-separable" if res.status is StripStatus.NOT_SEPARABLE
                 else "empty-side", "problem": "maxstrip"}, EXIT_INFEASIBLE
 
-    if cfg.problem == "minmis":
+    if args.problem == "minmis":
         if use_oracle:
             rep = oracle_minmis(pts)
             return {"status": "ok", "problem": "minmis", "k_min": rep.value}, EXIT_OK
@@ -120,16 +112,16 @@ def _solve_2d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
             doc["line"] = {"m": rat_str(res.point.x), "c": rat_str(-res.point.y)}
         return doc, EXIT_OK
 
-    if cfg.problem in ("minmax", "kmm"):
-        k = len(pts) if cfg.problem == "minmax" else cfg.k
+    if args.problem in ("minmax", "kmm"):
+        k = len(pts) if args.problem == "minmax" else args.k
         if use_oracle:
             rep = oracle_kmm(pts, k)
             if rep.value is None:
-                return {"status": "infeasible", "problem": cfg.problem,
+                return {"status": "infeasible", "problem": args.problem,
                         "k_min": oracle_minmis(pts).value}, EXIT_INFEASIBLE
             sep = rep.witness["separator"]
             return {
-                "status": "ok", "problem": cfg.problem,
+                "status": "ok", "problem": args.problem,
                 "mis": rep.witness["mis"], "max_sq": rat_str(rep.value),
                 "max": sqrt_decimal_str(rep.value),
                 "line": _line_doc(sep.line), "orientation": sep.orientation.value,
@@ -138,10 +130,10 @@ def _solve_2d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
             }, EXIT_OK
         rep = solve_exact(pts, k)
         if rep.best is None:
-            return {"status": "infeasible", "problem": cfg.problem,
+            return {"status": "infeasible", "problem": args.problem,
                     "k_min": rep.k_min}, EXIT_INFEASIBLE
         return {
-            "status": "ok", "problem": cfg.problem,
+            "status": "ok", "problem": args.problem,
             "mis": rep.mis, "max_sq": rat_str(rep.max_sq),
             "max": sqrt_decimal_str(rep.max_sq),
             "line": _line_doc(rep.best.line),
@@ -149,9 +141,10 @@ def _solve_2d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
             "k_min": rep.k_min, "counts": rep.counts,
         }, EXIT_OK
 
-    # kmm-approx
+    # kmm-approx; without --tol the solver's default applies
+    tol = {} if args.tol is None else {"tol": rat(args.tol)}
     try:
-        rep = solve_approx(pts, cfg.k, rat(cfg.eps), rat(cfg.tol))
+        rep = solve_approx(pts, args.k, rat(args.eps), **tol)
     except Infeasible:
         k_min = solve_exact(pts, len(pts)).k_min
         return {"status": "infeasible", "problem": "kmm-approx",
@@ -167,13 +160,13 @@ def _solve_2d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def _solve_1d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
-    if cfg.problem not in ("minmax", "minmis", "kmm"):
+def _solve_1d(args, pts, use_oracle: bool) -> tuple[dict, int]:
+    if args.problem not in ("minmax", "minmis", "kmm"):
         raise ParseError(
-            f"--dim 1 supports minmax, minmis and kmm, not {cfg.problem}"
+            f"--dim 1 supports minmax, minmis and kmm, not {args.problem}"
         )
     pts1 = [Point1D(p.point.x, p.color, p.id) for p in pts]
-    problem = f"{cfg.problem}-1d"
+    problem = f"{args.problem}-1d"
     if use_oracle:
         k_min = min(row[0] for row in oracle_1d_table(pts1))
     else:
@@ -181,10 +174,10 @@ def _solve_1d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
         for p in pts1:
             t.insert(p)
         k_min = t.min_mis()
-    if cfg.problem == "minmis":
+    if args.problem == "minmis":
         return {"status": "ok", "problem": problem, "dim": 1,
                 "k_min": k_min}, EXIT_OK
-    k = len(pts1) if cfg.problem == "minmax" else cfg.k
+    k = len(pts1) if args.problem == "minmax" else args.k
     if use_oracle:
         rep = oracle_1d(pts1, k)
         if rep.value is None:
@@ -205,23 +198,39 @@ def _solve_1d(cfg: RunConfig, pts, use_oracle: bool) -> tuple[dict, int]:
             "mis": res.mis, "max_dist": rat_str(res.max_dist)}, EXIT_OK
 
 
-def cmd_solve(cfg: RunConfig, use_oracle: bool = False) -> int:
-    cfg.validate()
-    pts = _load(cfg, strict=cfg.strict)
+def _answer(args, use_oracle: bool) -> int:
+    pts = _load(args)
     if not pts:
         raise ParseError("empty dataset")
-    if cfg.dim == 1:
-        doc, code = _solve_1d(cfg, pts, use_oracle)
+    if args.dim == 1:
+        doc, code = _solve_1d(args, pts, use_oracle)
     else:
-        doc, code = _solve_2d(cfg, pts, use_oracle)
-    _emit(cfg, doc)
+        doc, code = _solve_2d(args, pts, use_oracle)
+    _emit(args, doc)
     return code
 
 
-def cmd_simulate(cfg: RunConfig, verify: bool) -> int:
+def cmd_solve(args) -> int:
+    _check_k(args)
+    if args.problem == "kmm-approx":
+        if args.eps is None:
+            raise ParseError("--eps is required for problem kmm-approx")
+    elif args.eps is not None:
+        raise ParseError("--eps only applies to kmm-approx")
+    elif args.tol is not None:
+        raise ParseError("--tol only applies to kmm-approx")
+    return _answer(args, use_oracle=False)
+
+
+def cmd_oracle(args) -> int:
+    _check_k(args)
+    return _answer(args, use_oracle=True)
+
+
+def cmd_simulate(args) -> int:
     """Drive the semi-online LP structure over a JSONL update stream."""
-    k = cfg.k if cfg.k is not None else 0
-    with open(cfg.input, "r", encoding="utf-8") as fh:
+    k = args.k
+    with open(args.input, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     out_lines = []
     st = DynState(ConstraintSet([], []), {}, k)
@@ -256,7 +265,7 @@ def cmd_simulate(cfg: RunConfig, verify: bool) -> int:
             raise ParseError(f"unknown op {op['op']!r}")
         res = st.query(k)
         out_lines.append(_lp_doc(res, st.u))
-        if verify:
+        if args.verify:
             want = static_leftmost_valid(
                 ConstraintSet(list(live_red.values()), list(live_blue.values())), k
             )
@@ -267,8 +276,8 @@ def cmd_simulate(cfg: RunConfig, verify: bool) -> int:
                     f"simulate verify failed at update {st.u}: {res} != {want}"
                 )
     text = "\n".join(json.dumps(d) for d in out_lines)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + ("\n" if text else ""))
     elif text:
         print(text)
@@ -285,107 +294,71 @@ def _lp_doc(res, u) -> dict:
     return doc
 
 
-def cmd_bench(cfg: RunConfig, sizes: list[int]) -> int:
-    import random
-
-    rng = random.Random(cfg.seed)
-    rows = ["n,k,solver,wall_time,candidates"]
-    for n in sizes:
-        pts = _random_instance(rng, n)
-        k = cfg.k if cfg.k is not None else 8
-        t0 = time.perf_counter()
-        rep = solve_exact(pts, k)
-        dt = time.perf_counter() - t0
-        rows.append(
-            f"{n},{k},exact,{dt:.6f},{sum(rep.counts.values())}"
-        )
-    text = "\n".join(rows)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return EXIT_OK
-
-
-def _random_instance(rng, n: int) -> list[LabeledPoint]:
-    pts = []
-    used_x, used_y = set(), set()
-    while len(pts) < n:
-        x = rng.randint(-100000, 100000)
-        y = rng.randint(-100000, 100000)
-        if x in used_x or y in used_y:
-            continue
-        used_x.add(x)
-        used_y.add(y)
-        color = Color.RED if rng.random() < 0.5 else Color.BLUE
-        pts.append(LabeledPoint.of(x, y + (1 if color is Color.BLUE else 0), color,
-                                   len(pts)))
-    return pts
-
-
-def cmd_plot(cfg: RunConfig) -> int:
+def cmd_plot(args) -> int:
     from .svg import plot_overlay
 
-    pts = _load(cfg)
+    pts = _load(args)
     if not pts:
         raise ParseError("empty dataset")
     reds, blues = split_colors(pts)
     if not reds or not blues:
         raise ParseError("plot requires both colors")
-    k = cfg.k if cfg.k is not None else 1
-    overlay = overlay_and_label(duals(reds), duals(blues), k)
+    overlay = overlay_and_label(duals(reds), duals(blues), args.k)
     curve = minmax_curve(pts)
-    rep = solve_exact(pts, k)
+    rep = solve_exact(pts, args.k)
     svg, _ = plot_overlay(pts, overlay, curve, rep.best)
-    path = cfg.svg or (cfg.input + ".svg")
+    path = args.svg or (args.input + ".svg")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return EXIT_OK
 
 
+def _ingest_flags(sp) -> None:
+    sp.add_argument("--perturb", action="store_true")
+    sp.add_argument("--strict", action="store_true",
+                    help="enforce full general position at ingestion")
+
+
+def _instance_parser(sub, name: str, problems, help_: str):
+    sp = sub.add_parser(name, help=help_)
+    sp.add_argument("--problem", choices=problems, default="kmm")
+    sp.add_argument("--dim", type=int, choices=(1, 2), default=2)
+    sp.add_argument("--k", type=int)
+    _ingest_flags(sp)
+    sp.add_argument("--out")
+    sp.add_argument("input")
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sepkit", description=__doc__)
+    p = argparse.ArgumentParser(
+        prog="sepkit", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, needs_input=True):
-        sp.add_argument("--problem", choices=PROBLEMS, default="kmm")
-        sp.add_argument("--dim", type=int, choices=(1, 2), default=2)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--eps")
-        sp.add_argument("--tol", default="1/1000000000000")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--perturb", action="store_true")
-        sp.add_argument("--strict", action="store_true",
-                        help="enforce full general position at ingestion")
-        sp.add_argument("--out")
-        sp.add_argument("--svg")
-        if needs_input:
-            sp.add_argument("input")
+    solve = _instance_parser(sub, "solve", PROBLEMS, "solve one instance")
+    solve.add_argument("--eps")
+    solve.add_argument("--tol", help="kmm-approx tolerance (default 1/10^12)")
+    _instance_parser(sub, "oracle", ORACLE_PROBLEMS,
+                     "solve via the brute-force oracle")
 
-    common(sub.add_parser("solve", help="solve one instance"))
-    common(sub.add_parser("oracle", help="solve via the brute-force oracle"))
     sim = sub.add_parser("simulate", help="drive the semi-online LP structure")
-    common(sim)
+    sim.add_argument("--k", type=int, default=0)
     sim.add_argument("--verify", action="store_true",
                      help="re-solve statically after every update")
-    ben = sub.add_parser("bench", help="timing CSV over random instances")
-    common(ben, needs_input=False)
-    ben.add_argument("--sizes", default="100,200,400")
-    common(sub.add_parser("plot", help="render the dual overlay as SVG"))
+    sim.add_argument("--out")
+    sim.add_argument("input")
+
+    plot = sub.add_parser("plot", help="render the kmm dual overlay as SVG")
+    plot.add_argument("--k", type=int, default=1)
+    plot.add_argument("--svg", help="output path (default INPUT.svg)")
+    _ingest_flags(plot)
+    plot.add_argument("input")
     return p
 
 
-def _config_from(args) -> RunConfig:
-    seed = int(os.environ.get("SEPKIT_SEED", args.seed))
-    cfg = RunConfig(
-        problem=args.problem, dim=args.dim, k=args.k, eps=args.eps,
-        tol=args.tol, seed=seed, perturb=args.perturb,
-        input=getattr(args, "input", None), output=args.out, svg=args.svg,
-        mode=args.cmd,
-    )
-    cfg.strict = getattr(args, "strict", False)
-    return cfg
+COMMANDS = {"solve": cmd_solve, "oracle": cmd_oracle,
+            "simulate": cmd_simulate, "plot": cmd_plot}
 
 
 def main(argv=None) -> int:
@@ -395,19 +368,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = _config_from(args)
-        if args.cmd == "solve":
-            return cmd_solve(cfg)
-        if args.cmd == "oracle":
-            return cmd_solve(cfg, use_oracle=True)
-        if args.cmd == "simulate":
-            return cmd_simulate(cfg, args.verify)
-        if args.cmd == "bench":
-            sizes = [int(s) for s in args.sizes.split(",") if s]
-            return cmd_bench(cfg, sizes)
-        if args.cmd == "plot":
-            return cmd_plot(cfg)
-        return EXIT_USAGE
+        return COMMANDS[args.cmd](args)
     except (ParseError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

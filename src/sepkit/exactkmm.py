@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chains import Chain, ChainKind, ChainPiece, Direction, DLine, envelope
+from .chains import Chain, ChainKind, ChainPiece, Direction, DLine, \
+    _interior_point, envelope
 from .core import (
     LabeledPoint,
     LineR2,
@@ -86,7 +87,7 @@ def midpoint_curve(env_lo: Chain, env_hi: Chain) -> MinMaxCurve:
     prev: Optional[RatT] = None
     for i in range(len(bounds) + 1):
         hi = bounds[i] if i < len(bounds) else None
-        probe = _probe_x(prev, hi)
+        probe = _interior_point(prev, hi)
         la = env_lo.piece_at(probe).line
         lb = env_hi.piece_at(probe).line
         mid = DLine(-1, (la.m + lb.m) / 2, (la.c + lb.c) / 2)
@@ -98,16 +99,6 @@ def midpoint_curve(env_lo: Chain, env_hi: Chain) -> MinMaxCurve:
     for p in pieces[:-1]:
         verts.append(PointR2(p.x_hi, p.line.y_at(p.x_hi)))
     return MinMaxCurve(pieces, verts)
-
-
-def _probe_x(lo: Optional[RatT], hi: Optional[RatT]) -> RatT:
-    if lo is None and hi is None:
-        return R0
-    if lo is None:
-        return hi - 1
-    if hi is None:
-        return lo + 1
-    return (lo + hi) / 2
 
 
 def minmax_curve(pts: Sequence[LabeledPoint]) -> MinMaxCurve:
@@ -258,14 +249,6 @@ class OrientationAnalysis(VerticalError):
         return best
 
 
-def candidates(
-    pts: Sequence[LabeledPoint], k: int, orientation: Orientation
-) -> list[CandidatePoint]:
-    """Complete candidate-optimum set for one orientation."""
-    ana = _analysis_for(pts, orientation, k)
-    return ana.candidates(k)
-
-
 def _analysis_for(
     pts: Sequence[LabeledPoint], orientation: Orientation, kmax: int
 ) -> OrientationAnalysis:
@@ -355,13 +338,6 @@ def solve_exact(pts: Sequence[LabeledPoint], k: int) -> ExactSolveReport:
     if k < 0:
         raise ValueError("k must be >= 0")
     return ExactSolver(pts, k).solve(k)
-
-
-def solve_exact_multi(
-    pts: Sequence[LabeledPoint], ks: Sequence[int]
-) -> dict[int, ExactSolveReport]:
-    solver = ExactSolver(pts, max(ks))
-    return {k: solver.solve(k) for k in ks}
 
 
 def best_at_slope(

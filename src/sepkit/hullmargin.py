@@ -263,13 +263,18 @@ class HullPair:
         self.red = DynHull()
         self.blue = DynHull()
         self._color_of: dict[int, Color] = {}
+        # no strip per point: a prefix may have a vertical separator even
+        # when the whole set has none
         for p in pts:
-            self.insert(p)
+            self._add(p)
 
-    def insert(self, p: LabeledPoint) -> StripResult:
+    def _add(self, p: LabeledPoint) -> None:
         side = self.red if p.color is Color.RED else self.blue
         side.insert(p.point, p.id)
         self._color_of[p.id] = p.color
+
+    def insert(self, p: LabeledPoint) -> StripResult:
+        self._add(p)
         return self.result()
 
     def delete(self, id: int) -> StripResult:
@@ -283,11 +288,3 @@ class HullPair:
         return _strip_from_hulls(
             self.red.hull(), self.blue.hull(), self.red.id_map(), self.blue.id_map()
         )
-
-
-def margin_insert(pair: HullPair, p: LabeledPoint) -> StripResult:
-    return pair.insert(p)
-
-
-def margin_delete(pair: HullPair, id: int) -> StripResult:
-    return pair.delete(id)

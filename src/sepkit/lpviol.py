@@ -5,11 +5,12 @@ point strictly above a red line violates it), blue lines bound upper
 halfplanes (violated strictly below).  The objective is fixed to the
 leftmost valid point; ties resolve to the smaller y.
 
-The static path follows the chains-and-ply algorithm: the leftmost valid
-point is a red-blue intersection of the concave/convex chain covers of the
-two <=k-levels, and validity is decided by chromatic ply counts (exact
-whenever the answer is <= k).  Unboundedness to the left is decided
-symbolically from the line order at x -> -infinity.
+When it is bounded, the leftmost valid point is a red-blue intersection
+of the concave and convex chain covers of the two <=k-levels.  The static
+path enumerates those intersections, counts each one's violations directly
+with violations_at (O(n) per candidate), and keeps the leftmost with at
+most k.  Unboundedness to the left is decided symbolically from the line
+order at x -> -infinity.
 
 The dynamic path layers the lines with the logarithmic method keyed to the
 promised deletion times, keeps recent lines and every line due by the next
@@ -30,7 +31,7 @@ from .chains import Chain, ChainKind, ChainPiece, ChainSet, DLine, Direction, \
     chain_decomposition, chain_pair_intersections
 from .core import Color, PointR2
 from .errors import ScheduleViolation, UnknownId
-from .parttree import PartitionForest, PTPoint, median_partitioner
+from .parttree import PartitionForest, PTPoint
 from .rat import Rat, RatT
 
 
@@ -299,11 +300,9 @@ class DynState:
         schedule: dict[int, Optional[int]],
         k: int,
         kmin_mode: bool = False,
-        partitioner=median_partitioner,
     ):
         self.k = k
         self.kmin_mode = kmin_mode
-        self.partitioner = partitioner
         self.live: dict[int, tuple[DLine, Color]] = {}
         self.delete_at: dict[int, Optional[int]] = {}
         self.u = 0
@@ -456,7 +455,7 @@ class DynState:
                     cnt = violations_at(PointR2(x, y), red, blue)
                     ids = (cr.piece_at(x).line.id, cb.piece_at(x).line.id)
                     pts.append(PTPoint(x, y, cnt, True, payload=ids))
-        self.forest = PartitionForest(pts, partitioner=self.partitioner)
+        self.forest = PartitionForest(pts)
         self.points_by_line = {}
         for pt in pts:
             for id_ in pt.payload:
@@ -560,16 +559,7 @@ class DynState:
         if k_min > self.k_active:
             self._full_init()   # defensive; cannot happen within the contract
             k_min = self._measure_kmin()
-        return k_min, self._kmin_result(k_min)
-
-    def _kmin_result(self, k_min: int) -> LPResult:
-        red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
-        if far_left_min(red, blue) <= k_min:
-            return LPResult(LPStatus.UNBOUNDED)
-        pt = self.forest.leftmost_valid(k_min)
-        if pt is None:
-            return LPResult(LPStatus.INFEASIBLE)
-        return LPResult(LPStatus.FEASIBLE, PointR2(pt.x, pt.y), pt.count)
+        return k_min, self.query(k_min)
 
     # -- audits ---------------------------------------------------------------
 
@@ -607,39 +597,3 @@ class DynState:
             raise AssertionError(
                 "leftover and layers do not partition the live lines"
             )
-
-
-def dyn_build(
-    cs: ConstraintSet, schedule: dict[int, Optional[int]], k: int, **kw
-) -> DynState:
-    return DynState(cs, schedule, k, **kw)
-
-
-def dyn_update(st: DynState, op) -> None:
-    """op: ("insert", DLine, Color, delete_at) or ("delete", id)."""
-    if op[0] == "insert":
-        st.insert(op[1], op[2], op[3])
-    elif op[0] == "delete":
-        st.delete(op[1])
-    else:
-        raise ValueError(f"unknown op {op!r}")
-
-
-def dyn_query(st: DynState, k: Optional[int] = None) -> LPResult:
-    return st.query(k)
-
-
-def dyn_query_kmin(st: DynState) -> tuple[int, LPResult]:
-    return st.query_kmin()
-
-
-def halfplane_update(forest: PartitionForest, line: DLine, color: Color,
-                     sign: int) -> None:
-    """Adjust every candidate count on the violating side of `line`."""
-    forest.halfplane_update(line, above=(color is Color.RED), delta=sign)
-
-
-def tree_query(forest: PartitionForest, kq: int) -> Optional[PointR2]:
-    """Leftmost candidate with current count <= kq."""
-    pt = forest.leftmost_valid(kq)
-    return PointR2(pt.x, pt.y) if pt is not None else None

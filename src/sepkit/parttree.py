@@ -10,14 +10,15 @@ Deletions are sentinel-based (an explicit alive flag, never a numeric
 infinity).  Point insertions use the logarithmic method: a forest of trees
 with power-of-two sizes, merged on collision.
 
-Correctness is partition-agnostic: the partitioner only affects the number
-of cells a line crosses (recorded in the stats hook).
+Each node splits its points by two alternating median cuts (x, then y).
+The split only affects how many cells a line crosses (the `crossings`
+count), not the answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chains import DLine
 from .rat import RatT
@@ -95,25 +96,14 @@ class PTNode:
         self.buf = 0
 
 
-Partitioner = Callable[[list[PTPoint], int], list[list[PTPoint]]]
-
-
-def median_partitioner(pts: list[PTPoint], axis: int) -> list[list[PTPoint]]:
+def _median_split(pts: list[PTPoint], axis: int) -> list[list[PTPoint]]:
     key = (lambda p: (p.x, p.y)) if axis == 0 else (lambda p: (p.y, p.x))
     s = sorted(pts, key=key)
     h = len(s) // 2
     return [s[:h], s[h:]]
 
 
-def skewed_partitioner(pts: list[PTPoint], axis: int) -> list[list[PTPoint]]:
-    """Deliberately unbalanced splits; correctness must not depend on this."""
-    key = (lambda p: (p.x, p.y)) if axis == 0 else (lambda p: (p.y, p.x))
-    s = sorted(pts, key=key)
-    h = max(1, len(s) // 8)
-    return [s[:h], s[h:]]
-
-
-def _build(pts: list[PTPoint], partitioner: Partitioner) -> PTNode:
+def _build(pts: list[PTPoint]) -> PTNode:
     if len(pts) <= LEAF_SIZE:
         return PTNode(pts, [])
     parts = [pts]
@@ -123,11 +113,11 @@ def _build(pts: list[PTPoint], partitioner: Partitioner) -> PTNode:
             if len(part) <= 1:
                 nxt.append(part)
             else:
-                nxt.extend(partitioner(part, axis))
+                nxt.extend(_median_split(part, axis))
         parts = nxt
     if all(len(p) == len(pts) for p in parts if p):  # no progress, bail to leaf
         return PTNode(pts, [])
-    children = [_build(p, partitioner) for p in parts if p]
+    children = [_build(p) for p in parts if p]
     return PTNode([], children)
 
 
@@ -153,8 +143,8 @@ def _above_halfplane(node: PTNode, line: DLine, above: bool):
 
 
 class PartitionTree:
-    def __init__(self, pts: list[PTPoint], partitioner: Partitioner):
-        self.root = _build(list(pts), partitioner)
+    def __init__(self, pts: list[PTPoint]):
+        self.root = _build(list(pts))
         self.size = len(pts)
         self.crossings = 0
 
@@ -289,14 +279,12 @@ class PartitionTree:
 class PartitionForest:
     """Logarithmic-method forest of partition trees over candidate points."""
 
-    def __init__(self, points: Sequence[PTPoint] = (),
-                 partitioner: Partitioner = median_partitioner):
-        self.partitioner = partitioner
+    def __init__(self, points: Sequence[PTPoint] = ()):
         self.trees: list[PartitionTree] = []
         self.deleted = 0
         self.xs: list[RatT] = []
         if points:
-            self.trees.append(PartitionTree(list(points), partitioner))
+            self.trees.append(PartitionTree(list(points)))
             self.xs = sorted(p.x for p in points)
 
     def __len__(self):
@@ -314,7 +302,7 @@ class PartitionForest:
                 break
             self.trees.remove(match)
             merged.extend(match.alive_points())
-        self.trees.append(PartitionTree(merged, self.partitioner))
+        self.trees.append(PartitionTree(merged))
         bisect.insort(self.xs, pt.x)
 
     def halfplane_update(self, line: DLine, above: bool, delta: int) -> None:
@@ -337,7 +325,7 @@ class PartitionForest:
 
     def rebuild(self) -> None:
         pts = [p for t in self.trees for p in t.alive_points()]
-        self.trees = [PartitionTree(pts, self.partitioner)] if pts else []
+        self.trees = [PartitionTree(pts)] if pts else []
         self.deleted = 0
         self.xs = sorted(p.x for p in pts)
 

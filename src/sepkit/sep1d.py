@@ -39,16 +39,6 @@ class Point1D:
 
 
 @dataclass(frozen=True)
-class Insert1D:
-    point: Point1D
-
-
-@dataclass(frozen=True)
-class Delete1D:
-    id: int
-
-
-@dataclass(frozen=True)
 class Result1D:
     separator_x: Optional[RatT]
     mis: int
@@ -404,23 +394,3 @@ class Tree1D:
                 raise AssertionError(f"unbalanced at x={u.x}")
 
         walk(self.root)
-
-
-def build_1d(pts) -> Tree1D:
-    t = Tree1D()
-    for p in pts:
-        t.insert(p)
-    return t
-
-
-def update_1d(t: Tree1D, op) -> None:
-    if isinstance(op, Insert1D):
-        t.insert(op.point)
-    elif isinstance(op, Delete1D):
-        t.delete(op.id)
-    else:
-        raise TypeError(f"unknown update {op!r}")
-
-
-def query_1d(t: Tree1D, k: int) -> Optional[Result1D]:
-    return t.query(k)

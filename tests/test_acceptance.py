@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from sepkit.approxkmm import ApproxSolver, Infeasible, dyn_approx_build, solve_approx
+from sepkit.approxkmm import ApproxSolver, DynApprox, Infeasible, solve_approx
 from sepkit.chains import DLine
 from sepkit.core import Color, LabeledPoint, classify_mis, split_colors, \
     vertical_distance
@@ -318,7 +318,7 @@ def test_criterion_5_dynamic_approximation():
         k = rng.randint(2, 5)
         eps = Rat(1)
         init, schedule, ops = _approx_sequence(rng, n0=12, T=300)
-        dyn = dyn_approx_build(init, k, eps, schedule)
+        dyn = DynApprox(init, k, eps, schedule)
         live = {p.id: p for p in init}
         for op in ops:
             if op[0] == "insert":

@@ -10,8 +10,6 @@ from sepkit.approxkmm import (
     Wedge,
     build_delta_context,
     decide_delta,
-    dyn_approx_build,
-    dyn_approx_update,
     make_tgon,
     solve_approx,
     solve_wedge,
@@ -238,7 +236,7 @@ def test_dyn_approx_equals_static(rng):
         k = rng.randint(2, 4)
         eps = Rat(1)
         init, schedule, ops = _dyn_sequence(rng, 10, 40)
-        dyn = dyn_approx_build(init, k, eps, schedule)
+        dyn = DynApprox(init, k, eps, schedule)
         live = {p.id: p for p in init}
         for op in ops:
             if op[0] == "insert":
@@ -246,7 +244,8 @@ def test_dyn_approx_equals_static(rng):
             else:
                 del live[op[1]]
             try:
-                got = dyn_approx_update(dyn, op)
+                got = dyn.insert(op[1], op[2]) if op[0] == "insert" \
+                    else dyn.delete(op[1])
             except Infeasible:
                 got = None
             try:
@@ -261,7 +260,7 @@ def test_dyn_approx_equals_static(rng):
 
 def test_dyn_insert_delete_inverse(rng):
     pts = random_instance(rng, 10, coord=1000)
-    dyn = dyn_approx_build(pts, 3, 1, {50: 2})
+    dyn = DynApprox(pts, 3, 1, {50: 2})
     base = dyn.report()
     dyn.insert(LabeledPoint.of(4444, 5555, Color.RED, 50), 2)
     after = dyn.delete(50)
@@ -272,7 +271,7 @@ def test_dyn_insert_delete_inverse(rng):
 def test_dyn_approx_schedule_contract(rng):
     pts = random_instance(rng, 10, coord=1000)
     a, b = pts[0].id, pts[1].id          # a is promised at update 3, b never
-    dyn = dyn_approx_build(pts, 3, 1, {a: 3})
+    dyn = DynApprox(pts, 3, 1, {a: 3})
     base = dyn.report()
     live = dict(dyn.live)
     new = LabeledPoint.of(4444, 5555, Color.RED, 50)

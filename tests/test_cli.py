@@ -1,9 +1,11 @@
 import json
 import os
+import re
+import shlex
 
 import pytest
 
-from sepkit.cli import main
+from sepkit.cli import build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 DS3 = os.path.join(DATA, "ds3.csv")
@@ -224,19 +226,9 @@ def test_simulate_late_deletion_exit_0(capsys, tmp_path):
     assert docs[-1]["reason"] == "empty-side"
 
 
-def test_bench(capsys):
-    code = main(["bench", "--sizes", "12,24", "--k", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    rows = out.strip().splitlines()
-    assert rows[0] == "n,k,solver,wall_time,candidates"
-    assert len(rows) == 3
-
-
 def test_plot_structural_diff(tmp_path, capsys):
     svg_path = tmp_path / "ds3.svg"
-    code, _ = run(capsys, "plot", "--problem", "kmm", "--k", "1",
-                  "--svg", str(svg_path), DS3)
+    code, _ = run(capsys, "plot", "--k", "1", "--svg", str(svg_path), DS3)
     assert code == 0
     text = svg_path.read_text()
     assert "<svg" in text and 'id="valid-regions"' in text
@@ -254,8 +246,94 @@ def test_plot_structural_diff(tmp_path, capsys):
     assert got == want
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SEPKIT_SEED", "123")
-    code = main(["bench", "--sizes", "10", "--k", "1"])
-    capsys.readouterr()
-    assert code == 0
+# Every flag the earlier shared parser accepted on a subcommand that does
+# not read it, with a value where the flag takes one.
+UNREAD_FLAGS = {
+    "solve": [["--seed", "9"], ["--svg", "x.svg"]],
+    "oracle": [["--eps", "1"], ["--tol", "5"], ["--seed", "9"],
+               ["--svg", "x.svg"]],
+    "simulate": [["--problem", "kmm"], ["--dim", "2"], ["--eps", "1"],
+                 ["--tol", "5"], ["--seed", "9"], ["--perturb"],
+                 ["--strict"], ["--svg", "x.svg"]],
+    "plot": [["--problem", "kmm"], ["--dim", "2"], ["--eps", "1"],
+             ["--tol", "5"], ["--seed", "9"], ["--out", "x.json"]],
+    "bench": [["--problem", "kmm"], ["--dim", "2"], ["--k", "1"],
+              ["--eps", "1"], ["--tol", "5"], ["--seed", "9"],
+              ["--perturb"], ["--strict"], ["--out", "x.csv"],
+              ["--svg", "x.svg"], ["--sizes", "10"]],
+}
+
+
+def _base_argv(cmd, tmp_path):
+    """A command line that runs with exit code 0 (bench: none does)."""
+    if cmd == "simulate":
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(json.dumps(
+            {"op": "insert", "color": "R", "m": "1", "c": "0"}))
+        return ["simulate", "--k", "1", str(stream)]
+    if cmd == "plot":
+        return ["plot", "--k", "1", "--svg", str(tmp_path / "p.svg"), DS3]
+    if cmd == "bench":
+        return ["bench"]
+    return [cmd, "--problem", "kmm", "--k", "1", DS3]
+
+
+@pytest.mark.parametrize("cmd,flag", [
+    (cmd, flag) for cmd, flags in UNREAD_FLAGS.items() for flag in flags
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_unread_flag_exit_2(capsys, tmp_path, cmd, flag):
+    argv = _base_argv(cmd, tmp_path)
+    if cmd != "bench":
+        assert main(argv) == 0
+        capsys.readouterr()
+    code = main([*argv, *flag])
+    out, _ = capsys.readouterr()
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "minmax", "--k", "0", DS3],
+    ["solve", "--problem", "minmis", "--k", "1", DS3],
+    ["solve", "--problem", "maxstrip", "--k", "3", DS2],
+    ["solve", "--problem", "kmm", "--k", "1", "--tol", "5", DS3],
+    ["solve", "--problem", "maxstrip", "--tol", "5", DS2],
+    ["solve", "--problem", "kmm", "--k", "1", "--eps", "1", DS3],
+    ["oracle", "--problem", "kmm-approx", "--k", "1", "--eps", "1", DS3],
+    ["oracle", "--problem", "maxstrip", DS2],
+    ["oracle", "--problem", "minmax", "--k", "0", DS3],
+    ["oracle", "--problem", "kmm", DS3],
+    ["solve", "--dim", "1", "--problem", "minmis", "--k", "1",
+     os.path.join(DATA, "ds1.csv")],
+])
+def test_flag_not_read_by_problem_exit_2(capsys, argv):
+    code = main(argv)
+    out, _ = capsys.readouterr()
+    assert code == 2 and out == ""
+
+
+def test_plot_strict(capsys, tmp_path):
+    # ds3.csv repeats x = 0, which only --strict rejects
+    svg_path = tmp_path / "ds3.svg"
+    assert main(["plot", "--k", "1", "--svg", str(svg_path), DS3]) == 0
+    svg_path.unlink()
+    code = main(["plot", "--k", "1", "--strict", "--svg", str(svg_path), DS3])
+    _, err = capsys.readouterr()
+    assert code == 2 and "error:" in err and not svg_path.exists()
+
+
+def _readme_cli_lines():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [ln for ln in block.splitlines() if ln.startswith("sepkit ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 7
+    parser = build_parser()
+    for ln in lines:
+        argv = shlex.split(ln, comments=True)[1:]
+        parser.parse_args(argv)   # a removed subcommand or flag exits here

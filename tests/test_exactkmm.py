@@ -13,10 +13,8 @@ from sepkit.errors import EmptyColor
 from sepkit.exactkmm import (
     ExactSolver,
     best_at_slope,
-    candidates,
     minmax_curve,
     solve_exact,
-    solve_exact_multi,
 )
 from sepkit.oracle import KmmCandidateTable
 from sepkit.rat import Rat
@@ -74,18 +72,22 @@ def test_solve_examples(ds2, ds3):
     assert rep.max_sq == 0 and rep.separable
 
 
+def _candidates(pts, k, orientation):
+    return ExactSolver(pts, k).analyses[orientation].candidates(k)
+
+
 def test_candidate_examples(ds3):
-    cs = candidates(ds3, 4, Orientation.BLUE_ABOVE)
+    cs = _candidates(ds3, 4, Orientation.BLUE_ABOVE)
     bs = {(c.location.x, c.location.y) for c in cs if c.kind == "b"}
     assert bs == {(-1, -3), (1, 1)}
     assert all(c.max_sq == Rat(1, 2) for c in cs if c.kind == "b")
-    cs = candidates(ds3, 1, Orientation.BLUE_ABOVE)
+    cs = _candidates(ds3, 1, Orientation.BLUE_ABOVE)
     hit = [c for c in cs if c.kind == "a" and (c.location.x, c.location.y) == (1, 0)]
     assert hit and hit[0].mis == 1 and hit[0].max_sq == 2
 
 
 def test_candidates_separable_zero(ds2):
-    cs = candidates(ds2, 0, Orientation.BLUE_ABOVE)
+    cs = _candidates(ds2, 0, Orientation.BLUE_ABOVE)
     assert any(c.max_sq == 0 for c in cs)
 
 
@@ -107,7 +109,8 @@ def test_oracle_equivalence(rng):
 
 def test_solve_multi_consistent(rng):
     pts = random_instance(rng, 16)
-    multi = solve_exact_multi(pts, list(range(0, 5)))
+    solver = ExactSolver(pts, 4)
+    multi = {k: solver.solve(k) for k in range(0, 5)}
     for k, rep in multi.items():
         single = solve_exact(pts, k)
         assert rep.max_sq == single.max_sq

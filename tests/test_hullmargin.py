@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,8 +11,6 @@ from sepkit.hullmargin import (
     convex_hull,
     hull_distance,
     hulls_intersect,
-    margin_delete,
-    margin_insert,
     max_margin_static,
 )
 from sepkit.rat import Rat
@@ -49,16 +48,28 @@ def test_touching_hulls_not_separable():
 
 def test_dynamic_examples(ds2):
     pair = HullPair(ds2)
-    r = margin_insert(pair, LabeledPoint.of(Rat(1, 2), 1, Color.BLUE, 4))
+    r = pair.insert(LabeledPoint.of(Rat(1, 2), 1, Color.BLUE, 4))
     assert r.status is StripStatus.SEPARABLE and r.width_sq == 1
     assert r.separator.line.m == 0 and r.separator.line.c == Rat(1, 2)
-    before = margin_delete(pair, 4)
-    r2 = margin_insert(pair, LabeledPoint.of(Rat(1, 2), -1, Color.BLUE, 5))
+    before = pair.delete(4)
+    r2 = pair.insert(LabeledPoint.of(Rat(1, 2), -1, Color.BLUE, 5))
     assert r2.status is StripStatus.NOT_SEPARABLE
-    after = margin_delete(pair, 5)
+    after = pair.delete(5)
     assert (before.status, before.width_sq) == (after.status, after.width_sq)
     with pytest.raises(UnknownId):
         pair.delete(999)
+
+
+def test_build_independent_of_order():
+    # the prefix red (0,0), blue (2,0) has a vertical max-margin separator,
+    # the whole set does not
+    pts = [LabeledPoint.of(0, 0, Color.RED, 0),
+           LabeledPoint.of(2, 0, Color.BLUE, 1),
+           LabeledPoint.of(0, 3, Color.BLUE, 2)]
+    want = max_margin_static(pts)
+    assert want.width_sq == Rat(36, 13)
+    for order in itertools.permutations(pts):
+        assert HullPair(order).result() == want
 
 
 def test_vertical_separator_rejected():

@@ -10,23 +10,12 @@ from sepkit.lpviol import (
     DynState,
     LPStatus,
     PlyStructure,
-    dyn_build,
-    dyn_query,
-    dyn_query_kmin,
-    dyn_update,
-    halfplane_update,
     static_leftmost_valid,
     static_min_violations,
-    tree_query,
     violations_at,
 )
 from sepkit.oracle import oracle_leftmost_valid, oracle_min_violations
-from sepkit.parttree import (
-    PartitionForest,
-    PTPoint,
-    median_partitioner,
-    skewed_partitioner,
-)
+from sepkit.parttree import PartitionForest, PTPoint
 from sepkit.rat import Rat
 from tests.conftest import random_lines
 
@@ -99,48 +88,47 @@ def test_ply_equals_direct_count(rng):
 # -- partition trees ------------------------------------------------------------
 
 
-def _random_forest(rng, n, partitioner=median_partitioner):
+def _random_forest(rng, n):
     pts = []
     for i in range(n):
         pts.append(PTPoint(Rat(rng.randint(-50, 50), rng.randint(1, 3)),
                            Rat(rng.randint(-50, 50), rng.randint(1, 3)),
                            rng.randint(0, 5), payload=i))
-    return PartitionForest(pts, partitioner=partitioner), pts
+    return PartitionForest(pts), pts
 
 
 def test_halfplane_updates_match_recount(rng):
-    for partitioner in (median_partitioner, skewed_partitioner):
-        forest, pts = _random_forest(rng, 50, partitioner)
-        shadow = {id(p): p.count for p in pts}
-        for _ in range(20):
-            line = L(0, Rat(rng.randint(-5, 5), rng.randint(1, 3)),
-                     rng.randint(-40, 40))
-            color = Color.RED if rng.random() < 0.5 else Color.BLUE
-            delta = rng.choice((+1, -1))
-            halfplane_update(forest, line, color, delta)
-            for p in pts:
-                v = p.y - line.y_at(p.x)
-                hit = v > 0 if color is Color.RED else v < 0
-                if hit:
-                    shadow[id(p)] += delta
-            forest.audit()
-        alive = [q for t in forest.trees for q in t.alive_points()]
-        assert {id(p): p.count for p in alive} == shadow
+    forest, pts = _random_forest(rng, 50)
+    shadow = {id(p): p.count for p in pts}
+    for _ in range(20):
+        line = L(0, Rat(rng.randint(-5, 5), rng.randint(1, 3)),
+                 rng.randint(-40, 40))
+        color = Color.RED if rng.random() < 0.5 else Color.BLUE
+        delta = rng.choice((+1, -1))
+        forest.halfplane_update(line, above=color is Color.RED, delta=delta)
+        for p in pts:
+            v = p.y - line.y_at(p.x)
+            hit = v > 0 if color is Color.RED else v < 0
+            if hit:
+                shadow[id(p)] += delta
+        forest.audit()
+    alive = [q for t in forest.trees for q in t.alive_points()]
+    assert {id(p): p.count for p in alive} == shadow
 
 
 def test_single_point_increment():
     p = PTPoint(Rat(0), Rat(0), 0)
     forest = PartitionForest([p])
-    halfplane_update(forest, L(0, 0, -1), Color.RED, +1)   # point above line
+    forest.halfplane_update(L(0, 0, -1), above=True, delta=+1)   # point above line
     assert forest.trees[0].alive_points()[0].count == 1
 
 
 def test_sentinel_deletion():
     p = PTPoint(Rat(0), Rat(0), 0)
     forest = PartitionForest([p])
-    assert tree_query(forest, 5) is not None
+    assert forest.leftmost_valid(5) is not None
     forest.delete(p)
-    assert tree_query(forest, 5) is None
+    assert forest.leftmost_valid(5) is None
 
 
 def test_leftmost_query_with_inserts(rng):
@@ -215,11 +203,19 @@ def _assert_matches_static(st, live, k, where):
     red = [l for l, c in live.values() if c is Color.RED]
     blue = [l for l, c in live.values() if c is Color.BLUE]
     want = static_leftmost_valid(ConstraintSet(red, blue), k)
-    got = dyn_query(st, k)
+    got = st.query(k)
     assert got.status == want.status, where
     if got.status is LPStatus.FEASIBLE:
         assert (got.point.x, got.point.y) == (want.point.x, want.point.y)
         assert got.violations == want.violations
+
+
+def _apply(st, op):
+    """op: ("insert", DLine, Color, delete_at) or ("delete", id)."""
+    if op[0] == "insert":
+        st.insert(*op[1:])
+    else:
+        st.delete(op[1])
 
 
 def _replay(st, cs, ops, k, audit_every):
@@ -227,7 +223,7 @@ def _replay(st, cs, ops, k, audit_every):
     live = {l.id: (l, Color.RED) for l in cs.red}
     live.update({l.id: (l, Color.BLUE) for l in cs.blue})
     for step, op in enumerate(ops):
-        dyn_update(st, op)
+        _apply(st, op)
         if op[0] == "insert":
             live[op[1].id] = (op[1], op[2])
         else:
@@ -237,20 +233,15 @@ def _replay(st, cs, ops, k, audit_every):
             st.audit()
 
 
-def _run_dynamic(rng, T, k, partitioner=median_partitioner, audit_every=40):
+def _run_dynamic(rng, T, k, audit_every=40):
     cs, schedule, ops = make_sequence(rng, rng.randint(4, 16), T)
-    st = DynState(cs, schedule, k, partitioner=partitioner)
+    st = DynState(cs, schedule, k)
     _replay(st, cs, ops, k, audit_every)
 
 
 def test_dynamic_equals_static(rng):
     for _ in range(3):
         _run_dynamic(rng, 90, rng.randint(0, 5))
-
-
-def test_dynamic_partition_agnostic(rng):
-    # correctness must not depend on partition quality
-    _run_dynamic(rng, 60, 3, partitioner=skewed_partitioner)
 
 
 def test_dynamic_overdue_lines_keep_on_time_deletions():
@@ -297,12 +288,12 @@ def test_dynamic_kmin(rng):
     # flushed after its lines fall due
     for late_share in (0.0, 0.0, 0.3, 0.3, 0.3, 0.3):
         cs, schedule, ops = make_sequence(rng, 10, 60, late_share=late_share)
-        st = dyn_build(cs, schedule, 4, kmin_mode=True)
+        st = DynState(cs, schedule, 4, kmin_mode=True)
         live = {l.id: (l, Color.RED) for l in cs.red}
         live.update({l.id: (l, Color.BLUE) for l in cs.blue})
         prev = None
         for op in ops:
-            dyn_update(st, op)
+            _apply(st, op)
             if op[0] == "insert":
                 live[op[1].id] = (op[1], op[2])
             else:
@@ -310,7 +301,7 @@ def test_dynamic_kmin(rng):
             st.audit()
             red = [l for l, c in live.values() if c is Color.RED]
             blue = [l for l, c in live.values() if c is Color.BLUE]
-            got_k, got_res = dyn_query_kmin(st)
+            got_k, got_res = st.query_kmin()
             if red and blue:
                 want_k, want_res = static_min_violations(ConstraintSet(red, blue))
                 assert got_k == want_k
@@ -323,40 +314,40 @@ def test_dynamic_kmin(rng):
 def test_dynamic_spec_examples():
     # build on R{y=x}, B{y=-x}; insert blue y=-x+10 to be deleted at update 3
     cs = ConstraintSet([L(0, 1, 0)], [L(1, -1, 0)])
-    st = dyn_build(cs, {}, 0)
+    st = DynState(cs, {}, 0)
     st.insert(L(2, -1, 10), Color.BLUE, delete_at=3)
-    got = dyn_query(st, 0)
+    got = st.query(0)
     want = static_leftmost_valid(
         ConstraintSet([L(0, 1, 0)], [L(1, -1, 0), L(2, -1, 10)]), 0)
     assert got.status is want.status is LPStatus.FEASIBLE
     assert (got.point.x, got.point.y) == (want.point.x, want.point.y) == (5, 5)
     # a constraint satisfied everywhere (blue line far below) leaves the
     # query unchanged; verified against static recompute
-    st2 = dyn_build(ConstraintSet([L(0, 0, 0), L(1, 2, -2)],
-                                  [L(2, 0, -2), L(3, 2, 0)]), {}, 1)
-    before = dyn_query(st2, 1)
+    st2 = DynState(ConstraintSet([L(0, 0, 0), L(1, 2, -2)],
+                                 [L(2, 0, -2), L(3, 2, 0)]), {}, 1)
+    before = st2.query(1)
     st2.insert(L(9, 0, -100000), Color.BLUE, None)
-    after = dyn_query(st2, 1)
+    after = st2.query(1)
     assert before.status == after.status is LPStatus.UNBOUNDED
     want = static_leftmost_valid(
         ConstraintSet([L(0, 0, 0), L(1, 2, -2)],
                       [L(2, 0, -2), L(3, 2, 0), L(9, 0, -100000)]), 1)
     assert after.status == want.status
     # deleting the only blue line -> empty-side convention
-    st3 = dyn_build(ConstraintSet([L(0, 1, 0)], [L(1, -1, 0)]),
-                    {1: 1}, 0)
+    st3 = DynState(ConstraintSet([L(0, 1, 0)], [L(1, -1, 0)]),
+                   {1: 1}, 0)
     st3.delete(1)
-    r = dyn_query(st3, 0)
+    r = st3.query(0)
     assert r.status is LPStatus.UNBOUNDED and r.reason == "empty-side"
 
 
 def test_schedule_violations():
     cs = ConstraintSet([L(0, 1, 0)], [L(1, -1, 0)])
-    st = dyn_build(cs, {0: 5}, 0)
+    st = DynState(cs, {0: 5}, 0)
     with pytest.raises(ScheduleViolation):
         st.delete(0)            # promised for update 5, arrives at 1
     assert st.u == 0 and 0 in st.live   # a rejected update changes nothing
-    st2 = dyn_build(cs, {}, 0)
+    st2 = DynState(cs, {}, 0)
     with pytest.raises(ScheduleViolation):
         st2.delete(0)           # never promised
     with pytest.raises(UnknownId):

@@ -6,28 +6,26 @@ from sepkit.core import Color
 from sepkit.errors import DuplicateCoordinate, UnknownId
 from sepkit.oracle import oracle_1d
 from sepkit.rat import Rat
-from sepkit.sep1d import (
-    Delete1D,
-    Insert1D,
-    Orient1D,
-    Point1D,
-    Tree1D,
-    build_1d,
-    query_1d,
-    update_1d,
-)
+from sepkit.sep1d import Orient1D, Point1D, Tree1D
 from tests.conftest import DS1
 
 
+def _tree(pts):
+    t = Tree1D()
+    for p in pts:
+        t.insert(p)
+    return t
+
+
 def ds1_tree():
-    return build_1d([Point1D(x, c, i) for x, c, i in DS1])
+    return _tree([Point1D(x, c, i) for x, c, i in DS1])
 
 
 def test_build_examples():
     t = ds1_tree()
     assert t.min_mis() == 1
-    assert build_1d([]).query(0).mis == 0
-    t1 = build_1d([Point1D.of(1, Color.RED, 0)])
+    assert _tree([]).query(0).mis == 0
+    t1 = _tree([Point1D.of(1, Color.RED, 0)])
     assert t1.min_mis() == 0
     r = t1.query(0)
     assert r.mis == 0 and r.max_dist == 0
@@ -69,9 +67,9 @@ def test_update_errors():
 
 def test_op_wrappers():
     t = ds1_tree()
-    update_1d(t, Insert1D(Point1D.of(10, Color.RED, 11)))
-    update_1d(t, Delete1D(11))
-    assert query_1d(t, 1).separator_x == 3
+    t.insert(Point1D.of(10, Color.RED, 11))
+    t.delete(11)
+    assert t.query(1).separator_x == 3
 
 
 def _result_key(res):
@@ -128,7 +126,7 @@ def test_node_annotation_soundness():
         xs = rng.sample(range(-500, 500), n)
         pts = [Point1D.of(x, Color.RED if rng.random() < 0.5 else Color.BLUE, i)
                for i, x in enumerate(xs)]
-        t = build_1d(pts)
+        t = _tree(pts)
         t.audit()
         # root M equals brute-force interval scan per orientation
         for orient in Orient1D:
