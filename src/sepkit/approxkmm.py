@@ -12,15 +12,16 @@ polygon is verified against 1/cos(max half-gap) <= 1+eps by exact rational
 comparison.  Corners come in opposite pairs, so one in-frame orientation per
 corner covers both primal orientations.
 
-ApproxSolver runs the exact solver's k-independent analysis
-(OrientationAnalysis: vertex scan, envelopes, MinMax curve) once per wedge;
-solve(k) takes the best wedge_optimum over the valid arrangement vertices,
-the curve's vertices and valid crossings, and the slab walls.  The
-delta-decision structure (DeltaContext, decide_delta) answers "is there a
-valid separator with vertical error <= delta in this wedge"; solve_wedge
-uses it only to certify an optimum when given a context.  DynApprox keeps a
-live set under semi-online updates and re-solves it with ApproxSolver on
-every report.
+ApproxSolver builds one OrientationAnalysis per wedge, with the wedge's
+slope slab as its slab, so each wedge reuses the exact solver's candidate
+enumeration (valid arrangement vertices, curve vertices with their nearest
+valid heights, valid curve crossings) over that slab; solve(k) takes the
+best wedge_optimum, which adds the slab walls and scores by vertical error.
+The delta-decision structure (DeltaContext, decide_delta) answers "is there
+a valid separator with vertical error <= delta in this wedge"; the solver
+does not call it, and tests check wedge optima against it.  DynApprox
+keeps a live set under semi-online updates and re-solves it with
+ApproxSolver on every report.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ from .core import (
     classify_mis,
     split_colors,
 )
-from .errors import EmptyColor, InfeasibleWedge, NonPositiveEps, SepkitError
-from .exactkmm import MinMaxCurve, OrientationAnalysis, VerticalError
+from .errors import EmptyColor, NonPositiveEps, SepkitError
+from .exactkmm import OrientationAnalysis, VerticalError
 from .lpviol import PlyStructure, check_schedule
 from .rat import R0, Rat, RatLike, RatT, rat
-from .scans import ColumnProfile, segment_valid_crossings
+from .scans import ColumnProfile
+# unused here; imported only so perfbench/spans.py can wrap this name
+from .scans import segment_valid_crossings  # noqa: F401
 
 
 class Infeasible(SepkitError):
@@ -300,104 +303,37 @@ class WedgeSolution:
     mis: int
 
 
-class WedgeFrame(VerticalError):
-    """Envelope/curve geometry of one wedge in its rotated frame."""
-
-    def __init__(self, wedge: Wedge, below: list[DLine], above: list[DLine],
-                 env_lo: Chain, env_hi: Chain, curve: MinMaxCurve):
-        self.wedge = wedge
-        self.below = below
-        self.above = above
-        self.env_lo = env_lo
-        self.env_hi = env_hi
-        self.curve = curve
-        self._columns: dict = {}
-
-    def column(self, x: RatT) -> ColumnProfile:
-        col = self._columns.get(x)
-        if col is None:
-            col = ColumnProfile(self.below, self.above, x)
-            self._columns[x] = col
-        return col
-
-
-def wedge_optimum(frame: WedgeFrame, vertex_cands, k: int) -> Optional[WedgeSolution]:
+def wedge_optimum(
+    ana: OrientationAnalysis, wedge: Wedge, k: int
+) -> Optional[WedgeSolution]:
     """Exact minimum vertical error over valid separators in the wedge slab.
 
-    vertex_cands supplies (x, y, mis) triples with mis <= k covering every
-    valid arrangement vertex; curve, column, crossing and wall candidates are
-    derived here.  Candidates whose separator would be vertical in the
-    original frame are skipped (outside the solver's domain).
+    `ana` is the wedge's analysis, with the wedge's slope slab as its slab.
+    The candidates are its families a-d plus the same column search on the
+    two slab walls, where clipping can move the optimum.  Columns also give
+    the valid heights next to a valid curve height: across a zero-error band
+    the (err, x, y) key prefers the lower one.  Candidates whose separator
+    would be vertical in the original frame are skipped (outside the
+    solver's domain).
     """
-    w = frame.wedge
-    vskip = w.vertical_slope_in_frame()
+    vskip = wedge.vertical_slope_in_frame()
+    cands = [(x, y, mis) for _, x, y, mis in ana.points(k, neighbours=True)]
+    for wall in (wedge.m_lo, wedge.m_hi):
+        cy = ana.curve.value_at(wall)
+        cands += [(wall, y, mis) for y, mis in
+                  ana.column(wall).valid_near(cy, k, neighbours=True)]
     best = None
-
-    def consider(x, y, mis):
-        nonlocal best
-        if not (w.m_lo <= x <= w.m_hi):
-            return
+    for x, y, mis in cands:
         if vskip is not None and x == vskip:
-            return
-        err = frame.vert_err(x, y)
+            continue
+        err = ana.vert_err(x, y)
         key = (err, x, y)
         if best is None or key < best[0]:
             best = (key, PointR2(x, y), mis)
-
-    for x, y, mis in vertex_cands:
-        consider(x, y, mis)
-    for v in frame.curve.vertices:
-        if not (w.m_lo <= v.x <= w.m_hi):
-            continue
-        col = frame.column(v.x)
-        mis_v = col.mis_at(v.y)
-        if mis_v <= k:
-            consider(v.x, v.y, mis_v)
-        up = col.nearest_valid_above(v.y, k)
-        if up is not None:
-            consider(v.x, up, col.mis_at(up))
-        dn = col.nearest_valid_below(v.y, k)
-        if dn is not None:
-            consider(v.x, dn, col.mis_at(dn))
-    for p in frame.curve.pieces:
-        x1 = p.x_lo if p.x_lo is not None and p.x_lo > w.m_lo else w.m_lo
-        x2 = p.x_hi if p.x_hi is not None and p.x_hi < w.m_hi else w.m_hi
-        if x1 > x2:
-            continue
-        for (x, y, mis) in segment_valid_crossings(
-            p.line.m, p.line.c, x1, x2, frame.below, frame.above, k
-        ):
-            consider(x, y, mis)
-    for wall in (w.m_lo, w.m_hi):
-        col = frame.column(wall)
-        cy = frame.curve.value_at(wall)
-        for y in (cy, col.nearest_valid_above(cy, k),
-                  col.nearest_valid_below(cy, k)):
-            if y is not None and col.mis_at(y) <= k:
-                consider(wall, y, col.mis_at(y))
     if best is None:
         return None
     (err, _, _), pt, mis = best
     return WedgeSolution(err, pt, mis)
-
-
-def solve_wedge(
-    frame: WedgeFrame, vertex_cands, k: int, tol: RatLike = Rat(1, 10**12),
-    certify_ctx: Optional[DeltaContext] = None,
-) -> WedgeSolution:
-    """Wedge optimum plus the decision-contract certificate: the returned
-    delta is exact, so decide_delta(delta) succeeds while
-    decide_delta(delta/(1+tol)) finds nothing strictly better."""
-    sol = wedge_optimum(frame, vertex_cands, k)
-    if sol is None:
-        raise InfeasibleWedge(f"no valid separator in wedge {frame.wedge.index}")
-    if certify_ctx is not None:
-        assert decide_delta(certify_ctx, sol.delta) is not None
-        lo = sol.delta / (1 + rat(tol))
-        if lo < sol.delta:
-            r = decide_delta(certify_ctx, lo)
-            assert r is None
-    return sol
 
 
 @dataclass
@@ -423,28 +359,28 @@ class ApproxSolver:
         self.eps = rat(eps)
         self.tgon = make_tgon(eps)
         kmax = min(kmax, len(self.pts))
-        self.frames: list[WedgeFrame] = []
-        self.analyses: list[OrientationAnalysis] = []
-        for w in self.tgon.wedges:
-            below, above = rotated_duals(pts, w)
-            ana = OrientationAnalysis(below, above, kmax)
-            self.analyses.append(ana)
-            self.frames.append(
-                WedgeFrame(w, below, above, ana.env_lo, ana.env_hi, ana.curve)
-            )
+        self.analyses = [
+            OrientationAnalysis(*rotated_duals(pts, w), kmax, (w.m_lo, w.m_hi))
+            for w in self.tgon.wedges
+        ]
+
+    @property
+    def frames(self) -> list[OrientationAnalysis]:
+        # read only by perfbench's wedge counter (spans._approx_build_counts)
+        return self.analyses
 
     def solve(self, k: int, tol: RatLike = Rat(1, 10**12)) -> ApproxReport:
+        """Best wedge optimum.  Each optimum is exact, so the result does
+        not depend on `tol`."""
         k = min(k, len(self.pts))
         best = None
-        for frame, ana in zip(self.frames, self.analyses):
-            verts = [(v.x, v.y, v.mis) for v in ana.scan.vertices if v.mis <= k]
-            try:
-                sol = solve_wedge(frame, verts, k, tol)
-            except InfeasibleWedge:
+        for wedge, ana in zip(self.tgon.wedges, self.analyses):
+            sol = wedge_optimum(ana, wedge, k)
+            if sol is None:
                 continue
-            key = (sol.delta, frame.wedge.index)
+            key = (sol.delta, wedge.index)
             if best is None or key < best[0]:
-                best = (key, sol, frame.wedge)
+                best = (key, sol, wedge)
         if best is None:
             raise Infeasible(f"no separator misclassifies at most {k} points")
         _, sol, wedge = best

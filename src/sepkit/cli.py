@@ -56,6 +56,22 @@ def _check_k(args) -> None:
                          f"not {args.problem}")
 
 
+def _count(text: str) -> int:
+    """argparse type of --k: a non-negative integer."""
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {k}")
+    return k
+
+
+def _rational(flag: str, text: str):
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{flag} must be a rational such as 1/10 or 0.1, "
+                         f"not {text!r}") from exc
+
+
 def _load(args) -> list[LabeledPoint]:
     pts = dataio.load_points(args.input)
     if args.perturb:
@@ -142,9 +158,9 @@ def _solve_2d(args, pts, use_oracle: bool) -> tuple[dict, int]:
         }, EXIT_OK
 
     # kmm-approx; without --tol the solver's default applies
-    tol = {} if args.tol is None else {"tol": rat(args.tol)}
+    tol = {} if args.tol is None else {"tol": args.tol}
     try:
-        rep = solve_approx(pts, args.k, rat(args.eps), **tol)
+        rep = solve_approx(pts, args.k, args.eps, **tol)
     except Infeasible:
         k_min = solve_exact(pts, len(pts)).k_min
         return {"status": "infeasible", "problem": "kmm-approx",
@@ -219,6 +235,10 @@ def cmd_solve(args) -> int:
         raise ParseError("--eps only applies to kmm-approx")
     elif args.tol is not None:
         raise ParseError("--tol only applies to kmm-approx")
+    if args.eps is not None:
+        args.eps = _rational("--eps", args.eps)
+    if args.tol is not None:
+        args.tol = _rational("--tol", args.tol)
     return _answer(args, use_oracle=False)
 
 
@@ -323,7 +343,7 @@ def _instance_parser(sub, name: str, problems, help_: str):
     sp = sub.add_parser(name, help=help_)
     sp.add_argument("--problem", choices=problems, default="kmm")
     sp.add_argument("--dim", type=int, choices=(1, 2), default=2)
-    sp.add_argument("--k", type=int)
+    sp.add_argument("--k", type=_count)
     _ingest_flags(sp)
     sp.add_argument("--out")
     sp.add_argument("input")
@@ -343,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
                      "solve via the brute-force oracle")
 
     sim = sub.add_parser("simulate", help="drive the semi-online LP structure")
-    sim.add_argument("--k", type=int, default=0)
+    sim.add_argument("--k", type=_count, default=0)
     sim.add_argument("--verify", action="store_true",
                      help="re-solve statically after every update")
     sim.add_argument("--out")
     sim.add_argument("input")
 
     plot = sub.add_parser("plot", help="render the kmm dual overlay as SVG")
-    plot.add_argument("--k", type=int, default=1)
+    plot.add_argument("--k", type=_count, default=1)
     plot.add_argument("--svg", help="output path (default INPUT.svg)")
     _ingest_flags(plot)
     plot.add_argument("input")

@@ -38,13 +38,6 @@ class Orientation(enum.Enum):
     BLUE_ABOVE = "BlueAbove"
     RED_ABOVE = "RedAbove"
 
-    def flipped(self) -> "Orientation":
-        return (
-            Orientation.RED_ABOVE
-            if self is Orientation.BLUE_ABOVE
-            else Orientation.BLUE_ABOVE
-        )
-
 
 @dataclass(frozen=True)
 class PointR2:
@@ -258,7 +251,3 @@ def perturb_points(
         for lp in pts
     ]
 
-
-def rotate_point(p: PointR2, cos_a: RatT, sin_a: RatT) -> PointR2:
-    """Rotate p by the exact rational unit vector (cos_a, sin_a)."""
-    return PointR2(cos_a * p.x - sin_a * p.y, sin_a * p.x + cos_a * p.y)

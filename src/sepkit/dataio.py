@@ -91,8 +91,3 @@ def load_points(path: str) -> list[LabeledPoint]:
         return points_from_json(text)
     return points_from_csv(text)
 
-
-def save_points(path: str, pts: Sequence[LabeledPoint]) -> None:
-    text = points_to_json(pts) if path.endswith(".json") else points_to_csv(pts)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

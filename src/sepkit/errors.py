@@ -17,10 +17,6 @@ class DuplicateCoordinate(ValidationError):
     pass
 
 
-class VerticalLineError(ValidationError):
-    pass
-
-
 class CollinearPointsError(ValidationError):
     pass
 
@@ -49,10 +45,6 @@ class ScheduleViolation(SepkitError):
 
 class NonPositiveEps(SepkitError):
     pass
-
-
-class InfeasibleWedge(SepkitError):
-    """No valid separator exists within a slope wedge."""
 
 
 class CapExceeded(SepkitError):

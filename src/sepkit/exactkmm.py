@@ -5,9 +5,12 @@ lower and blue upper envelopes, their vertical midpoint curve (the locus of
 per-slope unconstrained optima), and enumerates every candidate optimum:
 
   a. arrangement vertices with mis <= k,
-  b. midpoint-curve vertices,
-  c. the first valid point vertically above/below each curve vertex,
+  b. midpoint-curve vertices with mis <= k,
+  c. the first valid point vertically above/below each other curve vertex,
   d. crossings of curve edges with arrangement lines that are valid.
+
+The approximate solver runs the same enumeration per t-gon wedge,
+restricted to the wedge's slope slab (OrientationAnalysis's `slab`).
 
 Unbounded directions are probed separately: each far gap gets a finite probe
 point (which can attain the optimum, e.g. for parallel separable inputs) and
@@ -18,7 +21,8 @@ attained candidate is flagged rather than silently accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 from .chains import Chain, ChainKind, ChainPiece, Direction, DLine, \
     _interior_point, envelope
@@ -34,7 +38,9 @@ from .errors import EmptyColor
 from .rat import R0, R1, Rat, RatT
 from .scans import (
     ColumnProfile,
+    FarGap,
     far_gaps,
+    far_order,
     scan_vertices,
     segment_valid_crossings,
 )
@@ -132,22 +138,50 @@ class VerticalError:
 
 class OrientationAnalysis(VerticalError):
     """k-independent scan data for one orientation (roles already assigned:
-    `below` duals must stay below the separator point, `above` duals above)."""
+    `below` duals must stay below the separator point, `above` duals above).
 
-    def __init__(self, below: list[DLine], above: list[DLine], kmax: int):
+    `slab` = (x_lo, x_hi) restricts every candidate family to the dual x in
+    x_lo <= x <= x_hi, the separator slopes of one t-gon wedge in its rotated
+    frame; None is the whole line.  The vertex scan, envelopes and curve
+    cover the whole line; columns are built for the curve vertices in the
+    slab, and the far gaps only when first read.
+    """
+
+    def __init__(self, below: list[DLine], above: list[DLine], kmax: int,
+                 slab: Optional[tuple[RatT, RatT]] = None):
         self.below = below
         self.above = above
         self.kmax = kmax
+        self.slab = slab
         self.scan = scan_vertices(below, above, kmax)
         self.env_lo = envelope(below, Direction.LOWER)
         self.env_hi = envelope(above, Direction.UPPER)
         self.curve = midpoint_curve(self.env_lo, self.env_hi)
-        self.columns = [
-            ColumnProfile(below, above, v.x) for v in self.curve.vertices
+        self.curve_vertices = [
+            v for v in self.curve.vertices if self.in_slab(v.x)
         ]
-        self.gaps_left = far_gaps(below, above, -1)
-        self.gaps_right = far_gaps(below, above, +1)
+        self.columns: dict[RatT, ColumnProfile] = {}
+        for v in self.curve_vertices:
+            self.column(v.x)
         self._d_cache: dict[int, list] = {}
+
+    def in_slab(self, x: RatT) -> bool:
+        return self.slab is None or self.slab[0] <= x <= self.slab[1]
+
+    def column(self, x: RatT) -> ColumnProfile:
+        """The column profile at x, built once per x."""
+        col = self.columns.get(x)
+        if col is None:
+            col = self.columns[x] = ColumnProfile(self.below, self.above, x)
+        return col
+
+    @cached_property
+    def gaps_left(self) -> list[FarGap]:
+        return far_gaps(self.below, self.above, -1)
+
+    @cached_property
+    def gaps_right(self) -> list[FarGap]:
+        return far_gaps(self.below, self.above, +1)
 
     # -- error evaluation --------------------------------------------------
 
@@ -157,43 +191,41 @@ class OrientationAnalysis(VerticalError):
 
     # -- candidate families --------------------------------------------------
 
-    def candidates(self, k: int) -> list[CandidatePoint]:
-        out: list[CandidatePoint] = []
+    def points(
+        self, k: int, neighbours: bool = False
+    ) -> Iterator[tuple[str, RatT, RatT, int]]:
+        """Every candidate in the slab as (family, x, y, mis), families a-d
+        of the module docstring.  With `neighbours`, a valid curve vertex
+        also brings the nearest valid heights around it (as b or c)."""
         for v in self.scan.vertices:
-            if v.mis <= k:
-                out.append(
-                    CandidatePoint(PointR2(v.x, v.y), "a", v.mis,
-                                   self.max_sq(v.x, v.y))
-                )
-        for v, col in zip(self.curve.vertices, self.columns):
-            mis_v = col.mis_at(v.y)
-            if mis_v <= k:
-                out.append(CandidatePoint(v, "b", mis_v, self.max_sq(v.x, v.y)))
-            else:
-                up = col.nearest_valid_above(v.y, k)
-                if up is not None:
-                    out.append(
-                        CandidatePoint(PointR2(v.x, up), "c", col.mis_at(up),
-                                       self.max_sq(v.x, up))
-                    )
-                dn = col.nearest_valid_below(v.y, k)
-                if dn is not None:
-                    out.append(
-                        CandidatePoint(PointR2(v.x, dn), "c", col.mis_at(dn),
-                                       self.max_sq(v.x, dn))
-                    )
-        for (x, y, mis) in self._d_crossings(k):
-            out.append(CandidatePoint(PointR2(x, y), "d", mis, self.max_sq(x, y)))
-        return out
+            if v.mis <= k and self.in_slab(v.x):
+                yield "a", v.x, v.y, v.mis
+        for v in self.curve_vertices:
+            for y, mis in self.columns[v.x].valid_near(v.y, k, neighbours):
+                yield ("b" if y == v.y else "c"), v.x, y, mis
+        for x, y, mis in self._d_crossings(k):
+            yield "d", x, y, mis
+
+    def candidates(self, k: int) -> list[CandidatePoint]:
+        return [
+            CandidatePoint(PointR2(x, y), kind, mis, self.max_sq(x, y))
+            for kind, x, y, mis in self.points(k)
+        ]
 
     def _d_crossings(self, k: int):
         if k not in self._d_cache:
             res = []
             for p in self.curve.pieces:
+                x1, x2 = p.x_lo, p.x_hi
+                if self.slab is not None:
+                    lo, hi = self.slab
+                    x1 = lo if x1 is None or x1 < lo else x1
+                    x2 = hi if x2 is None or x2 > hi else x2
+                    if x1 > x2:
+                        continue
                 res.extend(
                     segment_valid_crossings(
-                        p.line.m, p.line.c, p.x_lo, p.x_hi,
-                        self.below, self.above, k,
+                        p.line.m, p.line.c, x1, x2, self.below, self.above, k,
                     )
                 )
             self._d_cache[k] = res
@@ -210,6 +242,26 @@ class OrientationAnalysis(VerticalError):
                     best = lim_sq
         return best
 
+    def far_probes(self) -> Iterator[tuple[FarGap, PointR2]]:
+        """Each far gap with a probe point strictly inside it, at an x beyond
+        every crossing on its side; left gaps first, each side bottom to
+        top."""
+        scan = self.scan
+        for side, gaps in ((-1, self.gaps_left), (1, self.gaps_right)):
+            if side < 0:
+                xf = (scan.min_cross_x - 1) if scan.min_cross_x is not None else Rat(-1)
+            else:
+                xf = (scan.max_cross_x + 1) if scan.max_cross_x is not None else Rat(1)
+            vals = [l.y_at(xf) for l, _ in far_order(self.below, self.above, side)]
+            for i, gap in enumerate(gaps):
+                if i == 0:
+                    y = vals[0] - 1
+                elif i == len(vals):
+                    y = vals[-1] + 1
+                else:
+                    y = (vals[i - 1] + vals[i]) / 2
+                yield gap, PointR2(xf, y)
+
     def zero_band_point(self) -> Optional[PointR2]:
         """A dual point with mis = 0 and zero error inside a far gap.
 
@@ -217,28 +269,9 @@ class OrientationAnalysis(VerticalError):
         primal x) where the separating band has no arrangement vertex; for
         such inputs the zero optimum would otherwise go unreported.
         """
-        scan = self.scan
-        for side, gaps in ((-1, self.gaps_left), (1, self.gaps_right)):
-            zero = [i for i, g in enumerate(gaps) if g.mis == 0 and g.limit == 0]
-            if not zero:
-                continue
-            if side < 0:
-                xf = (scan.min_cross_x - 1) if scan.min_cross_x is not None else Rat(-1)
-                key = lambda l: (-l.m, l.c)
-            else:
-                xf = (scan.max_cross_x + 1) if scan.max_cross_x is not None else Rat(1)
-                key = lambda l: (l.m, l.c)
-            lines = sorted(self.below + self.above, key=key)
-            vals = [l.y_at(xf) for l in lines]
-            for i in zero:
-                if i == 0:
-                    y = vals[0] - 1
-                elif i == len(lines):
-                    y = vals[-1] + 1
-                else:
-                    y = (vals[i - 1] + vals[i]) / 2
-                if self.vert_err(xf, y) == 0:
-                    return PointR2(xf, y)
+        for gap, p in self.far_probes():
+            if gap.mis == 0 and gap.limit == 0 and self.vert_err(p.x, p.y) == 0:
+                return p
         return None
 
     def k_min(self) -> int:
@@ -308,6 +341,18 @@ class ExactSolver:
                 if pt is not None:
                     best = (None, CandidatePoint(pt, "a", 0, R0), orient)
                     break
+        if best is None and k >= self.k_min:
+            # no attained candidate (e.g. all duals parallel: the points
+            # share one x), yet some far gap is valid: report the best probe
+            # point, flagged below where a gap's limit beats it
+            for orient in (Orientation.BLUE_ABOVE, Orientation.RED_ABOVE):
+                ana = self.analyses[orient]
+                for gap, p in ana.far_probes():
+                    if gap.mis <= k:
+                        cand = CandidatePoint(p, "probe", gap.mis,
+                                              ana.max_sq(p.x, p.y))
+                        if best is None or cand.max_sq < best[1].max_sq:
+                            best = (None, cand, orient)
         if best is None:
             return ExactSolveReport(
                 best=None, mis=None, max_sq=None, k_min=self.k_min,
@@ -347,18 +392,8 @@ def best_at_slope(
     (vertically nearest to the MinMax curve); None when the column has no
     valid point.  Used by vertical-optimality checks."""
     ana = _analysis_for(pts, orientation, k)
-    col = ColumnProfile(ana.below, ana.above, m)
-    cy = ana.curve.value_at(m)
-    cands: list[RatT] = []
-    if col.mis_at(cy) <= k:
-        cands.append(cy)
-    up = col.nearest_valid_above(cy, k)
-    if up is not None:
-        cands.append(up)
-    dn = col.nearest_valid_below(cy, k)
-    if dn is not None:
-        cands.append(dn)
+    cands = ana.column(m).valid_near(ana.curve.value_at(m), k, neighbours=True)
     if not cands:
         return None
-    best = min(cands, key=lambda y: (ana.vert_err(m, y), y))
+    best, _ = min(cands, key=lambda c: (ana.vert_err(m, c[0]), c[0]))
     return best, ana.vert_err(m, best)

@@ -33,6 +33,7 @@ from .core import Color, PointR2
 from .errors import ScheduleViolation, UnknownId
 from .parttree import PartitionForest, PTPoint
 from .rat import Rat, RatT
+from .scans import far_order, gap_mis
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,8 @@ def violations_at(p: PointR2, red: Sequence[DLine], blue: Sequence[DLine]) -> in
 
 
 def far_left_min(red: Sequence[DLine], blue: Sequence[DLine]) -> int:
-    """Minimum violation count over the far-left gaps (symbolic order at
-    x -> -infinity: bottom-to-top is decreasing slope, then increasing c)."""
-    order = sorted(
-        [(l, True) for l in red] + [(l, False) for l in blue],
-        key=lambda t: (-t[0].m, t[0].c),
-    )
-    best = None
-    rb = 0
-    ba = sum(1 for _, isr in order if not isr)
-    for i in range(len(order) + 1):
-        cur = rb + ba
-        if best is None or cur < best:
-            best = cur
-        if i < len(order):
-            if order[i][1]:
-                rb += 1
-            else:
-                ba -= 1
-    return best
+    """Minimum violation count over the far-left gaps."""
+    return min(gap_mis(far_order(red, blue, -1)))
 
 
 # ---------------------------------------------------------------------------

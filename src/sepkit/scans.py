@@ -241,22 +241,48 @@ class FarGap:
     limit: RatT                # lim of vertical-error/|x|, minimized over alpha
 
 
-def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int) -> list[FarGap]:
-    """Exact gap structure beyond all crossings on one side (-1 left, +1 right)."""
+def far_order(
+    below: Sequence[DLine], above: Sequence[DLine], side: int
+) -> list[tuple[DLine, bool]]:
+    """(line, is_below) pairs bottom to top beyond every crossing on one side
+    (-1 left, +1 right)."""
     tagged = [(l, True) for l in below] + [(l, False) for l in above]
     if side < 0:
-        tagged.sort(key=lambda t: (-t[0].m, t[0].c))   # bottom to top at -inf
+        tagged.sort(key=lambda t: (-t[0].m, t[0].c))
+    else:
+        tagged.sort(key=lambda t: (t[0].m, t[0].c))
+    return tagged
+
+
+def gap_mis(order: Sequence[tuple[DLine, bool]]) -> list[int]:
+    """mis of each gap of a bottom-to-top far order, the bottom gap first:
+    the below-lines under the gap plus the above-lines over it."""
+    mis = sum(1 for _, isb in order if not isb)
+    out = [mis]
+    for _, isb in order:
+        mis += 1 if isb else -1
+        out.append(mis)
+    return out
+
+
+def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int) -> list[FarGap]:
+    """Exact gap structure beyond all crossings on one side (-1 left, +1 right)."""
+    tagged = far_order(below, above, side)
+    if side < 0:
         m_red = max(l.m for l in below)
         m_blue = min(l.m for l in above)
     else:
-        tagged.sort(key=lambda t: (t[0].m, t[0].c))
         m_red = min(l.m for l in below)
         m_blue = max(l.m for l in above)
+
+    def lim(alpha: RatT) -> RatT:
+        if side < 0:
+            return max(Rat(0), m_red - alpha, alpha - m_blue)
+        return max(Rat(0), alpha - m_red, m_blue - alpha)
+
     n = len(tagged)
     gaps = []
-    rb = 0
-    ba = sum(1 for _, isb in tagged if not isb)
-    for i in range(n + 1):
+    for i, mis in enumerate(gap_mis(tagged)):
         lo_line = tagged[i - 1][0] if i > 0 else None
         hi_line = tagged[i][0] if i < n else None
         if side < 0:
@@ -265,24 +291,12 @@ def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int) -> list[
         else:
             alo = lo_line.m if lo_line else None
             ahi = hi_line.m if hi_line else None
-
-        def lim(alpha: RatT) -> RatT:
-            if side < 0:
-                return max(Rat(0), m_red - alpha, alpha - m_blue)
-            return max(Rat(0), alpha - m_red, m_blue - alpha)
-
         a = (m_red + m_blue) / 2
         if alo is not None and a < alo:
             a = alo
         if ahi is not None and a > ahi:
             a = ahi
-        gaps.append(FarGap(rb + ba, alo, ahi, lim(a)))
-        if i < n:
-            _, isb = tagged[i]
-            if isb:
-                rb += 1
-            else:
-                ba -= 1
+        gaps.append(FarGap(mis, alo, ahi, lim(a)))
     return gaps
 
 
@@ -352,6 +366,25 @@ class ColumnProfile:
                 return self.heights[i]
             i -= 1
         return None
+
+    def valid_near(
+        self, y: RatT, k: int, neighbours: bool
+    ) -> list[tuple[RatT, int]]:
+        """Valid heights of a vertical search from y, as (height, mis): y
+        itself if its mis is <= k, and the nearest valid heights at or above
+        and at or below y when y is not valid (or always, with
+        `neighbours`)."""
+        out = []
+        mis = self.mis_at(y)
+        if mis <= k:
+            out.append((y, mis))
+            if not neighbours:
+                return out
+        for h in (self.nearest_valid_above(y, k),
+                  self.nearest_valid_below(y, k)):
+            if h is not None:
+                out.append((h, self.mis_at(h)))
+        return out
 
 
 # ---------------------------------------------------------------------------

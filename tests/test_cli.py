@@ -292,6 +292,22 @@ def test_unread_flag_exit_2(capsys, tmp_path, cmd, flag):
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "kmm", "--k", "-1", DS3],
+    ["oracle", "--problem", "kmm", "--k", "-1", DS3],
+    ["plot", "--k", "-2", DS3],
+    ["solve", "--problem", "kmm-approx", "--k", "1", "--eps", "abc", DS3],
+    ["solve", "--problem", "kmm-approx", "--k", "1", "--eps", "1/0", DS3],
+    ["solve", "--problem", "kmm-approx", "--k", "1", "--eps", "1",
+     "--tol", "x", DS3],
+    ["simulate", "--k", "-1", os.devnull],     # an empty stream
+], ids=lambda argv: " ".join(argv[:-1]))
+def test_bad_flag_value_exit_2(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["solve", "--problem", "minmax", "--k", "0", DS3],
     ["solve", "--problem", "minmis", "--k", "1", DS3],
     ["solve", "--problem", "maxstrip", "--k", "3", DS2],

@@ -12,7 +12,6 @@ from sepkit.core import (
     dualize_point,
     euclid_dist_sq,
     perturb_points,
-    rotate_point,
     validate_points,
     vertical_distance,
 )
@@ -120,9 +119,3 @@ def test_perturbation_repairs_degeneracy():
     ]
     fixed = perturb_points(pts)
     validate_points(fixed, strict=True)
-
-
-def test_rotation_exact():
-    p = PointR2.of(3, 4)
-    q = rotate_point(p, Rat(3, 5), Rat(4, 5))
-    assert q.x * q.x + q.y * q.y == 25

@@ -180,3 +180,17 @@ def test_k_clamped_beyond_n(rng):
     a = solve_exact(pts, 50)
     b = solve_exact(pts, len(pts))
     assert a.max_sq == b.max_sq
+
+
+def test_points_on_one_vertical_line():
+    # all duals are parallel, so no candidate is attained; k >= k_min must
+    # still give a separator, flagged because near-vertical ones do better
+    pts = [LabeledPoint.of(0, -1, Color.RED, 0),
+           LabeledPoint.of(0, 0, Color.BLUE, 1),
+           LabeledPoint.of(0, 1, Color.RED, 2)]
+    assert solve_exact(pts, 0).best is None
+    rep = solve_exact(pts, 1)
+    assert rep.k_min == 1 and rep.mis == 1
+    got = classify_mis(rep.best, pts)
+    assert (got.mis, got.max_sq) == (rep.mis, rep.max_sq)
+    assert rep.infinity_probe_wins and rep.probe_limit_sq == 0
