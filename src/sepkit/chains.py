@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import EmptyInput, ValidationError
-from .rat import RatT
+from .rat import Rat, RatT, homogeneous
+from .scans import exact_order, far_order, line_columns
 
 
 class Direction(enum.Enum):
@@ -36,6 +40,11 @@ class DLine:
     id: int
     m: RatT
     c: RatT
+
+    @cached_property
+    def abc(self) -> tuple[int, int, int]:
+        """Integer form (A, B, C): A*y = B*x + C with A > 0."""
+        return homogeneous(self.m, self.c)
 
     def y_at(self, x: RatT) -> RatT:
         return self.m * x + self.c
@@ -170,48 +179,50 @@ def chain_decomposition(
     m = min(k + 1, n)
     # order at x = -infinity: bottom-to-top is decreasing slope, then
     # increasing intercept (parallel lines never swap)
-    order = sorted(lines, key=lambda l: (-l.m, l.c))
+    order = [l for l, _ in far_order(lines, [], -1)]
     pos = {l.id: r for r, l in enumerate(order)}
     at = {r: l for r, l in enumerate(order)}
-    events = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = cross_x(lines[i], lines[j])
-            if x is not None:
-                events.append((x, lines[i].y_at(x), lines[i].id, lines[j].id))
-    events.sort(key=lambda e: (e[0], e[1]))
-    by_id = {l.id: l for l in lines}
+    # every crossing of lines i < j as (x, y) = (xn, yn) / den, in (x, y)
+    # order, cut into runs at one point
+    a, b, c = line_columns(lines)
+    li, lj = np.triu_indices(n, 1)
+    den = b[li] * a[lj] - b[lj] * a[li]
+    cross = np.flatnonzero(den != 0)
+    li, lj, den = li[cross], lj[cross], den[cross]
+    sign = np.where(den < 0, -1, 1)
+    xn = (c[lj] * a[li] - c[li] * a[lj]) * sign
+    yn = (b[li] * c[lj] - b[lj] * c[li]) * sign
+    den = den * sign
+    ev, same = exact_order((xn, den), (yn, den))
+    ids = [l.id for l in lines]
+    ei, ej = li[ev].tolist(), lj[ev].tolist()
+    bounds = np.flatnonzero(~same).tolist() + [len(ev)]
     # chain r rides the line currently at rank r while r < m; record the
     # (line, start_x) history per chain
     history: list[list[tuple[DLine, Optional[RatT]]]] = [
         [(at[r], None)] for r in range(m)
     ]
     chain_of: dict[int, int] = {at[r].id: r for r in range(m)}
-    # process events grouped by crossing point: 3+ concurrent lines reverse
-    # their contiguous rank block in one step
-    e = 0
-    while e < len(events):
-        x, y = events[e][0], events[e][1]
-        ids: set[int] = set()
-        while e < len(events) and events[e][0] == x and events[e][1] == y:
-            ids.add(events[e][2])
-            ids.add(events[e][3])
-            e += 1
-        ranks = sorted(pos[i] for i in ids)
-        if ranks != list(range(ranks[0], ranks[0] + len(ranks))):
+    # process crossings grouped by point: 3+ concurrent lines reverse their
+    # contiguous rank block in one step
+    for s, e in zip(bounds, bounds[1:]):
+        grp = {ids[i] for i in ei[s:e]} | {ids[j] for j in ej[s:e]}
+        ranks = sorted(pos[i] for i in grp)
+        lo, hi = ranks[0], ranks[-1]
+        if hi - lo != len(ranks) - 1:
             raise ValidationError(
                 "non-contiguous concurrent crossing block (degenerate input)"
             )
-        lo = ranks[0]
         block = [at[r] for r in ranks]            # bottom to top before x
-        leaving = [l for r, l in zip(ranks, block)
-                   if r < m <= lo + (ranks[-1] - r)]
-        entering = [l for r, l in zip(ranks, block)
-                    if r >= m > lo + (ranks[-1] - r)]
         for r, l in zip(ranks, reversed(block)):
             pos[l.id] = r
             at[r] = l
+        if not lo < m <= hi:
+            continue
+        leaving = [l for r, l in zip(ranks, block) if r < m <= lo + hi - r]
+        entering = [l for r, l in zip(ranks, block) if r >= m > lo + hi - r]
         entering.sort(key=lambda l: pos[l.id])
+        x = Rat(int(xn[ev[s]]), int(den[ev[s]]))
         for la, lb in zip(leaving, entering):
             idx = chain_of.pop(la.id)
             chain_of[lb.id] = idx
@@ -276,8 +287,6 @@ def chain_pair_intersections(concave: Chain, convex: Chain) -> list[tuple[RatT, 
 def _interior_point(
     x0: Optional[RatT], x1: Optional[RatT]
 ) -> RatT:
-    from .rat import Rat
-
     if x0 is None and x1 is None:
         return Rat(0)
     if x0 is None:

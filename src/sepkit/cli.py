@@ -237,6 +237,8 @@ def cmd_solve(args) -> int:
         raise ParseError("--tol only applies to kmm-approx")
     if args.eps is not None:
         args.eps = _rational("--eps", args.eps)
+        if args.eps <= 0:
+            raise ParseError(f"--eps must be > 0, not {rat_str(args.eps)}")
     if args.tol is not None:
         args.tol = _rational("--tol", args.tol)
     return _answer(args, use_oracle=False)
@@ -247,23 +249,56 @@ def cmd_oracle(args) -> int:
     return _answer(args, use_oracle=True)
 
 
+def _stream_op(text: str, lineno: int) -> dict:
+    """One stream line as a checked op dict; ParseError names the line."""
+    where = f"stream line {lineno}"
+    try:
+        op = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    kind = op.get("op") if isinstance(op, dict) else None
+    need = {"insert": ("m", "c"), "delete": ("id",), "query": ()}.get(
+        kind if isinstance(kind, str) else "")
+    if need is None:
+        raise ParseError(f"{where}: 'op' must be 'insert', 'delete' or "
+                         f"'query', not {kind!r}")
+    for key in need:
+        if key not in op:
+            raise ParseError(f"{where}: {kind} needs {key!r}")
+    for key in ("id", "k", "delete_at"):
+        v = op.get(key)
+        if key in op and not (key == "delete_at" and v is None) and (
+                not isinstance(v, int) or isinstance(v, bool)):
+            raise ParseError(f"{where}: {key!r} must be an integer, not {v!r}")
+    if op.get("k", 0) < 0:
+        raise ParseError(f"{where}: 'k' must be >= 0, not {op['k']}")
+    if kind == "insert":
+        if op.get("color") not in ("R", "B"):
+            raise ParseError(f"{where}: 'color' must be 'R' or 'B', "
+                             f"not {op.get('color')!r}")
+        for key in ("m", "c"):
+            try:
+                op[key] = rat(str(op[key]))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"{where}: {key!r} is not a rational: "
+                                 f"{op[key]!r}") from exc
+    return op
+
+
 def cmd_simulate(args) -> int:
     """Drive the semi-online LP structure over a JSONL update stream."""
     k = args.k
     with open(args.input, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        ops = [_stream_op(ln, i) for i, ln in enumerate(fh.read().splitlines(), 1)
+               if ln.strip()]
     out_lines = []
     st = DynState(ConstraintSet([], []), {}, k)
     live_red: dict[int, DLine] = {}
     live_blue: dict[int, DLine] = {}
     next_id = 0
-    for ln in lines:
-        try:
-            op = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad stream line: {exc}") from exc
+    for op in ops:
         if op["op"] == "insert":
-            line = DLine(op.get("id", next_id), rat(str(op["m"])), rat(str(op["c"])))
+            line = DLine(op.get("id", next_id), op["m"], op["c"])
             next_id = max(next_id, line.id) + 1
             color = Color.RED if op["color"] == "R" else Color.BLUE
             st.insert(line, color, op.get("delete_at"))
@@ -277,12 +312,10 @@ def cmd_simulate(args) -> int:
             else:
                 raise UnknownId(f"no live line {id_}")
             st.delete(id_)
-        elif op["op"] == "query":
+        else:
             res = st.query(min(op.get("k", k), k))
             out_lines.append(_lp_doc(res, st.u))
             continue
-        else:
-            raise ParseError(f"unknown op {op['op']!r}")
         res = st.query(k)
         out_lines.append(_lp_doc(res, st.u))
         if args.verify:

@@ -15,9 +15,12 @@ import bisect
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .chains import Direction, DLine, cross_x
 from .errors import EmptyInput
 from .rat import R0, Rat, RatT
+from .scans import crossings, line_columns
 
 
 @dataclass(frozen=True)
@@ -73,36 +76,26 @@ def build_leq_k(
     n = len(lines)
     edges: list[LevelEdge] = []
     verts: list[LevelVertex] = []
+    a, b, c = line_columns(lines)
+    counted = np.ones(n, dtype=bool)      # a level counts the lines below
     for i, li in enumerate(lines):
-        events = []
-        init = 0
-        for j, lj in enumerate(lines):
-            if j == i:
-                continue
-            if lj.m == li.m:
-                if lj.c < li.c:
-                    init += 1
-                continue
-            x = (lj.c - li.c) / (li.m - lj.m)
-            below_before = lj.m > li.m
-            events.append((x, below_before, j))
-            if below_before:
-                init += 1
-        events.sort(key=lambda e: e[0])
-        level = init
-        prev_x: Optional[RatT] = None
-        for x, below_before, j in events:
-            if level <= k and (prev_x is None or prev_x < x):
-                edges.append(LevelEdge(li, prev_x, x, level))
-            vlevel = level - (1 if below_before else 0)
-            if vlevel <= k and j > i:
-                verts.append(
-                    LevelVertex(x, li.y_at(x), vlevel, (li.id, lines[j].id))
-                )
-            level += -1 if below_before else 1
-            prev_x = x
-        if level <= k:
-            edges.append(LevelEdge(li, prev_x, None, level))
+        cr = crossings((a[i], b[i], c[i]), a, b, c, counted)
+        # an edge ends at each crossing, unless the previous one is at the
+        # same x; a vertex is a crossing with a later line
+        edge_end = (cr.before <= k) & ~cr.same
+        vlevel = cr.before - cr.adj
+        vert = (vlevel <= k) & (cr.idx > i)
+        for t in np.flatnonzero(edge_end | vert):
+            x = cr.x(t)
+            if edge_end[t]:
+                edges.append(LevelEdge(li, cr.x(t - 1) if t else None, x,
+                                       int(cr.before[t])))
+            if vert[t]:
+                verts.append(LevelVertex(x, li.y_at(x), int(vlevel[t]),
+                                         (li.id, lines[cr.idx[t]].id)))
+        if cr.end() <= k:
+            last = cr.x(len(cr.idx) - 1) if len(cr.idx) else None
+            edges.append(LevelEdge(li, last, None, cr.end()))
     return LevelSubdivision(lines, k, Direction.LOWER, edges, verts)
 
 

@@ -9,7 +9,7 @@ fallback when gmpy2 is unavailable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 try:
@@ -74,6 +74,14 @@ def num(x: RatT) -> int:
 
 def den(x: RatT) -> int:
     return int(x.denominator)
+
+
+def homogeneous(m: RatT, c: RatT) -> tuple[int, int, int]:
+    """The line y = m*x + c as integers (A, B, C) with A*y = B*x + C and
+    A > 0 the least common denominator of m and c."""
+    dm, dc = den(m), den(c)
+    a = lcm(dm, dc)
+    return a, num(m) * (a // dm), num(c) * (a // dc)
 
 
 def rat_str(x: RatT) -> str:

@@ -4,18 +4,182 @@ Shared by the exact and approximate solvers.  Roles: "below" lines are
 violated by a dual point strictly above them, "above" lines by a point
 strictly below them, so mis(p) = #below-lines strictly below p plus
 #above-lines strictly above p.
+
+Every sweep works on the homogeneous integer form of the lines,
+A*y = B*x + C with A > 0 (`DLine.abc`).  Line e crosses line j at
+x = (C_j*A_e - C_e*A_j) / (B_e*A_j - B_j*A_e), an integer pair (num, den);
+the sign of den before it is made positive says which line is below left
+of the crossing, and den = 0 marks a parallel line.  `exact_order` sorts
+such pairs: a stable sort by the float key num/den gives the order,
+because correctly rounded division is monotone, and only runs of equal
+float keys are compared exactly.  This is the floating-point
+filter of Shewchuk 1997 ("Adaptive precision floating-point arithmetic and
+fast robust geometric predicates") and of Bronnimann, Burnikel and Pion
+2001 ("Interval arithmetic yields efficient dynamic filters for
+computational geometry"): floats only order, every decision is exact.  The
+arrays are int64 when every coefficient is below 2**25, so every product
+is exact and below 2**53; otherwise they hold Python ints (dtype object),
+whose int / int division is correctly rounded too.  Both run the same
+code.  A rational is built only for a value that leaves the sweep, or to
+sort a float-tied run of distinct values.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from math import inf
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .chains import DLine
-from .rat import Rat, RatT
+from .rat import Rat, RatT, homogeneous
+
+if TYPE_CHECKING:
+    from .chains import DLine
+
+
+# ---------------------------------------------------------------------------
+# Exact order of integer fractions
+# ---------------------------------------------------------------------------
+
+INT64_BOUND = 1 << 25
+
+
+def line_columns(lines: Sequence[DLine], extra: Sequence[int] = ()):
+    """The integer forms (A, B, C) of the lines as three numpy arrays:
+    int64 when every coefficient and every entry of `extra` is below 2**25
+    in magnitude (so products of two entries, and sums of two such
+    products, are exact in float64), else dtype object holding Python
+    ints."""
+    cols = list(zip(*(l.abc for l in lines))) or [(), (), ()]
+    small = max(max(map(abs, col), default=0) for col in (*cols, extra)
+                ) < INT64_BOUND
+    dtype = np.int64 if small else object
+    return tuple(np.array(col, dtype=dtype) for col in cols)
+
+
+def _float_key(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den correctly rounded, so monotone in the exact value."""
+    try:
+        return np.asarray(num / den, dtype=np.float64)
+    except OverflowError:   # Python ints beyond the float range
+        return np.array([_fdiv(int(n), int(d)) for n, d in zip(num, den)])
+
+
+def _fdiv(n: int, d: int) -> float:
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
+def _equal(num, den, i, j) -> np.ndarray:
+    """num/den at index arrays i and j are exactly equal (den > 0)."""
+    ni, di = num[i].astype(object), den[i].astype(object)
+    nj, dj = num[j].astype(object), den[j].astype(object)
+    return np.asarray(ni * dj == nj * di, dtype=bool)
+
+
+def _sort_by(order: np.ndarray, num, den) -> tuple[np.ndarray, np.ndarray]:
+    """Stable re-sort of the index array `order` by num/den, and its runs of
+    equal values (see exact_order)."""
+    key = _float_key(num, den)
+    order = order[np.argsort(key[order], kind="stable")]
+    ks = key[order]
+    same = np.zeros(len(order), dtype=bool)
+    tied = np.flatnonzero(ks[1:] == ks[:-1]) + 1
+    if tied.size:
+        same[tied] = _equal(num, den, order[tied - 1], order[tied])
+        # a run of equal float keys holding distinct values: sort it exactly
+        for run in np.split(tied, np.flatnonzero(np.diff(tied) != 1) + 1):
+            s, e = int(run[0]) - 1, int(run[-1]) + 1
+            if not same[s + 1:e].all():
+                order[s:e] = sorted(order[s:e], key=lambda j: Fraction(
+                    int(num[j]), int(den[j])))
+                same[s + 1:e] = _equal(num, den, order[s:e - 1], order[s + 1:e])
+    return order, same
+
+
+def exact_order(*keys: tuple[np.ndarray, np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rationals num/den (den > 0) of each
+    (num, den) key, the first key first: the order of
+    sorted(range(n), key=lambda i: tuple(Fraction(num[i], den[i]) ...)).
+
+    Returns (order, same): same[t] says the entries order[t - 1] and
+    order[t] are equal on every key (same[0] is False), so the False
+    entries start the runs of equal values.  Only float-tied neighbours
+    are compared exactly.
+    """
+    order = np.arange(len(keys[0][0]))
+    for num, den in reversed(keys):
+        order, same = _sort_by(order, num, den)
+    for num, den in keys[1:]:
+        eq = np.flatnonzero(same)
+        same[eq] = _equal(num, den, order[eq - 1], order[eq])
+    return order, same
+
+
+@dataclass
+class Crossings:
+    """The crossings of one line e with a line set, in x order (see
+    `crossings`).  Index t is the t-th crossing."""
+
+    start: int           # counted lines left of every crossing
+    idx: np.ndarray      # the crossed line
+    num: np.ndarray      # x = num/den, den > 0
+    den: np.ndarray
+    same: np.ndarray     # same[t]: crossing t is at the x of crossing t-1
+    before: np.ndarray   # counted lines just before crossing t, one at a time
+    adj: np.ndarray      # 1 where the crossed line is counted before it
+
+    def x(self, t: int) -> RatT:
+        return Rat(int(self.num[t]), int(self.den[t]))
+
+    def end(self) -> int:
+        """Counted lines right of every crossing."""
+        return self.start + len(self.idx) - 2 * int(self.adj.sum())
+
+    def mis(self) -> np.ndarray:
+        """On-point count of each crossing: every line through the point
+        is on it, so a run of equal x drops all its counted lines."""
+        mis = self.before - self.adj
+        if self.same.any():
+            starts = np.flatnonzero(~self.same)
+            run_mis = self.before[starts] - np.add.reduceat(self.adj, starts)
+            mis = np.repeat(run_mis, np.diff(np.append(starts, len(mis))))
+        return mis
+
+
+def crossings(e: tuple[int, int, int], a, b, c, isb: np.ndarray) -> Crossings:
+    """Crossings of the line e = (A, B, C) with the lines (a, b, c) of
+    line_columns, where isb marks "below" lines (counted when strictly
+    below the point) and the rest are "above" lines (counted when strictly
+    above).  Lines parallel to e, e itself included, only count."""
+    A, B, C = e
+    num = c * A - C * a
+    den = B * a - b * A
+    par = den == 0
+    bb = den < 0          # the crossed line is below e left of the crossing
+    low = bb | (par & (num < 0))
+    high = ~bb & (~par | (num > 0))
+    start = int(np.count_nonzero(isb & low) + np.count_nonzero(~isb & high))
+    idx = np.flatnonzero(~par)
+    num = np.where(bb, -num, num)[idx]
+    den = np.where(bb, -den, den)[idx]
+    order, same = exact_order((num, den))
+    idx = idx[order]
+    adj = (isb[idx] == bb[idx]).astype(np.int64)
+    delta = 1 - 2 * adj
+    before = start + np.cumsum(delta) - delta
+    return Crossings(start, idx, num[order], den[order], same, before, adj)
+
+
+# ---------------------------------------------------------------------------
+# Arrangement vertices
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -34,198 +198,45 @@ class VertexScanResult:
     count: int                       # total vertices scanned
 
 
-def _int_ok(lines: Sequence[DLine]) -> Optional[tuple[list[int], list[int]]]:
-    ms, cs = [], []
-    for l in lines:
-        if l.m.denominator != 1 or l.c.denominator != 1:
-            return None
-        ms.append(int(l.m))
-        cs.append(int(l.c))
-    bound = max((max(map(abs, ms), default=0), max(map(abs, cs), default=0)))
-    if bound > 10**6:
-        return None
-    return ms, cs
-
-
 def scan_vertices(
     below: Sequence[DLine], above: Sequence[DLine], kmax: int
 ) -> VertexScanResult:
     """All arrangement vertices with mis <= kmax, plus global stats."""
     lines = list(below) + list(above)
-    nb = len(below)
-    ints = _int_ok(lines)
-    if ints is not None and len(lines) > 60:
-        return _scan_vertices_int(lines, nb, kmax, *ints)
-    return _scan_vertices_rat(lines, nb, kmax)
-
-
-def _scan_vertices_rat(lines, nb, kmax) -> VertexScanResult:
     n = len(lines)
     out: list[VertexRecord] = []
     min_mis = None
-    minx = maxx = None
     count = 0
-    for i in range(n):
-        li = lines[i]
-        events = []
-        rb = ba = 0
-        for j in range(n):
-            if j == i:
-                continue
-            lj = lines[j]
-            if lj.m == li.m:
-                if j < nb and lj.c < li.c:
-                    rb += 1
-                if j >= nb and lj.c > li.c:
-                    ba += 1
-                continue
-            x = (lj.c - li.c) / (li.m - lj.m)
-            below_before = lj.m > li.m
-            events.append((x, below_before, j))
-            if j < nb and below_before:
-                rb += 1
-            if j >= nb and not below_before:
-                ba += 1
-        events.sort(key=lambda e: e[0])
-        t = 0
-        nev = len(events)
-        while t < nev:
-            x = events[t][0]
-            g = t
-            while g + 1 < nev and events[g + 1][0] == x:
-                g += 1
-            grp = events[t:g + 1]
-            t = g + 1
-            # all group lines pass through the same point on li: exclude the
-            # current contribution of every one of them
-            if len(grp) == 1:
-                _, bb0, j0 = grp[0]
-                adj = 1 if ((j0 < nb) == bb0) else 0
-            else:
-                adj = sum(
-                    1 for _, bb, j in grp
-                    if (j < nb and bb) or (j >= nb and not bb)
-                )
-            mis = rb + ba - adj
-            for _, below_before, j in grp:
-                if j > i:
-                    count += 1
-                    if min_mis is None or mis < min_mis:
-                        min_mis = mis
-                    if minx is None or x < minx:
-                        minx = x
-                    if maxx is None or x > maxx:
-                        maxx = x
-                    if mis <= kmax:
-                        out.append(VertexRecord(x, li.y_at(x), mis))
-                if j < nb:
-                    rb += -1 if below_before else 1
-                else:
-                    ba += 1 if below_before else -1
-    return VertexScanResult(out, min_mis, minx, maxx, count)
-
-
-def _scan_vertices_int(lines, nb, kmax, ms, cs) -> VertexScanResult:
-    n = len(lines)
-    m_arr = np.array(ms, dtype=np.int64)
-    c_arr = np.array(cs, dtype=np.int64)
-    is_below = np.zeros(n, dtype=bool)
-    is_below[:nb] = True
-    out: list[VertexRecord] = []
-    min_mis = None
-    count = 0
-    best_minx = best_maxx = None  # (num, den) with den > 0
-    for i in range(n):
-        mi, ci = ms[i], cs[i]
-        dm = mi - m_arr
-        mask = dm != 0
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
+    lo = hi = None   # extreme crossing x as (num, den)
+    if not lines:
+        return VertexScanResult(out, None, None, None, 0)
+    a, b, c = line_columns(lines)
+    isb = np.arange(n) < len(below)
+    for i, li in enumerate(lines):
+        cr = crossings((a[i], b[i], c[i]), a, b, c, isb)
+        rec = cr.idx > i
+        nrec = int(np.count_nonzero(rec))
+        if not nrec:
             continue
-        num = c_arr[idx] - ci
-        den = dm[idx]
-        flip = den < 0
-        num = np.where(flip, -num, num)
-        den = np.where(flip, -den, den)
-        below_before = m_arr[idx] > mi
-        # parallels contribute only to the initial counts
-        par = np.nonzero(~mask)[0]
-        rb = int(np.sum((c_arr[par] < ci) & is_below[par] & (par != i)))
-        ba = int(np.sum((c_arr[par] > ci) & ~is_below[par] & (par != i)))
-        rb += int(np.sum(below_before & is_below[idx]))
-        ba += int(np.sum(~below_before & ~is_below[idx]))
-        # sort events by x = num/den: float order is exact unless floats tie
-        key = num.astype(np.float64) / den.astype(np.float64)
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        ties = np.nonzero(key_sorted[1:] == key_sorted[:-1])[0]
-        if ties.size:
-            order = _refine_ties(order, ties, num, den)
-        num_s, den_s = num[order], den[order]
-        bb_s = below_before[order]
-        isb_s = is_below[idx][order]
-        j_s = idx[order]
-        rb_delta = np.where(isb_s, np.where(bb_s, -1, 1), 0)
-        ba_delta = np.where(~isb_s, np.where(bb_s, 1, -1), 0)
-        rb_before = rb + np.concatenate(([0], np.cumsum(rb_delta)[:-1]))
-        ba_before = ba + np.concatenate(([0], np.cumsum(ba_delta)[:-1]))
-        adj = np.where(isb_s & bb_s, 1, 0) + np.where(~isb_s & ~bb_s, 1, 0)
-        mis = rb_before + ba_before - adj
-        # concurrent crossings at one point on li: widen the adjustment to
-        # cover the whole group (runs of exactly-equal crossing abscissae)
-        eq = num_s[1:] * den_s[:-1] == num_s[:-1] * den_s[1:]
-        if eq.any():
-            t = 0
-            while t < len(eq):
-                if not eq[t]:
-                    t += 1
-                    continue
-                start = t
-                while t < len(eq) and eq[t]:
-                    t += 1
-                end = t  # group indices start..end inclusive
-                g_adj = int(adj[start:end + 1].sum())
-                g_mis = int(rb_before[start]) + int(ba_before[start]) - g_adj
-                mis[start:end + 1] = g_mis
-        rec = j_s > i
-        count += int(rec.sum())
-        if rec.any():
-            mm = int(mis[rec].min())
-            if min_mis is None or mm < min_mis:
-                min_mis = mm
-            lo = int(np.argmax(rec))
-            hi = len(rec) - 1 - int(np.argmax(rec[::-1]))
-            for t in (lo, hi):
-                cand = (int(num_s[t]), int(den_s[t]))
-                if best_minx is None or cand[0] * best_minx[1] < best_minx[0] * cand[1]:
-                    best_minx = cand
-                if best_maxx is None or cand[0] * best_maxx[1] > best_maxx[0] * cand[1]:
-                    best_maxx = cand
-            sel = np.nonzero(rec & (mis <= kmax))[0]
-            li = lines[i]
-            for t in sel:
-                x = Rat(int(num_s[t]), int(den_s[t]))
-                out.append(VertexRecord(x, li.y_at(x), int(mis[t])))
-    minx = Rat(*best_minx) if best_minx else None
-    maxx = Rat(*best_maxx) if best_maxx else None
+        count += nrec
+        mis = cr.mis()
+        mm = int(mis[rec].min())
+        if min_mis is None or mm < min_mis:
+            min_mis = mm
+        first = int(np.argmax(rec))
+        last = len(rec) - 1 - int(np.argmax(rec[::-1]))
+        for t in (first, last):
+            x = (int(cr.num[t]), int(cr.den[t]))
+            if lo is None or x[0] * lo[1] < lo[0] * x[1]:
+                lo = x
+            if hi is None or x[0] * hi[1] > hi[0] * x[1]:
+                hi = x
+        for t in np.flatnonzero(rec & (mis <= kmax)):
+            x = cr.x(t)
+            out.append(VertexRecord(x, li.y_at(x), int(mis[t])))
+    minx = Rat(*lo) if lo else None
+    maxx = Rat(*hi) if hi else None
     return VertexScanResult(out, min_mis, minx, maxx, count)
-
-
-def _refine_ties(order, ties, num, den):
-    """Exact-sort runs of events whose float keys collide."""
-    order = order.copy()
-    t = 0
-    while t < len(ties):
-        start = ties[t]
-        end = start + 1
-        while t + 1 < len(ties) and ties[t + 1] == end:
-            end += 1
-            t += 1
-        seg = list(order[start : end + 1])
-        seg.sort(key=lambda e: Rat(int(num[e]), int(den[e])))
-        order[start : end + 1] = seg
-        t += 1
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +256,13 @@ def far_order(
     below: Sequence[DLine], above: Sequence[DLine], side: int
 ) -> list[tuple[DLine, bool]]:
     """(line, is_below) pairs bottom to top beyond every crossing on one side
-    (-1 left, +1 right)."""
+    (-1 left, +1 right): by slope times side, then by intercept."""
     tagged = [(l, True) for l in below] + [(l, False) for l in above]
-    if side < 0:
-        tagged.sort(key=lambda t: (-t[0].m, t[0].c))
-    else:
-        tagged.sort(key=lambda t: (t[0].m, t[0].c))
-    return tagged
+    if not tagged:
+        return tagged
+    a, b, c = line_columns([l for l, _ in tagged])
+    order, _ = exact_order((b * side, a), (c, a))
+    return [tagged[j] for j in order]
 
 
 def gap_mis(order: Sequence[tuple[DLine, bool]]) -> list[int]:
@@ -314,35 +325,24 @@ class ColumnProfile:
 
     def __init__(self, below: Sequence[DLine], above: Sequence[DLine], x: RatT):
         self.x = x
-        vals: list[tuple[RatT, bool]] = [(l.y_at(x), True) for l in below]
-        vals += [(l.y_at(x), False) for l in above]
-        vals.sort(key=lambda t: t[0])
-        heights: list[RatT] = []
-        onpoint: list[int] = []
-        interval: list[int] = []    # interval[i] = mis strictly between group i-1 and i
-        rb = 0
-        ba = sum(1 for _, isb in vals if not isb)
-        i = 0
-        n = len(vals)
-        while i < n:
-            j = i
-            nb_grp = na_grp = 0
-            while j < n and vals[j][0] == vals[i][0]:
-                if vals[j][1]:
-                    nb_grp += 1
-                else:
-                    na_grp += 1
-                j += 1
-            interval.append(rb + ba)
-            onpoint.append(rb + (ba - na_grp))
-            heights.append(vals[i][0])
-            rb += nb_grp
-            ba -= na_grp
-            i = j
-        interval.append(rb + ba)
-        self.heights = heights
-        self.onpoint = onpoint
-        self.interval = interval
+        lines = list(below) + list(above)
+        p, q = int(x.numerator), int(x.denominator)
+        # line j at x = p/q has height (B_j*p + C_j*q) / (A_j*q)
+        a, b, c = line_columns(lines, (p, q))
+        hnum, hden = b * p + c * q, a * q
+        order, same = exact_order((hnum, hden))
+        starts = np.flatnonzero(~same)
+        isb = (np.arange(len(lines)) < len(below))[order]
+        nb_grp = np.add.reduceat(isb.astype(np.int64), starts)
+        na_grp = np.diff(np.append(starts, len(order))) - nb_grp
+        # counts strictly below / above each group of equal heights
+        rb = np.cumsum(nb_grp) - nb_grp
+        ba = len(lines) - len(below) - np.cumsum(na_grp) + na_grp
+        self.heights: list[RatT] = [
+            Rat(int(hnum[j]), int(hden[j])) for j in order[starts]]
+        self.onpoint: list[int] = (rb + ba - na_grp).tolist()
+        # interval[i] = mis strictly between group i-1 and i
+        self.interval: list[int] = (rb + ba).tolist() + [len(below)]
 
     def mis_at(self, y: RatT) -> int:
         i = bisect.bisect_left(self.heights, y)
@@ -403,52 +403,18 @@ def segment_valid_crossings(
 ) -> list[tuple[RatT, RatT, int]]:
     """Crossing points of y = m_e*x + c_e (restricted to [x1, x2]) with any
     input line, whose exact on-point mis is <= k.  Returns (x, y, mis)."""
-    events = []
-    tagged = [(l, True) for l in below] + [(l, False) for l in above]
-    for l, isb in tagged:
-        if l.m == m_e:
-            continue
-        x = (l.c - c_e) / (m_e - l.m)
-        events.append((x, l, isb))
-    if not events:
+    lines = list(below) + list(above)
+    if not lines:
         return []
-    events.sort(key=lambda e: e[0])
-    # counts evolve along the full support line; start left of every event
-    probe_x = events[0][0] - 1
-    rb = ba = 0
-    y_probe = m_e * probe_x + c_e
-    for l, isb in tagged:
-        v = l.y_at(probe_x)
-        if isb and v < y_probe:
-            rb += 1
-        if not isb and v > y_probe:
-            ba += 1
+    e = homogeneous(m_e, c_e)
+    a, b, c = line_columns(lines, e)
+    isb = np.arange(len(lines)) < len(below)
+    # counts evolve along the full support line, from left of every crossing
+    cr = crossings(e, a, b, c, isb)
+    mis = cr.mis()
     out = []
-    i = 0
-    n = len(events)
-    while i < n:
-        j = i
-        x = events[i][0]
-        # group concurrent crossings at the same x
-        adj = 0
-        deltas_rb = deltas_ba = 0
-        while j < n and events[j][0] == x:
-            _, l, isb = events[j]
-            below_before = l.m > m_e
-            if isb:
-                if below_before:
-                    adj += 1
-                deltas_rb += -1 if below_before else 1
-            else:
-                if not below_before:
-                    adj += 1
-                deltas_ba += 1 if below_before else -1
-            j += 1
-        mis = rb + ba - adj
-        in_range = (x1 is None or x >= x1) and (x2 is None or x <= x2)
-        if mis <= k and in_range:
-            out.append((x, m_e * x + c_e, mis))
-        rb += deltas_rb
-        ba += deltas_ba
-        i = j
+    for t in np.flatnonzero(~cr.same & (mis <= k)):
+        x = cr.x(t)
+        if (x1 is None or x >= x1) and (x2 is None or x <= x2):
+            out.append((x, m_e * x + c_e, int(mis[t])))
     return out

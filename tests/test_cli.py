@@ -297,6 +297,8 @@ def test_unread_flag_exit_2(capsys, tmp_path, cmd, flag):
     ["plot", "--k", "-2", DS3],
     ["solve", "--problem", "kmm-approx", "--k", "1", "--eps", "abc", DS3],
     ["solve", "--problem", "kmm-approx", "--k", "1", "--eps", "1/0", DS3],
+    ["solve", "--problem", "kmm-approx", "--k", "1", "--eps", "0", DS3],
+    ["solve", "--problem", "kmm-approx", "--k", "1", "--eps=-1/2", DS3],
     ["solve", "--problem", "kmm-approx", "--k", "1", "--eps", "1",
      "--tol", "x", DS3],
     ["simulate", "--k", "-1", os.devnull],     # an empty stream
@@ -353,3 +355,31 @@ def test_readme_cli_lines_parse():
     for ln in lines:
         argv = shlex.split(ln, comments=True)[1:]
         parser.parse_args(argv)   # a removed subcommand or flag exits here
+
+
+@pytest.mark.parametrize("bad", [
+    {"op": "insert", "color": "R", "m": "abc", "c": "0"},
+    {"op": "insert", "color": "R", "m": "1/0", "c": "0"},
+    {"color": "R", "m": "1", "c": "0"},
+    {"op": ["insert"], "color": "R", "m": "1", "c": "0"},
+    {"op": "insert", "color": "R", "c": "0"},
+    {"op": "insert", "color": "R", "m": "1"},
+    {"op": "delete"},
+    {"op": "insert", "color": "G", "m": "1", "c": "0"},
+    {"op": "insert", "m": "1", "c": "0"},
+    {"op": "insert", "color": "B", "m": "1", "c": "0", "delete_at": "5"},
+    {"op": "insert", "color": "B", "m": "1", "c": "0", "delete_at": 2.5},
+    {"op": "insert", "color": "B", "m": "1", "c": "0", "id": "x"},
+    {"op": "delete", "id": 1.0},
+    {"op": "query", "k": "2"},
+    {"op": "query", "k": -1},
+], ids=lambda op: json.dumps(op))
+def test_simulate_bad_stream_line_exit_2(capsys, tmp_path, bad):
+    ok = {"op": "insert", "color": "B", "m": "2", "c": "1", "id": 1,
+          "delete_at": 5}
+    p = tmp_path / "bad.jsonl"
+    p.write_text(json.dumps(ok) + "\n\n" + json.dumps(bad) + "\n")
+    code = main(["simulate", "--k", "1", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "line 3" in err

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepkit.chains import Direction, DLine, chain_decomposition
 from sepkit.core import Color, LineR2, PointR2
-from sepkit.errors import ScheduleViolation, UnknownId
+from sepkit.errors import ScheduleViolation, UnknownId, ValidationError
 from sepkit.lpviol import (
     ConstraintSet,
     DynState,
@@ -365,3 +366,35 @@ def test_violation_count_definition(rng):
         direct = sum(1 for l in red if l.y_at(p.x) < p.y) + \
             sum(1 for l in blue if l.y_at(p.x) > p.y)
         assert v == direct
+
+
+@st.composite
+def degenerate_constraints(draw):
+    """Red and blue lines on a small grid of non-integer slopes and
+    intercepts: parallel and concurrent lines are common."""
+    def lines(first_id, n):
+        return [DLine(first_id + i,
+                      Rat(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2, 3]))),
+                      Rat(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2]))))
+                for i in range(n)]
+    return ConstraintSet(lines(0, draw(st.integers(1, 6))),
+                         lines(100, draw(st.integers(1, 6))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cs=degenerate_constraints(), k=st.integers(0, 4))
+def test_static_oracle_equivalence_degenerate(cs, k):
+    red_l = [LineR2(l.m, l.c) for l in cs.red]
+    blue_l = [LineR2(l.m, l.c) for l in cs.blue]
+    want = oracle_leftmost_valid(red_l, blue_l, k)
+    try:
+        got = static_leftmost_valid(cs, k)
+    except ValidationError:
+        # documented outcome: a concurrent block that is not contiguous in
+        # the chain sweep's rank order
+        return
+    assert got.status.value == want.witness["status"]
+    if got.status is LPStatus.FEASIBLE:
+        wp = want.witness["point"]
+        assert (got.point.x, got.point.y) == (wp.x, wp.y)
+        assert got.violations == want.witness["violations"]

@@ -1,0 +1,209 @@
+"""The exact crossing order and the sweeps built on it, against Fraction
+references: float-tied distinct values, equal values written differently,
+and int64 as well as Python-int (dtype object) arrays."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from sepkit.chains import DLine, cross_x
+from sepkit.rat import Rat
+from sepkit.scans import (
+    ColumnProfile,
+    VertexRecord,
+    VertexScanResult,
+    exact_order,
+    line_columns,
+    scan_vertices,
+    segment_valid_crossings,
+)
+
+
+def _reference_order(keys):
+    n = len(keys[0][0])
+
+    def value(i):
+        return tuple(Fraction(int(num[i]), int(den[i])) for num, den in keys)
+
+    order = sorted(range(n), key=value)
+    same = [t > 0 and value(order[t]) == value(order[t - 1]) for t in range(n)]
+    return order, same
+
+
+@st.composite
+def fraction_arrays(draw, big: bool, size: int):
+    """num/den pairs near a few large anchors, so that distinct values share
+    a float key; each value may be scaled by a common factor, so that equal
+    values come with different (num, den).  Below 2**53 unless `big`."""
+    if big:
+        anchors, bmax, fmax = [0, 3, 10**30, -(2**70) + 1, 10**320], 2**40, 2**20
+    else:
+        anchors, bmax, fmax = [0, 5, 2**46, -(2**46) + 3], 16, 4
+    nums, dens = [], []
+    for _ in range(size):
+        anchor = draw(st.sampled_from(anchors))
+        b = draw(st.integers(1, bmax))
+        a = draw(st.integers(-b, b))
+        f = draw(st.integers(1, fmax))
+        nums.append((anchor * b + a) * f)
+        dens.append(b * f)
+    dtype = object if big else np.int64
+    return np.array(nums, dtype=dtype), np.array(dens, dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), big=st.booleans(), size=st.integers(0, 30))
+def test_exact_order_matches_fraction_sort(data, big, size):
+    num, den = data.draw(fraction_arrays(big, size))
+    order, same = exact_order((num, den))
+    want_order, want_same = _reference_order([(num, den)])
+    assert order.tolist() == want_order
+    assert same.tolist() == want_same
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), big=st.booleans(), size=st.integers(0, 30))
+def test_exact_order_two_keys(data, big, size):
+    first = data.draw(fraction_arrays(big, size))
+    second = data.draw(fraction_arrays(big, size))
+    order, same = exact_order(first, second)
+    want_order, want_same = _reference_order([first, second])
+    assert order.tolist() == want_order
+    assert same.tolist() == want_same
+
+
+def test_float_ties_occur_in_both_dtypes():
+    """The fixed cases below do exercise the exact re-sort."""
+    for below, above, _ in (_INT64_CASE, _OBJECT_CASE):
+        e = below[0]
+        key = [float(cross_x(e, l)) for l in below[1:] + above
+               if cross_x(e, l) is not None]
+        exact = [cross_x(e, l) for l in below[1:] + above
+                 if cross_x(e, l) is not None]
+        assert any(key[i] == key[j] and exact[i] != exact[j]
+                   for i in range(len(key)) for j in range(i))
+
+
+# -- sweeps against brute force ---------------------------------------------
+
+
+def _mis(x, y, below, above):
+    return (sum(1 for l in below if l.y_at(x) < y)
+            + sum(1 for l in above if l.y_at(x) > y))
+
+
+def reference_scan(below, above, kmax):
+    lines = below + above
+    verts, all_mis, xs = [], [], []
+    for i, li in enumerate(lines):
+        events = sorted((x, j) for j, lj in enumerate(lines)
+                        if j > i for x in [cross_x(li, lj)] if x is not None)
+        for x, _ in events:
+            y = li.y_at(x)
+            mis = _mis(x, y, below, above)
+            all_mis.append(mis)
+            xs.append(x)
+            if mis <= kmax:
+                verts.append(VertexRecord(x, y, mis))
+    return VertexScanResult(verts, min(all_mis, default=None),
+                            min(xs, default=None), max(xs, default=None),
+                            len(xs))
+
+
+def reference_segment(m_e, c_e, below, above, k):
+    e = DLine(-1, m_e, c_e)
+    xs = sorted({x for l in below + above for x in [cross_x(e, l)]
+                 if x is not None})
+    out = []
+    for x in xs:
+        y = m_e * x + c_e
+        mis = _mis(x, y, below, above)
+        if mis <= k:
+            out.append((x, y, mis))
+    return out
+
+
+def _abc_line(i, a, b, c):
+    """The line a*y = b*x + c."""
+    return DLine(i, Rat(b, a), Rat(c, a))
+
+
+# Lines 1 and 2 cross line 0 at distinct x with one float key
+# (1.9999995231629768), line 1 at the larger x but listed first.  Every
+# coefficient is below 2**25, so the sweeps run on int64.
+_INT64_CASE = (
+    [_abc_line(0, 2**24 + 1, 2**24 - 1, 0),
+     _abc_line(1, 4194310, -4194298, 16777211),
+     _abc_line(3, 1, 1, -2)],
+    [_abc_line(2, 4194312, -4194295, 16777209),
+     _abc_line(4, 1, -1, 3),
+     _abc_line(5, 3, 2, 1)],
+    Rat(2),
+)
+
+# Huge (about 1e30) and non-dyadic coefficients: Python-int arrays.  Lines
+# 1-4 cross the x-axis (line 0) at N + 1/3, N + 1/7, N + 2/7 and N + 1/3,
+# one float key; line 5 runs parallel to line 0.
+_N = 10**30
+_OBJECT_CASE = (
+    [DLine(0, Rat(0), Rat(0)),
+     DLine(1, Rat(1), -(_N + Rat(1, 3))),
+     DLine(2, Rat(3), -3 * (_N + Rat(1, 7)))],
+    [DLine(3, Rat(-2, 7), Rat(2, 7) * (_N + Rat(2, 7))),
+     DLine(4, Rat(-1, 3), Rat(1, 3) * (_N + Rat(1, 3))),
+     DLine(5, Rat(0), Rat(1, 3)),
+     DLine(6, Rat(1, 7), Rat(5, 3))],
+    _N + Rat(1, 3),
+)
+
+
+def test_line_columns_dtype():
+    assert line_columns(_INT64_CASE[0] + _INT64_CASE[1])[0].dtype == np.int64
+    assert line_columns(_OBJECT_CASE[0] + _OBJECT_CASE[1])[0].dtype == object
+
+
+def test_scans_at_near_ties_match_reference():
+    for below, above, x_col in (_INT64_CASE, _OBJECT_CASE):
+        for kmax in range(len(below) + len(above) + 1):
+            assert scan_vertices(below, above, kmax) == \
+                reference_scan(below, above, kmax)
+        for e in below + above:
+            for k in range(len(below) + len(above) + 1):
+                assert segment_valid_crossings(
+                    e.m, e.c, None, None, below, above, k) == \
+                    reference_segment(e.m, e.c, below, above, k)
+        lines = below + above
+        col = ColumnProfile(below, above, x_col)
+        heights = sorted({l.y_at(x_col) for l in lines})
+        assert col.heights == heights
+        assert col.onpoint == [_mis(x_col, h, below, above) for h in heights]
+        gaps = [heights[0] - 1] + [(a + b) / 2 for a, b in zip(heights, heights[1:])] \
+            + [heights[-1] + 1]
+        assert col.interval == [_mis(x_col, y, below, above) for y in gaps]
+
+
+@st.composite
+def scaled_lines(draw):
+    """A few lines on a small grid of slopes and intercepts (parallel and
+    concurrent lines are common), then scaled and shifted by a huge or a
+    non-dyadic amount, which keeps the arrangement's combinatorics."""
+    scale = draw(st.sampled_from([Rat(1), Rat(1, 3), Rat(10**30, 7)]))
+    n = draw(st.integers(1, 7))
+    lines = []
+    for i in range(n):
+        m = Rat(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2, 3])))
+        c = Rat(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 7])))
+        lines.append(DLine(i, m, c * scale))
+    nb = draw(st.integers(0, n))
+    return lines[:nb], lines[nb:]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lines=scaled_lines(), k=st.integers(0, 4))
+def test_scans_match_reference_on_degenerate_lines(lines, k):
+    below, above = lines
+    assert scan_vertices(below, above, k) == reference_scan(below, above, k)
+    e = (below + above)[0]
+    assert segment_valid_crossings(e.m, e.c, None, None, below, above, k) == \
+        reference_segment(e.m, e.c, below, above, k)
