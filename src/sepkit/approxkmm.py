@@ -44,7 +44,7 @@ from .core import (
 )
 from .errors import EmptyColor, NonPositiveEps, SepkitError
 from .exactkmm import OrientationAnalysis, VerticalError
-from .lpviol import PlyStructure, check_schedule
+from .lpviol import PlyStructure, check_schedule, violations_at
 from .rat import R0, Rat, RatLike, RatT, rat
 from .scans import ColumnProfile
 # unused here; imported only so perfbench/spans.py can wrap this name
@@ -185,8 +185,6 @@ class DeltaContext(VerticalError):
         return self.wedge.m_lo <= x <= self.wedge.m_hi
 
     def mis_at(self, x: RatT, y: RatT) -> int:
-        from .lpviol import violations_at
-
         return violations_at(PointR2(x, y), self.below, self.above)
 
 

@@ -7,25 +7,32 @@ leftmost valid point; ties resolve to the smaller y.
 
 When it is bounded, the leftmost valid point is a red-blue intersection
 of the concave and convex chain covers of the two <=k-levels.  The static
-path enumerates those intersections, counts each one's violations directly
-with violations_at (O(n) per candidate), and keeps the leftmost with at
-most k.  Unboundedness to the left is decided symbolically from the line
-order at x -> -infinity.
+path enumerates those intersections, counts the violations of all of them
+with violation_counts, and keeps the leftmost with at most k.
+violation_counts builds the integer line columns once per call and decides
+every side of line exactly in integers (`scans.line_sides`), a bounded
+chunk of candidates per numpy pass: O(n) per candidate, with no rational
+arithmetic.  Unboundedness to the left is decided symbolically from the
+line order at x -> -infinity.
 
 The dynamic path layers the lines with the logarithmic method keyed to the
 promised deletion times, keeps recent lines and every line due by the next
 expensive update (overdue ones included) as trivial chains in a leftover
 list, maintains the set I of bichromatic chain intersections with exact
 violation counts, and answers queries from a buffered partition-tree forest
-over I.
+over I.  Each update counts its new candidates in one violation_counts
+call.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .chains import Chain, ChainKind, ChainPiece, ChainSet, DLine, Direction, \
     chain_decomposition, chain_pair_intersections
@@ -33,7 +40,7 @@ from .core import Color, PointR2
 from .errors import ScheduleViolation, UnknownId
 from .parttree import PartitionForest, PTPoint
 from .rat import Rat, RatT
-from .scans import far_order, gap_mis
+from .scans import far_order, gap_mis, line_columns, line_sides
 
 
 @dataclass(frozen=True)
@@ -56,15 +63,30 @@ class LPResult:
     reason: Optional[str] = None    # e.g. "empty-side" for the convention case
 
 
+# side-of-line entries per numpy pass of violation_counts
+COUNT_CHUNK = 1 << 12
+
+
+def violation_counts(
+    points: Sequence[tuple[RatT, RatT]],
+    red: Sequence[DLine],
+    blue: Sequence[DLine],
+) -> list[int]:
+    """Violations of each point (x, y): the red lines strictly below it
+    plus the blue lines strictly above it."""
+    cols = line_columns(list(red) + list(blue))
+    nr = len(red)
+    step = max(1, COUNT_CHUNK // max(1, len(cols[0])))
+    out: list[int] = []
+    for i in range(0, len(points), step):
+        sides = line_sides(cols, points[i:i + step])
+        out.extend((np.count_nonzero(sides[:, :nr] > 0, axis=1)
+                    + np.count_nonzero(sides[:, nr:] < 0, axis=1)).tolist())
+    return out
+
+
 def violations_at(p: PointR2, red: Sequence[DLine], blue: Sequence[DLine]) -> int:
-    v = 0
-    for l in red:
-        if l.y_at(p.x) < p.y:
-            v += 1
-    for l in blue:
-        if l.y_at(p.x) > p.y:
-            v += 1
-    return v
+    return violation_counts([(p.x, p.y)], red, blue)[0]
 
 
 def far_left_min(red: Sequence[DLine], blue: Sequence[DLine]) -> int:
@@ -105,8 +127,6 @@ class PlyStructure:
         self.ends.sort()
 
     def ply(self, x: RatT) -> int:
-        import bisect
-
         ends_before = bisect.bisect_left(self.ends, x)
         starts_after = len(self.starts) - bisect.bisect_right(self.starts, x)
         return self.empty + ends_before + starts_after
@@ -152,15 +172,15 @@ def _safe_interval(host: Chain, opp: Chain, host_concave: bool):
 
 def _chain_candidates(
     red_chains: Sequence[Chain], blue_chains: Sequence[Chain]
-) -> list[PointR2]:
+) -> list[tuple[RatT, RatT]]:
     pts = []
     seen = set()
     for cr in red_chains:
         for cb in blue_chains:
-            for x, y in chain_pair_intersections(cr, cb):
-                if (x, y) not in seen:
-                    seen.add((x, y))
-                    pts.append(PointR2(x, y))
+            for xy in chain_pair_intersections(cr, cb):
+                if xy not in seen:
+                    seen.add(xy)
+                    pts.append(xy)
     return pts
 
 
@@ -175,17 +195,15 @@ def static_leftmost_valid(cs: ConstraintSet, k: int) -> LPResult:
     kk = min(k, len(cs.red) + len(cs.blue))
     red_chains = chain_decomposition(cs.red, kk, Direction.LOWER).chains
     blue_chains = chain_decomposition(cs.blue, kk, Direction.UPPER).chains
+    pts = _chain_candidates(red_chains, blue_chains)
     best = None
-    for p in _chain_candidates(red_chains, blue_chains):
-        v = violations_at(p, cs.red, cs.blue)
-        if v <= k:
-            key = (p.x, p.y)
-            if best is None or key < best[0]:
-                best = (key, p, v)
+    for p, v in zip(pts, violation_counts(pts, cs.red, cs.blue)):
+        if v <= k and (best is None or p < best[0]):
+            best = (p, v)
     if best is None:
         return LPResult(LPStatus.INFEASIBLE)
-    _, p, v = best
-    return LPResult(LPStatus.FEASIBLE, p, v)
+    (x, y), v = best
+    return LPResult(LPStatus.FEASIBLE, PointR2(x, y), v)
 
 
 def static_min_violations(cs: ConstraintSet) -> tuple[int, LPResult]:
@@ -200,10 +218,8 @@ def static_min_violations(cs: ConstraintSet) -> tuple[int, LPResult]:
         kk = min(k_guess, n)
         red_chains = chain_decomposition(cs.red, kk, Direction.LOWER).chains
         blue_chains = chain_decomposition(cs.blue, kk, Direction.UPPER).chains
-        vals = [
-            violations_at(p, cs.red, cs.blue)
-            for p in _chain_candidates(red_chains, blue_chains)
-        ]
+        vals = violation_counts(_chain_candidates(red_chains, blue_chains),
+                                cs.red, cs.blue)
         vals = [v for v in vals if v <= kk]
         if vals:
             vertex_min = min(vals)
@@ -416,19 +432,20 @@ class DynState:
             out.extend(layer.chains_for(self.k_active))
         return out
 
-    def _register_point(self, x: RatT, y: RatT, ids: tuple[int, ...]) -> None:
-        red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
-        cnt = violations_at(PointR2(x, y), red, blue)
-        pt = PTPoint(x, y, cnt, True, payload=ids)
-        self.forest.insert(pt)
-        for id_ in ids:
-            self.points_by_line.setdefault(id_, []).append(pt)
+    def _counted(self, found: list[tuple[RatT, RatT, tuple[int, int]]]
+                 ) -> list[PTPoint]:
+        """Candidate points (x, y, ids of the two lines through it) with
+        their violation counts against the live lines."""
+        counts = violation_counts([(x, y) for x, y, _ in found],
+                                  self._lines(Color.RED),
+                                  self._lines(Color.BLUE))
+        return [PTPoint(x, y, cnt, True, payload=ids)
+                for (x, y, ids), cnt in zip(found, counts)]
 
     def _rebuild_candidates(self) -> None:
         red_chains = self._all_chains(Color.RED)
         blue_chains = self._all_chains(Color.BLUE)
-        red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
-        pts = []
+        found = []
         seen = set()
         for cr in red_chains:
             for cb in blue_chains:
@@ -436,9 +453,9 @@ class DynState:
                     if (x, y) in seen:
                         continue
                     seen.add((x, y))
-                    cnt = violations_at(PointR2(x, y), red, blue)
                     ids = (cr.piece_at(x).line.id, cb.piece_at(x).line.id)
-                    pts.append(PTPoint(x, y, cnt, True, payload=ids))
+                    found.append((x, y, ids))
+        pts = self._counted(found)
         self.forest = PartitionForest(pts)
         self.points_by_line = {}
         for pt in pts:
@@ -459,15 +476,18 @@ class DynState:
         self.forest.halfplane_update(line, above=(color is Color.RED), delta=+1)
         kind = ChainKind.CONCAVE if color is Color.RED else ChainKind.CONVEX
         new_chain = _trivial_chain(line, kind)
-        opposing = self._all_chains(color.other())
-        for opp in opposing:
+        found = []
+        for opp in self._all_chains(color.other()):
             if color is Color.RED:
                 inters = chain_pair_intersections(new_chain, opp)
             else:
                 inters = chain_pair_intersections(opp, new_chain)
             for x, y in inters:
-                other_id = opp.piece_at(x).line.id
-                self._register_point(x, y, (line.id, other_id))
+                found.append((x, y, (line.id, opp.piece_at(x).line.id)))
+        for pt in self._counted(found):
+            self.forest.insert(pt)
+            for id_ in pt.payload:
+                self.points_by_line.setdefault(id_, []).append(pt)
         self._maybe_expensive()
 
     def delete(self, id_: int) -> None:

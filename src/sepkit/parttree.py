@@ -11,17 +11,25 @@ infinity).  Point insertions use the logarithmic method: a forest of trees
 with power-of-two sizes, merged on collision.
 
 Each node splits its points by two alternating median cuts (x, then y).
-The split only affects how many cells a line crosses (the `crossings`
-count), not the answers.
+A build sorts its points once per axis and cuts by rank.  The split only
+affects how many cells a line crosses (the `crossings` count), not the
+answers.
+
+A halfplane update decides sides exactly on the line's integer form
+(`DLine.abc`) with `scans.side_of_line`, in Python ints: a cell is tested
+at the two corners where A*y - B*x - C is smallest and largest, a leaf
+point at the point itself.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chains import DLine
 from .rat import RatT
+from .scans import side_of_line
 
 LEAF_SIZE = 4
 FANOUT_LEVELS = 2   # two alternating median cuts per node
@@ -96,81 +104,91 @@ class PTNode:
         self.buf = 0
 
 
-def _median_split(pts: list[PTPoint], axis: int) -> list[list[PTPoint]]:
-    key = (lambda p: (p.x, p.y)) if axis == 0 else (lambda p: (p.y, p.x))
-    s = sorted(pts, key=key)
-    h = len(s) // 2
-    return [s[:h], s[h:]]
+def _ranks(pts: list[PTPoint]) -> tuple[list[int], list[int]]:
+    """Rank of each point in the stable (x, y) order and in the stable
+    (y, x) order: one rational sort per axis and build, after which every
+    median split sorts small ints."""
+    out = []
+    for key in ((lambda i: (pts[i].x, pts[i].y)),
+                (lambda i: (pts[i].y, pts[i].x))):
+        rank = [0] * len(pts)
+        for r, i in enumerate(sorted(range(len(pts)), key=key)):
+            rank[i] = r
+        out.append(rank)
+    return out[0], out[1]
 
 
-def _build(pts: list[PTPoint]) -> PTNode:
-    if len(pts) <= LEAF_SIZE:
-        return PTNode(pts, [])
-    parts = [pts]
+def _build(pts: list[PTPoint], idx: list[int], ranks) -> PTNode:
+    """Node over the points pts[i], i in idx; cut by ranks[0], then
+    ranks[1]."""
+    if len(idx) <= LEAF_SIZE:
+        return PTNode([pts[i] for i in idx], [])
+    parts = [idx]
     for axis in range(FANOUT_LEVELS):
-        nxt: list[list[PTPoint]] = []
+        nxt: list[list[int]] = []
         for part in parts:
             if len(part) <= 1:
                 nxt.append(part)
             else:
-                nxt.extend(_median_split(part, axis))
+                s = sorted(part, key=ranks[axis].__getitem__)
+                h = len(s) // 2
+                nxt.extend([s[:h], s[h:]])
         parts = nxt
-    if all(len(p) == len(pts) for p in parts if p):  # no progress, bail to leaf
-        return PTNode(pts, [])
-    children = [_build(p) for p in parts if p]
+    children = [_build(pts, p, ranks) for p in parts if p]
     return PTNode([], children)
 
 
-def _above_halfplane(node: PTNode, line: DLine, above: bool):
-    """Cell position vs the open halfplane strictly above/below `line`:
-    returns 1 (fully inside), -1 (fully outside), 0 (straddles)."""
-    corners = (
-        (node.xlo, node.ylo), (node.xlo, node.yhi),
-        (node.xhi, node.ylo), (node.xhi, node.yhi),
-    )
-    vals = [y - (line.m * x + line.c) for x, y in corners]
+def _above_halfplane(node: PTNode, abc: tuple[int, int, int], above: bool):
+    """Cell position vs the open halfplane strictly above/below the line
+    A*y = B*x + C: returns 1 (fully inside), -1 (fully outside), 0
+    (straddles)."""
+    # over the cell, A*y - B*x - C is smallest at the bottom corner the
+    # line rises towards and largest at the opposite top corner
+    x_min, x_max = (node.xhi, node.xlo) if abc[1] > 0 else (node.xlo, node.xhi)
+    lo = side_of_line(abc, x_min, node.ylo)
+    hi = side_of_line(abc, x_max, node.yhi)
     if above:
-        if min(vals) > 0:
+        if lo > 0:
             return 1
-        if max(vals) <= 0:
+        if hi <= 0:
             return -1
     else:
-        if max(vals) < 0:
+        if hi < 0:
             return 1
-        if min(vals) >= 0:
+        if lo >= 0:
             return -1
     return 0
 
 
 class PartitionTree:
     def __init__(self, pts: list[PTPoint]):
-        self.root = _build(list(pts))
+        pts = list(pts)
+        self.root = _build(pts, list(range(len(pts))), _ranks(pts))
         self.size = len(pts)
         self.crossings = 0
 
     # -- halfplane update --------------------------------------------------
 
     def halfplane_update(self, line: DLine, above: bool, delta: int) -> None:
-        self._hp(self.root, line, above, delta)
+        self._hp(self.root, line.abc, above, delta)
 
-    def _hp(self, u: PTNode, line: DLine, above: bool, delta: int) -> None:
+    def _hp(self, u: PTNode, abc: tuple[int, int, int], above: bool,
+            delta: int) -> None:
         u.propagate()
         if not u.children:
+            inside = 1 if above else -1
             for p in u.pts:
-                if not p.alive:
-                    continue
-                v = p.y - (line.m * p.x + line.c)
-                if (v > 0) if above else (v < 0):
+                if p.alive and side_of_line(abc, p.x, p.y) == inside:
                     p.count += delta
             u.pull()
             return
         for c in u.children:
-            side = _above_halfplane(c, line, above)
+            side = _above_halfplane(c, abc, above)
             if side == 1:
                 c.buf += delta
             elif side == 0:
                 self.crossings += 1
-                self._hp(c, line, above, delta)
+                self._hp(c, abc, above, delta)
         u.pull()
 
     # -- queries -------------------------------------------------------------
@@ -291,8 +309,6 @@ class PartitionForest:
         return sum(t.size for t in self.trees) - self.deleted
 
     def insert(self, pt: PTPoint) -> None:
-        import bisect
-
         # binary-counter style merge: absorb every tree no larger than the
         # batch, so each point is rebuilt into at-least-doubling trees
         merged = [pt]
@@ -313,8 +329,6 @@ class PartitionForest:
         for t in self.trees:
             if t.delete_point(pt):
                 self.deleted += 1
-                import bisect
-
                 i = bisect.bisect_left(self.xs, pt.x)
                 if i < len(self.xs) and self.xs[i] == pt.x:
                     self.xs.pop(i)

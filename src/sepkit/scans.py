@@ -22,6 +22,18 @@ is exact and below 2**53; otherwise they hold Python ints (dtype object),
 whose int / int division is correctly rounded too.  Both run the same
 code.  A rational is built only for a value that leaves the sweep, or to
 sort a float-tied run of distinct values.
+
+The side of a line at a rational point (x, y) = (p/q, r/s) is the sign of
+A*r*q - (B*p + C*q)*s, that is of A*y - B*x - C times q*s > 0: positive
+strictly above the line, zero on it, negative strictly below.
+`side_of_line` decides one point in Python ints; `line_sides` decides a
+batch of points against the `line_columns` arrays in one numpy pass.  It
+works on the homogeneous point (X, Y, W) = (p*s, r*q, q*s) and stays in
+int64 when the columns are int64 and max|A|*max|Y| + max|B|*max|X| +
+max|C|*max|W|, which bounds every partial sum, fits in int64 (always so
+for coefficients below 2**25 and coordinates below 2**36); otherwise it
+computes on Python ints (dtype object).  No float is involved, so there is
+nothing to filter.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .rat import Rat, RatT, homogeneous
+from .rat import den as rat_den, num as rat_num
 
 if TYPE_CHECKING:
     from .chains import DLine
@@ -175,6 +188,43 @@ def crossings(e: tuple[int, int, int], a, b, c, isb: np.ndarray) -> Crossings:
     delta = 1 - 2 * adj
     before = start + np.cumsum(delta) - delta
     return Crossings(start, idx, num[order], den[order], same, before, adj)
+
+
+# ---------------------------------------------------------------------------
+# Side of line
+# ---------------------------------------------------------------------------
+
+INT64_MAX = (1 << 63) - 1
+
+
+def side_of_line(abc: tuple[int, int, int], x: RatT, y: RatT) -> int:
+    """Sign of A*y - B*x - C for the line (A, B, C) at the point (x, y)."""
+    A, B, C = abc
+    q, s = rat_den(x), rat_den(y)
+    v = A * rat_num(y) * q - (B * rat_num(x) + C * q) * s
+    return (v > 0) - (v < 0)
+
+
+def line_sides(cols, points: Sequence[tuple[RatT, RatT]]) -> np.ndarray:
+    """side_of_line of every point (row) against every line (column) of the
+    line_columns arrays cols, as a points-by-lines array of -1, 0 and 1."""
+    hom = []    # the points as (p*s, r*q, q*s), with q*s > 0
+    for x, y in points:
+        p, q, r, s = rat_num(x), rat_den(x), rat_num(y), rat_den(y)
+        hom.append((p * s, r * q, q * s))
+    X, Y, W = list(zip(*hom)) or [(), (), ()]
+    a, b, c = cols
+    dtype = object
+    if a.dtype == np.int64:
+        # at least |A*Y - B*X - C*W|, each partial sum, and |X|, |Y|, |W|
+        bound = sum(max(int(abs(col).max(initial=0)), 1)
+                    * max(map(abs, h), default=0)
+                    for col, h in ((a, Y), (b, X), (c, W)))
+        if bound <= INT64_MAX:
+            dtype = np.int64
+    X, Y, W = (np.array(h, dtype=dtype).reshape(-1, 1) for h in (X, Y, W))
+    a, b, c = (col.astype(dtype, copy=False) for col in cols)
+    return np.sign(a * Y - b * X - c * W).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

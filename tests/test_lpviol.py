@@ -398,3 +398,32 @@ def test_static_oracle_equivalence_degenerate(cs, k):
         wp = want.witness["point"]
         assert (got.point.x, got.point.y) == (wp.x, wp.y)
         assert got.violations == want.witness["violations"]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), k=st.integers(0, 3))
+def test_dynamic_late_deletions_match_oracle(seed, k):
+    # the reference is the brute-force oracle, which shares no code with
+    # the solvers; half of the promised deletions arrive late
+    rng = random.Random(seed)
+    cs, schedule, ops = make_sequence(rng, rng.randint(4, 10), 40,
+                                      late_share=0.5, late_max=12)
+    dyn = DynState(cs, schedule, k)
+    live = {l.id: (l, Color.RED) for l in cs.red}
+    live.update({l.id: (l, Color.BLUE) for l in cs.blue})
+    for step, op in enumerate(ops):
+        _apply(dyn, op)
+        if op[0] == "insert":
+            live[op[1].id] = (op[1], op[2])
+        else:
+            del live[op[1]]
+        dyn.audit()
+        red_l = [LineR2(l.m, l.c) for l, c in live.values() if c is Color.RED]
+        blue_l = [LineR2(l.m, l.c) for l, c in live.values() if c is Color.BLUE]
+        want = oracle_leftmost_valid(red_l, blue_l, k)
+        got = dyn.query(k)
+        assert got.status.value == want.witness["status"], (step, op)
+        if got.status is LPStatus.FEASIBLE:
+            wp = want.witness["point"]
+            assert (got.point.x, got.point.y) == (wp.x, wp.y), (step, op)
+            assert got.violations == want.witness["violations"], (step, op)
