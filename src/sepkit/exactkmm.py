@@ -39,8 +39,8 @@ from .rat import R0, R1, Rat, RatT
 from .scans import (
     ColumnProfile,
     FarGap,
+    FarGaps,
     far_gaps,
-    far_order,
     scan_vertices,
     segment_valid_crossings,
 )
@@ -144,16 +144,30 @@ class OrientationAnalysis(VerticalError):
     x_lo <= x <= x_hi, the separator slopes of one t-gon wedge in its rotated
     frame; None is the whole line.  The vertex scan, envelopes and curve
     cover the whole line; columns are built for the curve vertices in the
-    slab, and the far gaps only when first read.
+    slab, and the far gaps when first read (`k_min` reads only their mis; a
+    gap's limit is built when `far_limit_sq` or the probes read that gap).
+    `swapped()` gives the other orientation from the same vertex scan.
     """
 
     def __init__(self, below: list[DLine], above: list[DLine], kmax: int,
                  slab: Optional[tuple[RatT, RatT]] = None):
+        self._build(below, above, kmax, slab,
+                    scan_vertices(below, above, kmax))
+
+    def swapped(self) -> OrientationAnalysis:
+        """The analysis with the roles exchanged (the other orientation),
+        built on the `swapped` result of this analysis's vertex scan."""
+        ana = OrientationAnalysis.__new__(OrientationAnalysis)
+        ana._build(self.above, self.below, self.kmax, self.slab,
+                   self.scan.swapped)
+        return ana
+
+    def _build(self, below, above, kmax, slab, scan) -> None:
         self.below = below
         self.above = above
         self.kmax = kmax
         self.slab = slab
-        self.scan = scan_vertices(below, above, kmax)
+        self.scan = scan
         self.env_lo = envelope(below, Direction.LOWER)
         self.env_hi = envelope(above, Direction.UPPER)
         self.curve = midpoint_curve(self.env_lo, self.env_hi)
@@ -176,11 +190,11 @@ class OrientationAnalysis(VerticalError):
         return col
 
     @cached_property
-    def gaps_left(self) -> list[FarGap]:
+    def gaps_left(self) -> FarGaps:
         return far_gaps(self.below, self.above, -1)
 
     @cached_property
-    def gaps_right(self) -> list[FarGap]:
+    def gaps_right(self) -> FarGaps:
         return far_gaps(self.below, self.above, +1)
 
     # -- error evaluation --------------------------------------------------
@@ -235,11 +249,12 @@ class OrientationAnalysis(VerticalError):
         """Best squared limit of the error toward x -> +-infinity over the
         far gaps valid for k (the unattained-optimum bound)."""
         best = None
-        for gap in self.gaps_left + self.gaps_right:
-            if gap.mis <= k:
-                lim_sq = gap.limit * gap.limit
-                if best is None or lim_sq < best:
-                    best = lim_sq
+        for gaps in (self.gaps_left, self.gaps_right):
+            for i, mis in enumerate(gaps.mis):
+                if mis <= k:
+                    lim = gaps[i].limit
+                    if best is None or lim * lim < best:
+                        best = lim * lim
         return best
 
     def far_probes(self) -> Iterator[tuple[FarGap, PointR2]]:
@@ -252,7 +267,7 @@ class OrientationAnalysis(VerticalError):
                 xf = (scan.min_cross_x - 1) if scan.min_cross_x is not None else Rat(-1)
             else:
                 xf = (scan.max_cross_x + 1) if scan.max_cross_x is not None else Rat(1)
-            vals = [l.y_at(xf) for l, _ in far_order(self.below, self.above, side)]
+            vals = [l.y_at(xf) for l, _ in gaps.order]
             for i, gap in enumerate(gaps):
                 if i == 0:
                     y = vals[0] - 1
@@ -275,8 +290,7 @@ class OrientationAnalysis(VerticalError):
         return None
 
     def k_min(self) -> int:
-        best = min(g.mis for g in self.gaps_left)
-        best = min(best, min(g.mis for g in self.gaps_right))
+        best = min(min(self.gaps_left.mis), min(self.gaps_right.mis))
         if self.scan.min_vertex_mis is not None:
             best = min(best, self.scan.min_vertex_mis)
         return best
@@ -305,10 +319,10 @@ class ExactSolver:
         self.pts = list(pts)
         self.n = len(self.pts)
         kmax = min(kmax, self.n)
-        self.analyses = {
-            o: _analysis_for(pts, o, kmax)
-            for o in (Orientation.BLUE_ABOVE, Orientation.RED_ABOVE)
-        }
+        # one vertex scan serves both orientations
+        blue_above = _analysis_for(pts, Orientation.BLUE_ABOVE, kmax)
+        self.analyses = {Orientation.BLUE_ABOVE: blue_above,
+                         Orientation.RED_ABOVE: blue_above.swapped()}
         self.k_min = min(a.k_min() for a in self.analyses.values())
 
     def solve(self, k: int) -> ExactSolveReport:

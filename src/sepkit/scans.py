@@ -23,6 +23,21 @@ whose int / int division is correctly rounded too.  Both run the same
 code.  A rational is built only for a value that leaves the sweep, or to
 sort a float-tied run of distinct values.
 
+The vertex scan (`scan_vertices`) sweeps every line against all n lines in
+blocks of rows: one 2-D numpy pass computes a block's crossings, sorts each
+row by float key (argsort along the row), and takes the running counts as
+a cumulative sum along it.  A block holds at most SCAN_BLOCK crossings (an
+eighth of that on Python ints), so its arrays stay the same size whatever
+n is.  A row with two equal float
+keys (concurrent lines, or distinct values that round alike) is redone
+exactly by the per-line `crossings`.  The same pass serves both role
+assignments: at a vertex p on line e the lines not through p change sides
+when the roles swap, so the swapped mis is n - through(p) - mis(p), where
+through(p) counts the lines identical to e (e included) and the lines
+crossing e at p.  Far gaps keep their mis from the integer far order and
+build a gap's limit only when it is read; column profiles keep sorted
+integer heights and build a rational only for a height they return.
+
 The side of a line at a rational point (x, y) = (p/q, r/s) is the sign of
 A*r*q - (B*p + C*q)*s, that is of A*y - B*x - C times q*s > 0: positive
 strictly above the line, zero on it, negative strictly below.
@@ -38,9 +53,10 @@ nothing to filter.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import inf
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -66,11 +82,16 @@ def line_columns(lines: Sequence[DLine], extra: Sequence[int] = ()):
     in magnitude (so products of two entries, and sums of two such
     products, are exact in float64), else dtype object holding Python
     ints."""
-    cols = list(zip(*(l.abc for l in lines))) or [(), (), ()]
-    small = max(max(map(abs, col), default=0) for col in (*cols, extra)
-                ) < INT64_BOUND
-    dtype = np.int64 if small else object
-    return tuple(np.array(col, dtype=dtype) for col in cols)
+    abc = [l.abc for l in lines]
+    try:
+        flat = np.fromiter(chain.from_iterable(abc), np.int64, 3 * len(abc))
+        small = (-INT64_BOUND < int(flat.min(initial=0))
+                 and int(flat.max(initial=0)) < INT64_BOUND)
+    except OverflowError:   # beyond int64
+        small = False
+    if not (small and max(map(abs, extra), default=0) < INT64_BOUND):
+        flat = np.array(abc, dtype=object)
+    return tuple(flat.reshape(-1, 3).T.copy())
 
 
 def _float_key(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -78,7 +99,8 @@ def _float_key(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     try:
         return np.asarray(num / den, dtype=np.float64)
     except OverflowError:   # Python ints beyond the float range
-        return np.array([_fdiv(int(n), int(d)) for n, d in zip(num, den)])
+        return np.array([_fdiv(int(n), int(d)) for n, d in
+                         zip(num.ravel(), den.ravel())]).reshape(num.shape)
 
 
 def _fdiv(n: int, d: int) -> float:
@@ -231,6 +253,11 @@ def line_sides(cols, points: Sequence[tuple[RatT, RatT]]) -> np.ndarray:
 # Arrangement vertices
 # ---------------------------------------------------------------------------
 
+# Crossings computed at once by the vertex scan on int64 arrays (an eighth
+# of that on Python ints): a block of rows holds at most this many, which
+# bounds its arrays whatever n is.
+SCAN_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class VertexRecord:
@@ -246,47 +273,145 @@ class VertexScanResult:
     min_cross_x: Optional[RatT]
     max_cross_x: Optional[RatT]
     count: int                       # total vertices scanned
+    # the scan with the roles swapped, made in the same pass
+    swapped: Optional[VertexScanResult] = field(
+        default=None, compare=False, repr=False)
+
+
+@dataclass
+class _Block:
+    """The crossings of a block of rows with every line, each row in x
+    order: position t of row i is its t-th crossing, with the line
+    `order[i, t]`, the float key of x, the on-point count `mis` (see
+    `crossings`) and `through`, the number of lines through the crossing
+    (the lines crossing row i's line there, plus the lines identical to it,
+    itself included).  Positions t >= ncross[i] are parallel lines; num and
+    den are indexed by line, not by position."""
+
+    ncross: np.ndarray
+    order: np.ndarray
+    key: np.ndarray
+    mis: np.ndarray
+    through: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+
+
+def _block_crossings(r0: int, r1: int, a, b, c, isb: np.ndarray) -> _Block:
+    """`crossings` of the rows r0 <= i < r1 in one 2-D pass.  A row where
+    two crossings share a float key is redone exactly by `crossings`."""
+    n = len(a)
+    A, B, C = a[r0:r1, None], b[r0:r1, None], c[r0:r1, None]
+    num = c * A - C * a
+    den = B * a - b * A
+    par = den == 0
+    ident = np.count_nonzero(par & (num == 0), axis=1)
+    bb = den < 0
+    low = bb | (par & (num < 0))
+    high = ~bb & (~par | (num > 0))
+    start = (np.count_nonzero(isb & low, axis=1)
+             + np.count_nonzero(~isb & high, axis=1))
+    np.negative(num, out=num, where=bb)
+    np.negative(den, out=den, where=bb)
+    den[par] = 1
+    ncross = n - np.count_nonzero(par, axis=1)
+    key = _float_key(num, den)
+    key[par] = np.inf              # parallel lines sort last
+    # unless a crossing's key overflowed to inf too: redo that row
+    tied = np.count_nonzero(key == np.inf, axis=1) > n - ncross
+    order = np.argsort(key, axis=1)
+    key = np.take_along_axis(key, order, axis=1)
+    tied |= ((np.arange(1, n) < ncross[:, None])
+             & (key[:, 1:] == key[:, :-1])).any(axis=1)
+    adj = (isb[order] == np.take_along_axis(bb, order, axis=1)).astype(np.int64)
+    delta = 1 - 2 * adj
+    mis = start[:, None] + np.cumsum(delta, axis=1) - delta - adj
+    through = np.broadcast_to(ident[:, None] + 1, key.shape)
+    if tied.any():
+        through = through.copy()
+        for i in np.flatnonzero(tied):
+            cr = crossings((A[i, 0], B[i, 0], C[i, 0]), a, b, c, isb)
+            m = len(cr.idx)
+            starts = np.flatnonzero(~cr.same)
+            runs = np.diff(np.append(starts, m))
+            order[i, :m] = cr.idx
+            key[i, :m] = _float_key(cr.num, cr.den)
+            mis[i, :m] = cr.mis()
+            through[i, :m] = ident[i] + np.repeat(runs, runs)
+    return _Block(ncross, order, key, mis, through, num, den)
+
+
+def _exact_extreme(num, den, key, lowest: bool) -> tuple[int, int]:
+    """The least (or, unless `lowest`, the greatest) of the rationals
+    num/den: only entries at the extreme float key can hold it."""
+    at = np.flatnonzero(key == (key.min() if lowest else key.max()))
+    t = (min if lowest else max)(
+        at, key=lambda t: Fraction(int(num[t]), int(den[t])))
+    return int(num[t]), int(den[t])
 
 
 def scan_vertices(
     below: Sequence[DLine], above: Sequence[DLine], kmax: int
 ) -> VertexScanResult:
-    """All arrangement vertices with mis <= kmax, plus global stats."""
+    """All arrangement vertices with mis <= kmax, plus global stats.  A
+    vertex is recorded once per pair of lines through it, on the row of the
+    pair's first line in below + above order, rows in that order and each
+    row in x order.  The result's `swapped` is scan_vertices(above, below,
+    kmax), made in the same pass."""
     lines = list(below) + list(above)
-    n = len(lines)
+    n, nb = len(lines), len(below)
     out: list[VertexRecord] = []
-    min_mis = None
+    # swapped records: rows of above-lines first, then rows of below-lines
+    swap_out: tuple[list[VertexRecord], list[VertexRecord]] = ([], [])
+    min_mis: list[tuple[int, int]] = []
+    lo: list[tuple[int, int]] = []   # extreme crossing x as (num, den)
+    hi: list[tuple[int, int]] = []
     count = 0
-    lo = hi = None   # extreme crossing x as (num, den)
-    if not lines:
-        return VertexScanResult(out, None, None, None, 0)
     a, b, c = line_columns(lines)
-    isb = np.arange(n) < len(below)
-    for i, li in enumerate(lines):
-        cr = crossings((a[i], b[i], c[i]), a, b, c, isb)
-        rec = cr.idx > i
-        nrec = int(np.count_nonzero(rec))
-        if not nrec:
+    isb = np.arange(n) < nb
+    # a Python-int entry points to an object of several words
+    block = SCAN_BLOCK if a.dtype == np.int64 else SCAN_BLOCK // 8
+    step = max(1, block // max(n, 1))
+    for r0 in range(0, n, step):
+        blk = _block_crossings(r0, min(n, r0 + step), a, b, c, isb)
+        rows = np.arange(r0, r0 + len(blk.ncross))[:, None]
+        real = np.arange(n) < blk.ncross[:, None]
+        if not real.any():
             continue
-        count += nrec
-        mis = cr.mis()
-        mm = int(mis[rec].min())
-        if min_mis is None or mm < min_mis:
-            min_mis = mm
-        first = int(np.argmax(rec))
-        last = len(rec) - 1 - int(np.argmax(rec[::-1]))
-        for t in (first, last):
-            x = (int(cr.num[t]), int(cr.den[t]))
-            if lo is None or x[0] * lo[1] < lo[0] * x[1]:
-                lo = x
-            if hi is None or x[0] * hi[1] > hi[0] * x[1]:
-                hi = x
-        for t in np.flatnonzero(rec & (mis <= kmax)):
-            x = cr.x(t)
-            out.append(VertexRecord(x, li.y_at(x), int(mis[t])))
-    minx = Rat(*lo) if lo else None
-    maxx = Rat(*hi) if hi else None
-    return VertexScanResult(out, min_mis, minx, maxx, count)
+        count += int(blk.ncross.sum())
+        # with the roles swapped, the lines off the vertex change sides
+        swap_mis = n - blk.through - blk.mis
+        min_mis.append((int(blk.mis[real].min()), int(swap_mis[real].min())))
+        # the extreme crossings are first or last in their rows
+        r = np.flatnonzero(blk.ncross)
+        for t, dest, lowest in ((np.zeros_like(r), lo, True),
+                                (blk.ncross[r] - 1, hi, False)):
+            j = blk.order[r, t]
+            dest.append(_exact_extreme(blk.num[r, j], blk.den[r, j],
+                                       blk.key[r, t], lowest))
+        later = real & (blk.order > rows)
+        swap_later = np.where(rows < nb, later & (blk.order < nb),
+                              real & ((blk.order > rows) | (blk.order < nb)))
+        # dest[row is a below-line] takes the record
+        for rec, mis, dest in ((later, blk.mis, (out, out)),
+                               (swap_later, swap_mis, swap_out)):
+            for i, t in zip(*np.nonzero(rec & (mis <= kmax))):
+                j = blk.order[i, t]
+                p, q = int(blk.num[i, j]), int(blk.den[i, j])
+                e = r0 + int(i)
+                # line e at x = p/q: y = (B*p + C*q) / (A*q)
+                y = Rat(int(b[e]) * p + int(c[e]) * q, int(a[e]) * q)
+                dest[e < nb].append(VertexRecord(Rat(p, q), y, int(mis[i, t])))
+    if not min_mis:
+        return VertexScanResult(out, None, None, None, 0,
+                                VertexScanResult([], None, None, None, 0))
+    minx = Rat(*min(lo, key=lambda x: Fraction(*x)))
+    maxx = Rat(*max(hi, key=lambda x: Fraction(*x)))
+    swapped = VertexScanResult(swap_out[0] + swap_out[1],
+                               min(m for _, m in min_mis), minx, maxx,
+                               count // 2)
+    return VertexScanResult(out, min(m for m, _ in min_mis), minx, maxx,
+                            count // 2, swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +451,39 @@ def gap_mis(order: Sequence[tuple[DLine, bool]]) -> list[int]:
     return out
 
 
-def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int) -> list[FarGap]:
-    """Exact gap structure beyond all crossings on one side (-1 left, +1 right)."""
-    tagged = far_order(below, above, side)
-    if side < 0:
-        m_red = max(l.m for l in below)
-        m_blue = min(l.m for l in above)
-    else:
-        m_red = min(l.m for l in below)
-        m_blue = max(l.m for l in above)
+class FarGaps:
+    """The gaps of a far order (see far_order) on one side, bottom to top.
+    `mis` holds every gap's mis, from the integer order; a gap's slope range
+    and limit (its FarGap) are built when the gap is first read."""
 
-    def lim(alpha: RatT) -> RatT:
-        if side < 0:
-            return max(Rat(0), m_red - alpha, alpha - m_blue)
-        return max(Rat(0), alpha - m_red, m_blue - alpha)
+    def __init__(self, below: Sequence[DLine], above: Sequence[DLine],
+                 side: int):
+        self.below, self.above, self.side = below, above, side
+        self.order = far_order(below, above, side)
+        self.mis = gap_mis(self.order)
+        self._read: dict[int, FarGap] = {}
 
-    n = len(tagged)
-    gaps = []
-    for i, mis in enumerate(gap_mis(tagged)):
-        lo_line = tagged[i - 1][0] if i > 0 else None
-        hi_line = tagged[i][0] if i < n else None
-        if side < 0:
+    def __getitem__(self, i: int) -> FarGap:
+        gap = self._read.get(i)
+        if gap is None:
+            gap = self._read[i] = self._gap(i)
+        return gap
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.mis)))
+
+    @cached_property
+    def _slopes(self) -> tuple[RatT, RatT]:
+        """The below-slope and above-slope that bound the limits."""
+        if self.side < 0:
+            return max(l.m for l in self.below), min(l.m for l in self.above)
+        return min(l.m for l in self.below), max(l.m for l in self.above)
+
+    def _gap(self, i: int) -> FarGap:
+        m_red, m_blue = self._slopes
+        lo_line = self.order[i - 1][0] if i > 0 else None
+        hi_line = self.order[i][0] if i < len(self.order) else None
+        if self.side < 0:
             alo = hi_line.m if hi_line else None
             ahi = lo_line.m if lo_line else None
         else:
@@ -357,8 +494,16 @@ def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int) -> list[
             a = alo
         if ahi is not None and a > ahi:
             a = ahi
-        gaps.append(FarGap(mis, alo, ahi, lim(a)))
-    return gaps
+        if self.side < 0:
+            lim = max(Rat(0), m_red - a, a - m_blue)
+        else:
+            lim = max(Rat(0), a - m_red, m_blue - a)
+        return FarGap(self.mis[i], alo, ahi, lim)
+
+
+def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int) -> FarGaps:
+    """Exact gap structure beyond all crossings on one side (-1 left, +1 right)."""
+    return FarGaps(below, above, side)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +516,15 @@ class ColumnProfile:
 
     Equal heights (concurrent lines) are grouped; the on-point value of a
     group counts below-lines strictly below and above-lines strictly above.
+    The heights stay integer pairs (num, den), sorted exactly; a search
+    bisects their float keys and compares only float-tied heights exactly,
+    and a rational is built only for a height that is returned.
     """
 
     def __init__(self, below: Sequence[DLine], above: Sequence[DLine], x: RatT):
         self.x = x
         lines = list(below) + list(above)
-        p, q = int(x.numerator), int(x.denominator)
+        p, q = rat_num(x), rat_den(x)
         # line j at x = p/q has height (B_j*p + C_j*q) / (A_j*q)
         a, b, c = line_columns(lines, (p, q))
         hnum, hden = b * p + c * q, a * q
@@ -388,34 +536,61 @@ class ColumnProfile:
         # counts strictly below / above each group of equal heights
         rb = np.cumsum(nb_grp) - nb_grp
         ba = len(lines) - len(below) - np.cumsum(na_grp) + na_grp
-        self.heights: list[RatT] = [
-            Rat(int(hnum[j]), int(hden[j])) for j in order[starts]]
-        self.onpoint: list[int] = (rb + ba - na_grp).tolist()
-        # interval[i] = mis strictly between group i-1 and i
-        self.interval: list[int] = (rb + ba).tolist() + [len(below)]
+        self._num, self._den = hnum[order[starts]], hden[order[starts]]
+        self._key = _float_key(self._num, self._den)
+        self._onpoint = rb + ba - na_grp
+        # _interval[i] = mis strictly between group i-1 and i
+        self._interval = np.append(rb + ba, len(below))
+
+    @cached_property
+    def heights(self) -> list[RatT]:
+        return [self._height(i) for i in range(len(self._num))]
+
+    @cached_property
+    def onpoint(self) -> list[int]:
+        return self._onpoint.tolist()
+
+    @cached_property
+    def interval(self) -> list[int]:
+        return self._interval.tolist()
+
+    def _height(self, i: int) -> RatT:
+        return Rat(int(self._num[i]), int(self._den[i]))
+
+    def _find(self, y: RatT) -> tuple[int, bool]:
+        """(number of heights below y, whether y is a height)."""
+        r, s = rat_num(y), rat_den(y)
+        f = _fdiv(r, s)
+        lo = int(np.searchsorted(self._key, f, "left"))
+        hi = int(np.searchsorted(self._key, f, "right"))
+        for i in range(lo, hi):    # the float-tied heights, compared exactly
+            d = int(self._num[i]) * s - r * int(self._den[i])
+            if d >= 0:
+                return i, d == 0
+        return hi, False
 
     def mis_at(self, y: RatT) -> int:
-        i = bisect.bisect_left(self.heights, y)
-        if i < len(self.heights) and self.heights[i] == y:
-            return self.onpoint[i]
-        return self.interval[i]
+        i, on = self._find(y)
+        return int(self._onpoint[i] if on else self._interval[i])
+
+    def _valid_above(self, y: RatT, k: int) -> Optional[int]:
+        i, _ = self._find(y)
+        ok = np.flatnonzero(self._onpoint[i:] <= k)
+        return i + int(ok[0]) if ok.size else None
+
+    def _valid_below(self, y: RatT, k: int) -> Optional[int]:
+        i, on = self._find(y)
+        ok = np.flatnonzero(self._onpoint[:i + on] <= k)
+        return int(ok[-1]) if ok.size else None
 
     def nearest_valid_above(self, y: RatT, k: int) -> Optional[RatT]:
         """Smallest height >= y with on-point mis <= k."""
-        i = bisect.bisect_left(self.heights, y)
-        while i < len(self.heights):
-            if self.onpoint[i] <= k:
-                return self.heights[i]
-            i += 1
-        return None
+        i = self._valid_above(y, k)
+        return None if i is None else self._height(i)
 
     def nearest_valid_below(self, y: RatT, k: int) -> Optional[RatT]:
-        i = bisect.bisect_right(self.heights, y) - 1
-        while i >= 0:
-            if self.onpoint[i] <= k:
-                return self.heights[i]
-            i -= 1
-        return None
+        i = self._valid_below(y, k)
+        return None if i is None else self._height(i)
 
     def valid_near(
         self, y: RatT, k: int, neighbours: bool
@@ -430,10 +605,9 @@ class ColumnProfile:
             out.append((y, mis))
             if not neighbours:
                 return out
-        for h in (self.nearest_valid_above(y, k),
-                  self.nearest_valid_below(y, k)):
-            if h is not None:
-                out.append((h, self.mis_at(h)))
+        for i in (self._valid_above(y, k), self._valid_below(y, k)):
+            if i is not None:
+                out.append((self._height(i), int(self._onpoint[i])))
         return out
 
 

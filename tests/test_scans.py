@@ -1,18 +1,25 @@
 """The exact crossing order and the sweeps built on it, against Fraction
 references: float-tied distinct values, equal values written differently,
-and int64 as well as Python-int (dtype object) arrays."""
+and int64 as well as Python-int (dtype object) arrays.  The block vertex
+scan is checked against a one-line-at-a-time scan, and its swapped result
+against a scan with the roles exchanged."""
 
+import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepkit import scans
 from sepkit.chains import DLine, cross_x
 from sepkit.rat import Rat
 from sepkit.scans import (
     ColumnProfile,
     VertexRecord,
     VertexScanResult,
+    crossings,
     exact_order,
     line_columns,
     scan_vertices,
@@ -207,3 +214,82 @@ def test_scans_match_reference_on_degenerate_lines(lines, k):
     e = (below + above)[0]
     assert segment_valid_crossings(e.m, e.c, None, None, below, above, k) == \
         reference_segment(e.m, e.c, below, above, k)
+
+
+# -- one pass, both role assignments ----------------------------------------
+
+
+def test_swapped_scan_at_near_ties_matches_reference():
+    for below, above, _ in (_INT64_CASE, _OBJECT_CASE):
+        for kmax in range(len(below) + len(above) + 1):
+            got = scan_vertices(below, above, kmax).swapped
+            assert got == reference_scan(above, below, kmax)
+            assert got == scan_vertices(above, below, kmax)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=scaled_lines(), k=st.integers(0, 4),
+       block=st.sampled_from([1, 8, scans.SCAN_BLOCK]))
+def test_swapped_scan_matches_scan_with_roles_exchanged(lines, k, block):
+    """Exact equality, the vertex order included; small blocks put every
+    row, or a few rows, in a block of its own."""
+    below, above = lines
+    with mock.patch.object(scans, "SCAN_BLOCK", block):
+        direct = scan_vertices(below, above, k)
+        exchanged = scan_vertices(above, below, k)
+    assert direct.swapped == exchanged
+    assert direct.swapped.vertices == exchanged.vertices
+    assert direct == reference_scan(below, above, k)
+
+
+def rowwise_scan(below, above, kmax):
+    """The vertex scan one line at a time, through `crossings`."""
+    lines = below + above
+    a, b, c = line_columns(lines)
+    isb = np.arange(len(lines)) < len(below)
+    verts, all_mis, xs = [], [], []
+    for i, li in enumerate(lines):
+        cr = crossings((a[i], b[i], c[i]), a, b, c, isb)
+        mis = cr.mis()
+        for t in np.flatnonzero(cr.idx > i):
+            x = cr.x(t)
+            all_mis.append(int(mis[t]))
+            xs.append(x)
+            if mis[t] <= kmax:
+                verts.append(VertexRecord(x, li.y_at(x), int(mis[t])))
+    return VertexScanResult(verts, min(all_mis, default=None),
+                            min(xs, default=None), max(xs, default=None),
+                            len(xs))
+
+
+def _many_lines(copied):
+    """200 int64 lines: random ones, a pencil of 10 lines through (1, 0),
+    and two exact copies of one random line ("free") or of one pencil line
+    ("pencil"), or none.  Copies make every other row meet two lines at
+    one x, so those rows take the exact per-row path; the copies' own rows
+    do so only in the pencil."""
+    rng = random.Random(9)
+    lines = [DLine(i, Rat(rng.randint(-10**4, 10**4), rng.randint(1, 30)),
+                   Rat(rng.randint(-10**4, 10**4), rng.randint(1, 30)))
+             for i in range(188)]
+    lines += [DLine(188 + j, Rat(j - 5, 3), Rat(5 - j, 3)) for j in range(10)]
+    if copied:
+        model = lines[0] if copied == "free" else lines[-1]
+        lines[1] = DLine(1, model.m, model.c)
+        lines[2] = DLine(2, model.m, model.c)
+    rng.shuffle(lines)
+    return lines
+
+
+@pytest.mark.parametrize("copied", [None, "free", "pencil"])
+def test_block_scan_over_several_blocks(copied):
+    lines = _many_lines(copied)
+    assert line_columns(lines)[0].dtype == np.int64
+    assert 2 * (scans.SCAN_BLOCK // len(lines)) < len(lines)   # >= 3 blocks
+    below, above = lines[:90], lines[90:]
+    for kmax in (0, 60, len(lines)):
+        res = scan_vertices(below, above, kmax)
+        assert res == rowwise_scan(below, above, kmax)
+        assert res.swapped == rowwise_scan(above, below, kmax)
+        assert res.swapped == scan_vertices(above, below, kmax)
+    assert res.vertices and res.swapped.vertices

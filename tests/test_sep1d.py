@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepkit.core import Color
 from sepkit.errors import DuplicateCoordinate, UnknownId
@@ -151,3 +152,51 @@ def test_insert_delete_inverse(rng):
     t.delete(50)
     after = [(k, _result_key(t.query(k))) for k in range(0, 6)]
     assert before == after
+
+
+# one update: (delete?, x numerator, x denominator, red?, which live id)
+_UPDATES = st.tuples(st.booleans(), st.integers(-4, 4), st.sampled_from([1, 2]),
+                     st.booleans(), st.integers(0, 50))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ops=st.lists(_UPDATES, max_size=40),
+       colours=st.sampled_from(["both", "red", "blue"]))
+def test_stream_matches_oracle(ops, colours):
+    """Inserts on 13 coordinates (so duplicates are frequent and
+    rejected), deletes that empty the live set, and streams with one colour
+    only; every state is audited and compared with oracle_1d."""
+    t, live = Tree1D(), {}
+    for next_id, (delete, num, den, red, pick) in enumerate(ops):
+        if delete and live:
+            id_ = sorted(live)[pick % len(live)]
+            t.delete(id_)
+            del live[id_]
+        else:
+            if colours != "both":
+                red = colours == "red"
+            p = Point1D(Rat(num, den), Color.RED if red else Color.BLUE, next_id)
+            if any(q.x == p.x for q in live.values()):
+                with pytest.raises(DuplicateCoordinate):
+                    t.insert(p)
+            else:
+                t.insert(p)
+                live[next_id] = p
+        t.audit()
+        pts = list(live.values())
+        assert len(t) == len(pts)
+        feasible = []
+        for k in range(4):
+            got, want = t.query(k), oracle_1d(pts, k)
+            feasible.append(want.value is not None)
+            if want.value is None:
+                assert got is None
+                continue
+            assert got.max_dist == want.value and got.mis <= k
+            if not pts:
+                assert got.separator_x is None
+            elif want.value > 0:
+                assert got.separator_x == want.witness["separator_x"]
+                assert got.orientation == want.witness["orientation"]
+        if True in feasible:
+            assert t.min_mis() == feasible.index(True)
