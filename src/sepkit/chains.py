@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .rat import Rat, RatT, homogeneous
+from .rat import Rat, RatT, den, homogeneous, num
 from .scans import exact_order, far_order, line_columns
 
 
@@ -92,6 +92,11 @@ class Chain:
 
     def breakpoints(self) -> list[RatT]:
         return [p.x_hi for p in self.pieces[:-1]]
+
+    @cached_property
+    def bounds(self) -> list[tuple[int, int]]:
+        """The breakpoints as integer (num, den) pairs, den > 0."""
+        return [(num(x), den(x)) for x in self.breakpoints()]
 
     def check_shape(self) -> None:
         """Verify monotone slope ordering and that pieces abut."""
@@ -238,50 +243,68 @@ def chain_decomposition(
 
 
 def chain_pair_intersections(concave: Chain, convex: Chain) -> list[tuple[RatT, RatT]]:
-    """Intersection points of a concave and a convex chain (at most 2).
+    """Intersection points of a concave and a convex chain (at most 2), in
+    x order.
 
-    Walks the merged piece boundaries of f = concave - convex, which is a
-    concave piecewise-linear function, and reports its zero crossings
-    (including touching points).
+    Walks the merged piece boundaries of f = concave - convex, a concave
+    piecewise-linear function, with one index per chain, and reports its
+    zero crossings (including touching points).  Signs of f are decided on
+    the pieces' integer forms (`DLine.abc`) by cross-multiplication: at
+    each boundary, and at x -> -infinity and +infinity.  The chains are
+    continuous, so f crosses zero strictly inside a stretch where both
+    chains are single lines exactly when its signs at the two ends are
+    opposite and nonzero.  A rational is built only for a returned point.
     """
-    bounds: list[RatT] = []
-    for ch in (concave, convex):
-        for p in ch.pieces[:-1]:
-            bounds.append(p.x_hi)
-    bounds = sorted(set(bounds))
-    pts: list[tuple[RatT, RatT]] = []
+    cc, cv = concave.pieces, convex.pieces
+    bc, bv = concave.bounds, convex.bounds
+    i = j = 0
+    s_lo = _far_sign(cc[0].line.abc, cv[0].line.abc, -1)
+    out: list[tuple[RatT, RatT]] = []
+    while True:
+        la, lb = cc[i].line.abc, cv[j].line.abc
+        # the stretch ends at the nearer of the two chains' next boundaries
+        ends_c = i < len(bc) and (
+            j == len(bv) or bc[i][0] * bv[j][1] <= bv[j][0] * bc[i][1])
+        ends_v = j < len(bv) and (not ends_c or bv[j] == bc[i])
+        if not (ends_c or ends_v):                  # the last stretch
+            if s_lo * _far_sign(la, lb, 1) < 0:
+                out.append(_crossing(la, lb))
+            return out
+        p, q = bc[i] if ends_c else bv[j]
+        A1, B1, C1 = la
+        A2, B2, C2 = lb
+        # f(p/q) has the sign of (B1*p + C1*q)*A2 - (B2*p + C2*q)*A1
+        v = (B1 * p + C1 * q) * A2 - (B2 * p + C2 * q) * A1
+        s_hi = (v > 0) - (v < 0)
+        if s_lo * s_hi < 0:
+            out.append(_crossing(la, lb))
+        if s_hi == 0:
+            x = (cc[i] if ends_c else cv[j]).x_hi
+            out.append((x, Rat(B1 * p + C1 * q, A1 * q)))
+        if ends_c:
+            i += 1
+        if ends_v:
+            j += 1
+        s_lo = s_hi
 
-    def f(x: RatT) -> RatT:
-        return concave.value_at(x) - convex.value_at(x)
 
-    def seg_roots(x0: Optional[RatT], x1: Optional[RatT]) -> None:
-        # on (x0, x1) both chains are single lines
-        xm = _interior_point(x0, x1)
-        la = concave.piece_at(xm).line
-        lb = convex.piece_at(xm).line
-        x = cross_x(la, lb)
-        if x is None:
-            if la.c == lb.c and la.m == lb.m:
-                pass  # identical on the interval: boundary handling covers it
-            return
-        if (x0 is None or x > x0) and (x1 is None or x < x1):
-            pts.append((x, la.y_at(x)))
+def _far_sign(la: tuple[int, int, int], lb: tuple[int, int, int],
+              side: int) -> int:
+    """Sign of la - lb at x -> side * infinity (side -1 or 1) for two lines
+    in integer form: that of the slope difference times side, or else that
+    of the intercept difference."""
+    v = ((la[1] * lb[0] - lb[1] * la[0]) * side
+         or la[2] * lb[0] - lb[2] * la[0])
+    return (v > 0) - (v < 0)
 
-    prev: Optional[RatT] = None
-    for b in bounds:
-        seg_roots(prev, b)
-        if f(b) == 0:
-            pts.append((b, concave.value_at(b)))
-        prev = b
-    seg_roots(prev, None)
-    # dedup, keep sorted by x
-    seen = set()
-    out = []
-    for x, y in sorted(pts, key=lambda t: t[0]):
-        if (x, y) not in seen:
-            seen.add((x, y))
-            out.append((x, y))
-    return out
+
+def _crossing(la: tuple[int, int, int], lb: tuple[int, int, int]
+              ) -> tuple[RatT, RatT]:
+    """The crossing point of two non-parallel lines given in integer form."""
+    A1, B1, C1 = la
+    A2, B2, C2 = lb
+    xn, xd = C2 * A1 - C1 * A2, B1 * A2 - B2 * A1
+    return Rat(xn, xd), Rat(B1 * xn + C1 * xd, A1 * xd)
 
 
 def _interior_point(

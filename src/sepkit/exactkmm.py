@@ -228,7 +228,7 @@ class OrientationAnalysis(VerticalError):
 
     def _d_crossings(self, k: int):
         if k not in self._d_cache:
-            res = []
+            segments = []
             for p in self.curve.pieces:
                 x1, x2 = p.x_lo, p.x_hi
                 if self.slab is not None:
@@ -237,12 +237,9 @@ class OrientationAnalysis(VerticalError):
                     x2 = hi if x2 is None or x2 > hi else x2
                     if x1 > x2:
                         continue
-                res.extend(
-                    segment_valid_crossings(
-                        p.line.m, p.line.c, x1, x2, self.below, self.above, k,
-                    )
-                )
-            self._d_cache[k] = res
+                segments.append((p.line.m, p.line.c, x1, x2))
+            self._d_cache[k] = segment_valid_crossings(
+                segments, self.below, self.above, k)
         return self._d_cache[k]
 
     def far_limit_sq(self, k: int) -> Optional[RatT]:

@@ -20,8 +20,11 @@ promised deletion times, keeps recent lines and every line due by the next
 expensive update (overdue ones included) as trivial chains in a leftover
 list, maintains the set I of bichromatic chain intersections with exact
 violation counts, and answers queries from a buffered partition-tree forest
-over I.  Each update counts its new candidates in one violation_counts
-call.
+over I.  The chain intersections come from `chain_pair_intersections`,
+which decides signs on the lines' integer forms.  Each update counts its
+new candidates in one violation_counts call and inserts them into the
+forest as one batch: one merge and one tree build per update.  An
+expensive update drops the old forest before it builds the new one.
 """
 
 from __future__ import annotations
@@ -325,7 +328,7 @@ class DynState:
         red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
         if not red or not blue:
             return 0
-        forest_min = self.forest.min_count() if self.forest else None
+        forest_min = self.forest.min_count()
         gap = far_left_min(red, blue)
         return gap if forest_min is None else min(gap, forest_min)
 
@@ -443,6 +446,9 @@ class DynState:
                 for (x, y, ids), cnt in zip(found, counts)]
 
     def _rebuild_candidates(self) -> None:
+        # free the old candidates first: the old and the new forest are
+        # never held at once
+        self.forest, self.points_by_line = None, {}
         red_chains = self._all_chains(Color.RED)
         blue_chains = self._all_chains(Color.BLUE)
         found = []
@@ -457,7 +463,6 @@ class DynState:
                     found.append((x, y, ids))
         pts = self._counted(found)
         self.forest = PartitionForest(pts)
-        self.points_by_line = {}
         for pt in pts:
             for id_ in pt.payload:
                 self.points_by_line.setdefault(id_, []).append(pt)
@@ -484,8 +489,9 @@ class DynState:
                 inters = chain_pair_intersections(opp, new_chain)
             for x, y in inters:
                 found.append((x, y, (line.id, opp.piece_at(x).line.id)))
-        for pt in self._counted(found):
-            self.forest.insert(pt)
+        pts = self._counted(found)
+        self.forest.insert(*pts)
+        for pt in pts:
             for id_ in pt.payload:
                 self.points_by_line.setdefault(id_, []).append(pt)
         self._maybe_expensive()

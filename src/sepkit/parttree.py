@@ -8,86 +8,104 @@ side of a line; queries find the leftmost alive point with count <= k'.
 
 Deletions are sentinel-based (an explicit alive flag, never a numeric
 infinity).  Point insertions use the logarithmic method: a forest of trees
-with power-of-two sizes, merged on collision.
+with power-of-two sizes, merged on collision.  An insertion takes a batch
+of points (one update's candidates) and merges and builds once.
+
+Every point carries one order key (fx, x, fy, y), where fx and fy are x
+and y correctly rounded to floats (`scans.fdiv`, which also takes values
+beyond the float range).  Correctly rounded division is monotone, so a
+tuple compare decides on the floats and compares the rationals only where
+the floats tie: the key orders exactly like (x, y).  This is the
+floating-point filter of `scans.exact_order`.  Builds rank the points by
+it, a node bounds its cell by the least and greatest keys of its points
+and by the keys of its lowest and highest points, deletions descend by key
+compares, and a leftmost query is one descent per tree that skips every
+node whose least key cannot beat the best point found so far.
 
 Each node splits its points by two alternating median cuts (x, then y).
 A build sorts its points once per axis and cuts by rank.  The split only
 affects how many cells a line crosses (the `crossings` count), not the
 answers.
 
-A halfplane update decides sides exactly on the line's integer form
-(`DLine.abc`) with `scans.side_of_line`, in Python ints: a cell is tested
-at the two corners where A*y - B*x - C is smallest and largest, a leaf
-point at the point itself.
+A halfplane update tests a cell at the two corners where A*y - B*x - C is
+smallest and largest, and a leaf point at the point itself.  The sign
+comes from the floats of the keys and of the line's integer form
+(`DLine.abc`) when it clears a bound on their rounding error (Shewchuk
+1997; Bronnimann, Burnikel and Pion 2001), and from `scans.side_of_line`
+in Python ints otherwise: at points on the line, near it, or beyond the
+float range.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .chains import DLine
-from .rat import RatT
-from .scans import side_of_line
+from .rat import RatT, den, num
+from .scans import fdiv, side_of_line
 
 LEAF_SIZE = 4
 FANOUT_LEVELS = 2   # two alternating median cuts per node
 
+_y_part = itemgetter(2, 3)      # (fy, y) of an order key
 
-@dataclass(eq=False)
+
 class PTPoint:
-    x: RatT
-    y: RatT
-    count: int
-    alive: bool = True
-    payload: object = None
+    """A candidate point with its violation count; `key` is its order key
+    (fx, x, fy, y)."""
+
+    __slots__ = ("key", "count", "alive", "payload")
+
+    def __init__(self, x: RatT, y: RatT, count: int, alive: bool = True,
+                 payload: object = None):
+        self.key = fdiv(num(x), den(x)), x, fdiv(num(y), den(y)), y
+        self.count = count
+        self.alive = alive
+        self.payload = payload
+
+    @property
+    def x(self) -> RatT:
+        return self.key[1]
+
+    @property
+    def y(self) -> RatT:
+        return self.key[3]
 
 
 class PTNode:
-    __slots__ = ("xlo", "xhi", "ylo", "yhi", "pts", "children", "buf",
-                 "kpart", "best")
+    """`lo` and `hi` are the least and greatest order keys of the node's
+    points, `ylo` and `yhi` the keys of its lowest and highest points: the
+    cell is the x range of lo and hi times the y range of ylo and yhi."""
 
-    def __init__(self, pts: list[PTPoint], children: list["PTNode"]):
+    __slots__ = ("lo", "hi", "ylo", "yhi", "pts", "children", "buf", "kpart")
+
+    def __init__(self, pts: Sequence[PTPoint], children: Sequence["PTNode"]):
         self.pts = pts
         self.children = children
         self.buf = 0
-        xs = [p.x for p in pts] if pts else None
         if children:
-            self.xlo = min(c.xlo for c in children)
-            self.xhi = max(c.xhi for c in children)
-            self.ylo = min(c.ylo for c in children)
-            self.yhi = max(c.yhi for c in children)
+            self.lo = min(c.lo for c in children)
+            self.hi = max(c.hi for c in children)
+            ys = [c.ylo for c in children] + [c.yhi for c in children]
         else:
-            self.xlo = min(xs) if xs else None
-            self.xhi = max(xs) if xs else None
-            self.ylo = min((p.y for p in pts), default=None)
-            self.yhi = max((p.y for p in pts), default=None)
+            keys = [p.key for p in pts]
+            self.lo = min(keys, default=None)
+            self.hi = max(keys, default=None)
+            ys = keys
+        self.ylo = min(ys, key=_y_part, default=None)
+        self.yhi = max(ys, key=_y_part, default=None)
         self.pull()
 
     def pull(self) -> None:
-        """Recompute k' and the best point from children/points (buffers of
-        the children are folded in, own buffer is not)."""
-        best_key = None
-        best_pt = None
+        """Recompute k' from the children (their buffers folded in, own
+        buffer not) or the alive points."""
         if self.children:
-            for c in self.children:
-                if c.kpart is None:
-                    continue
-                key = (c.kpart + c.buf, c.best.x, c.best.y)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pt = c.best
+            vals = [c.kpart + c.buf for c in self.children
+                    if c.kpart is not None]
         else:
-            for p in self.pts:
-                if not p.alive:
-                    continue
-                key = (p.count, p.x, p.y)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pt = p
-        self.kpart = best_key[0] if best_key else None
-        self.best = best_pt
+            vals = [p.count for p in self.pts if p.alive]
+        self.kpart = min(vals) if vals else None
 
     def propagate(self) -> None:
         if self.buf == 0:
@@ -106,13 +124,15 @@ class PTNode:
 
 def _ranks(pts: list[PTPoint]) -> tuple[list[int], list[int]]:
     """Rank of each point in the stable (x, y) order and in the stable
-    (y, x) order: one rational sort per axis and build, after which every
+    (y, x) order: one key sort per axis and build, after which every
     median split sorts small ints."""
+    by_x = sorted(range(len(pts)), key=lambda i: pts[i].key)
+    # stable, so points of equal y keep their (x, y) order
+    by_y = sorted(by_x, key=lambda i: _y_part(pts[i].key))
     out = []
-    for key in ((lambda i: (pts[i].x, pts[i].y)),
-                (lambda i: (pts[i].y, pts[i].x))):
+    for order in (by_x, by_y):
         rank = [0] * len(pts)
-        for r, i in enumerate(sorted(range(len(pts)), key=key)):
+        for r, i in enumerate(order):
             rank[i] = r
         out.append(rank)
     return out[0], out[1]
@@ -122,7 +142,7 @@ def _build(pts: list[PTPoint], idx: list[int], ranks) -> PTNode:
     """Node over the points pts[i], i in idx; cut by ranks[0], then
     ranks[1]."""
     if len(idx) <= LEAF_SIZE:
-        return PTNode([pts[i] for i in idx], [])
+        return PTNode([pts[i] for i in idx], ())
     parts = [idx]
     for axis in range(FANOUT_LEVELS):
         nxt: list[list[int]] = []
@@ -135,29 +155,53 @@ def _build(pts: list[PTPoint], idx: list[int], ranks) -> PTNode:
                 nxt.extend([s[:h], s[h:]])
         parts = nxt
     children = [_build(pts, p, ranks) for p in parts if p]
-    return PTNode([], children)
+    return PTNode((), children)
 
 
-def _above_halfplane(node: PTNode, abc: tuple[int, int, int], above: bool):
-    """Cell position vs the open halfplane strictly above/below the line
-    A*y = B*x + C: returns 1 (fully inside), -1 (fully outside), 0
-    (straddles)."""
+# A sign decided on floats must beat this bound on their rounding error: a
+# relative part, about 90 units in the last place of the terms, and an
+# absolute part for coordinates that underflow.
+_REL, _ABS = 1e-14, 1e-300
+
+
+def _filter_line(abc: tuple[int, int, int]) -> tuple:
+    """The line A*y = B*x + C as (fa, fb, fc, |fc|, slack, abc) for
+    `_side`: its coefficients as floats, and the absolute part of the error
+    bound."""
+    A, B, C = abc
+    fa, fb, fc = fdiv(A, 1), fdiv(B, 1), fdiv(C, 1)
+    return fa, fb, fc, abs(fc), _ABS * (abs(fa) + abs(fb) + 1), abc
+
+
+def _side(line: tuple, kx: tuple, ky: tuple) -> int:
+    """Sign of A*y - B*x - C at the x of order key kx and the y of order
+    key ky: from their floats when the error bound lets them decide, else
+    exactly (`scans.side_of_line`).  An infinity or a NaN never decides."""
+    fa, fb, fc, afc, slack, abc = line
+    p, q = fa * ky[2], fb * kx[0]
+    v = p - q - fc
+    err = _REL * (abs(p) + abs(q) + afc) + slack
+    if v > err:
+        return 1
+    if v < -err:
+        return -1
+    return side_of_line(abc, kx[1], ky[3])
+
+
+def _above_halfplane(node: PTNode, line: tuple, above: bool):
+    """Cell position vs the open halfplane strictly above/below the
+    `_filter_line` line A*y = B*x + C: returns 1 (fully inside), -1 (fully
+    outside), 0 (straddles)."""
     # over the cell, A*y - B*x - C is smallest at the bottom corner the
     # line rises towards and largest at the opposite top corner
-    x_min, x_max = (node.xhi, node.xlo) if abc[1] > 0 else (node.xlo, node.xhi)
-    lo = side_of_line(abc, x_min, node.ylo)
-    hi = side_of_line(abc, x_max, node.yhi)
+    xl, xh = (node.hi, node.lo) if line[1] > 0 else (node.lo, node.hi)
     if above:
-        if lo > 0:
+        if _side(line, xl, node.ylo) > 0:
             return 1
-        if hi <= 0:
-            return -1
-    else:
-        if hi < 0:
-            return 1
-        if lo >= 0:
-            return -1
-    return 0
+        return -1 if _side(line, xh, node.yhi) <= 0 else 0
+    if _side(line, xh, node.yhi) < 0:
+        return 1
+    return -1 if _side(line, xl, node.ylo) >= 0 else 0
 
 
 class PartitionTree:
@@ -170,25 +214,24 @@ class PartitionTree:
     # -- halfplane update --------------------------------------------------
 
     def halfplane_update(self, line: DLine, above: bool, delta: int) -> None:
-        self._hp(self.root, line.abc, above, delta)
+        self._hp(self.root, _filter_line(line.abc), above, delta)
 
-    def _hp(self, u: PTNode, abc: tuple[int, int, int], above: bool,
-            delta: int) -> None:
+    def _hp(self, u: PTNode, line: tuple, above: bool, delta: int) -> None:
         u.propagate()
         if not u.children:
             inside = 1 if above else -1
             for p in u.pts:
-                if p.alive and side_of_line(abc, p.x, p.y) == inside:
+                if p.alive and _side(line, p.key, p.key) == inside:
                     p.count += delta
             u.pull()
             return
         for c in u.children:
-            side = _above_halfplane(c, abc, above)
+            side = _above_halfplane(c, line, above)
             if side == 1:
                 c.buf += delta
             elif side == 0:
                 self.crossings += 1
-                self._hp(c, abc, above, delta)
+                self._hp(c, line, above, delta)
         u.pull()
 
     # -- queries -------------------------------------------------------------
@@ -198,54 +241,38 @@ class PartitionTree:
             return None
         return self.root.kpart + self.root.buf
 
-    def exists_leftward(self, x0: RatT, kq: int) -> bool:
-        return self._exists(self.root, x0, kq)
+    def leftmost_valid(self, kq: int, best: Optional[PTPoint] = None
+                       ) -> Optional[PTPoint]:
+        """The alive point with the least order key and count <= kq, the
+        first one in tree order on ties; `best` if none has a key less
+        than best's."""
+        return self._leftmost(self.root, kq, best)
 
-    def _exists(self, u: PTNode, x0: RatT, kq: int) -> bool:
+    def _leftmost(self, u: PTNode, kq: int, best: Optional[PTPoint]
+                  ) -> Optional[PTPoint]:
         if u.kpart is None or u.kpart + u.buf > kq:
-            return False
-        if u.xlo is not None and u.xlo > x0:
-            return False
-        if u.xhi is not None and u.xhi <= x0:
-            return True
-        u.propagate()
-        if not u.children:
-            return any(
-                p.alive and p.x <= x0 and p.count <= kq for p in u.pts
-            )
-        return any(self._exists(c, x0, kq) for c in u.children)
-
-    def best_at_x(self, x0: RatT, kq: int) -> Optional[PTPoint]:
-        """Min-y alive point with x == x0 and count <= kq."""
-        return self._best_at(self.root, x0, kq)
-
-    def _best_at(self, u: PTNode, x0: RatT, kq: int) -> Optional[PTPoint]:
-        if u.kpart is None or u.kpart + u.buf > kq:
-            return None
-        if u.xlo is None or u.xlo > x0 or u.xhi < x0:
-            return None
-        u.propagate()
-        if not u.children:
-            best = None
-            for p in u.pts:
-                if p.alive and p.x == x0 and p.count <= kq:
-                    if best is None or p.y < best.y:
-                        best = p
             return best
-        best = None
+        if best is not None and u.lo >= best.key:
+            return best
+        u.propagate()
+        if not u.children:
+            for p in u.pts:
+                if p.alive and p.count <= kq and (best is None
+                                                  or p.key < best.key):
+                    best = p
+            return best
         for c in u.children:
-            r = self._best_at(c, x0, kq)
-            if r is not None and (best is None or r.y < best.y):
-                best = r
+            best = self._leftmost(c, kq, best)
         return best
 
     def delete_point(self, pt: PTPoint) -> bool:
         return self._del(self.root, pt)
 
     def _del(self, u: PTNode, pt: PTPoint) -> bool:
-        if u.xlo is None or not (u.xlo <= pt.x <= u.xhi):
+        k = pt.key
+        if u.lo is None or not (u.lo <= k <= u.hi):
             return False
-        if u.ylo is None or not (u.ylo <= pt.y <= u.yhi):
+        if not (_y_part(u.ylo) <= _y_part(k) <= _y_part(u.yhi)):
             return False
         u.propagate()
         if not u.children:
@@ -300,18 +327,19 @@ class PartitionForest:
     def __init__(self, points: Sequence[PTPoint] = ()):
         self.trees: list[PartitionTree] = []
         self.deleted = 0
-        self.xs: list[RatT] = []
         if points:
             self.trees.append(PartitionTree(list(points)))
-            self.xs = sorted(p.x for p in points)
 
     def __len__(self):
         return sum(t.size for t in self.trees) - self.deleted
 
-    def insert(self, pt: PTPoint) -> None:
+    def insert(self, *pts: PTPoint) -> None:
+        """Insert a batch of points with one merge and one tree build."""
+        if not pts:
+            return
         # binary-counter style merge: absorb every tree no larger than the
         # batch, so each point is rebuilt into at-least-doubling trees
-        merged = [pt]
+        merged = list(pts)
         while True:
             match = next((t for t in self.trees if t.size <= len(merged)), None)
             if match is None:
@@ -319,7 +347,6 @@ class PartitionForest:
             self.trees.remove(match)
             merged.extend(match.alive_points())
         self.trees.append(PartitionTree(merged))
-        bisect.insort(self.xs, pt.x)
 
     def halfplane_update(self, line: DLine, above: bool, delta: int) -> None:
         for t in self.trees:
@@ -329,9 +356,6 @@ class PartitionForest:
         for t in self.trees:
             if t.delete_point(pt):
                 self.deleted += 1
-                i = bisect.bisect_left(self.xs, pt.x)
-                if i < len(self.xs) and self.xs[i] == pt.x:
-                    self.xs.pop(i)
                 if self.deleted * 2 >= max(1, sum(t.size for t in self.trees)):
                     self.rebuild()
                 return
@@ -339,9 +363,10 @@ class PartitionForest:
 
     def rebuild(self) -> None:
         pts = [p for t in self.trees for p in t.alive_points()]
-        self.trees = [PartitionTree(pts)] if pts else []
+        self.trees = []     # free the old trees before the build
+        if pts:
+            self.trees.append(PartitionTree(pts))
         self.deleted = 0
-        self.xs = sorted(p.x for p in pts)
 
     def min_count(self) -> Optional[int]:
         vals = [t.min_count() for t in self.trees]
@@ -349,25 +374,11 @@ class PartitionForest:
         return min(vals) if vals else None
 
     def leftmost_valid(self, kq: int) -> Optional[PTPoint]:
-        """Leftmost alive point with count <= kq via binary search on x,
-        ties broken by smaller y."""
-        if not self.xs:
-            return None
-        lo, hi = 0, len(self.xs) - 1
-        if not any(t.exists_leftward(self.xs[hi], kq) for t in self.trees):
-            return None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if any(t.exists_leftward(self.xs[mid], kq) for t in self.trees):
-                hi = mid
-            else:
-                lo = mid + 1
-        x0 = self.xs[lo]
+        """Leftmost alive point with count <= kq, ties broken by smaller y
+        (the least order key), and then by tree order."""
         best = None
         for t in self.trees:
-            r = t.best_at_x(x0, kq)
-            if r is not None and (best is None or r.y < best.y):
-                best = r
+            best = t.leftmost_valid(kq, best)
         return best
 
     def audit(self) -> None:

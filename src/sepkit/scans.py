@@ -99,11 +99,12 @@ def _float_key(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     try:
         return np.asarray(num / den, dtype=np.float64)
     except OverflowError:   # Python ints beyond the float range
-        return np.array([_fdiv(int(n), int(d)) for n, d in
+        return np.array([fdiv(int(n), int(d)) for n, d in
                          zip(num.ravel(), den.ravel())]).reshape(num.shape)
 
 
-def _fdiv(n: int, d: int) -> float:
+def fdiv(n: int, d: int) -> float:
+    """n/d correctly rounded; beyond the float range, +-inf."""
     try:
         return n / d
     except OverflowError:
@@ -560,7 +561,7 @@ class ColumnProfile:
     def _find(self, y: RatT) -> tuple[int, bool]:
         """(number of heights below y, whether y is a height)."""
         r, s = rat_num(y), rat_den(y)
-        f = _fdiv(r, s)
+        f = fdiv(r, s)
         lo = int(np.searchsorted(self._key, f, "left"))
         hi = int(np.searchsorted(self._key, f, "right"))
         for i in range(lo, hi):    # the float-tied heights, compared exactly
@@ -617,28 +618,30 @@ class ColumnProfile:
 
 
 def segment_valid_crossings(
-    m_e: RatT,
-    c_e: RatT,
-    x1: Optional[RatT],
-    x2: Optional[RatT],
+    segments: Sequence[tuple[RatT, RatT, Optional[RatT], Optional[RatT]]],
     below: Sequence[DLine],
     above: Sequence[DLine],
     k: int,
 ) -> list[tuple[RatT, RatT, int]]:
-    """Crossing points of y = m_e*x + c_e (restricted to [x1, x2]) with any
-    input line, whose exact on-point mis is <= k.  Returns (x, y, mis)."""
+    """Crossing points of each segment (m_e, c_e, x1, x2), the line
+    y = m_e*x + c_e restricted to [x1, x2] (None: unbounded), with any
+    input line, whose exact on-point mis is <= k; the segments in order,
+    each in x order.  Returns (x, y, mis).  The line columns are built
+    once, with the dtype bound taken over every segment's line."""
     lines = list(below) + list(above)
     if not lines:
         return []
-    e = homogeneous(m_e, c_e)
-    a, b, c = line_columns(lines, e)
+    es = [homogeneous(m_e, c_e) for m_e, c_e, _, _ in segments]
+    a, b, c = line_columns(lines, list(chain.from_iterable(es)))
     isb = np.arange(len(lines)) < len(below)
-    # counts evolve along the full support line, from left of every crossing
-    cr = crossings(e, a, b, c, isb)
-    mis = cr.mis()
     out = []
-    for t in np.flatnonzero(~cr.same & (mis <= k)):
-        x = cr.x(t)
-        if (x1 is None or x >= x1) and (x2 is None or x <= x2):
-            out.append((x, m_e * x + c_e, int(mis[t])))
+    for (m_e, c_e, x1, x2), e in zip(segments, es):
+        # counts evolve along the full support line, from left of every
+        # crossing
+        cr = crossings(e, a, b, c, isb)
+        mis = cr.mis()
+        for t in np.flatnonzero(~cr.same & (mis <= k)):
+            x = cr.x(t)
+            if (x1 is None or x >= x1) and (x2 is None or x <= x2):
+                out.append((x, m_e * x + c_e, int(mis[t])))
     return out

@@ -178,7 +178,7 @@ def test_scans_at_near_ties_match_reference():
         for e in below + above:
             for k in range(len(below) + len(above) + 1):
                 assert segment_valid_crossings(
-                    e.m, e.c, None, None, below, above, k) == \
+                    [(e.m, e.c, None, None)], below, above, k) == \
                     reference_segment(e.m, e.c, below, above, k)
         lines = below + above
         col = ColumnProfile(below, above, x_col)
@@ -212,7 +212,7 @@ def test_scans_match_reference_on_degenerate_lines(lines, k):
     below, above = lines
     assert scan_vertices(below, above, k) == reference_scan(below, above, k)
     e = (below + above)[0]
-    assert segment_valid_crossings(e.m, e.c, None, None, below, above, k) == \
+    assert segment_valid_crossings([(e.m, e.c, None, None)], below, above, k) == \
         reference_segment(e.m, e.c, below, above, k)
 
 
