@@ -249,8 +249,9 @@ def cmd_oracle(args) -> int:
     return _answer(args, use_oracle=True)
 
 
-def _stream_op(text: str, lineno: int) -> dict:
-    """One stream line as a checked op dict; ParseError names the line."""
+def _stream_op(text: str, lineno: int, k: int) -> dict:
+    """One stream line of `simulate --k k` as a checked op dict; ParseError
+    names the line."""
     where = f"stream line {lineno}"
     try:
         op = json.loads(text)
@@ -270,8 +271,9 @@ def _stream_op(text: str, lineno: int) -> dict:
         if key in op and not (key == "delete_at" and v is None) and (
                 not isinstance(v, int) or isinstance(v, bool)):
             raise ParseError(f"{where}: {key!r} must be an integer, not {v!r}")
-    if op.get("k", 0) < 0:
-        raise ParseError(f"{where}: 'k' must be >= 0, not {op['k']}")
+    if not 0 <= op.get("k", 0) <= k:
+        raise ParseError(f"{where}: 'k' must be in 0..{k} (--k), "
+                         f"not {op['k']}")
     if kind == "insert":
         if op.get("color") not in ("R", "B"):
             raise ParseError(f"{where}: 'color' must be 'R' or 'B', "
@@ -289,8 +291,8 @@ def cmd_simulate(args) -> int:
     """Drive the semi-online LP structure over a JSONL update stream."""
     k = args.k
     with open(args.input, "r", encoding="utf-8") as fh:
-        ops = [_stream_op(ln, i) for i, ln in enumerate(fh.read().splitlines(), 1)
-               if ln.strip()]
+        ops = [_stream_op(ln, i, k)
+               for i, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     out_lines = []
     st = DynState(ConstraintSet([], []), {}, k)
     live_red: dict[int, DLine] = {}
@@ -313,7 +315,7 @@ def cmd_simulate(args) -> int:
                 raise UnknownId(f"no live line {id_}")
             st.delete(id_)
         else:
-            res = st.query(min(op.get("k", k), k))
+            res = st.query(op.get("k", k))
             out_lines.append(_lp_doc(res, st.u))
             continue
         res = st.query(k)

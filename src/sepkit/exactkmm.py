@@ -395,16 +395,3 @@ def solve_exact(pts: Sequence[LabeledPoint], k: int) -> ExactSolveReport:
         raise ValueError("k must be >= 0")
     return ExactSolver(pts, k).solve(k)
 
-
-def best_at_slope(
-    pts: Sequence[LabeledPoint], k: int, m: RatT, orientation: Orientation
-) -> Optional[tuple[RatT, RatT]]:
-    """Valid dual point on the vertical line x = m minimizing the error
-    (vertically nearest to the MinMax curve); None when the column has no
-    valid point.  Used by vertical-optimality checks."""
-    ana = _analysis_for(pts, orientation, k)
-    cands = ana.column(m).valid_near(ana.curve.value_at(m), k, neighbours=True)
-    if not cands:
-        return None
-    best, _ = min(cands, key=lambda c: (ana.vert_err(m, c[0]), c[0]))
-    return best, ana.vert_err(m, best)

@@ -15,16 +15,21 @@ chunk of candidates per numpy pass: O(n) per candidate, with no rational
 arithmetic.  Unboundedness to the left is decided symbolically from the
 line order at x -> -infinity.
 
-The dynamic path layers the lines with the logarithmic method keyed to the
-promised deletion times, keeps recent lines and every line due by the next
-expensive update (overdue ones included) as trivial chains in a leftover
-list, maintains the set I of bichromatic chain intersections with exact
-violation counts, and answers queries from a buffered partition-tree forest
-over I.  The chain intersections come from `chain_pair_intersections`,
-which decides signs on the lines' integer forms.  Each update counts its
-new candidates in one violation_counts call and inserts them into the
-forest as one batch: one merge and one tree build per update.  An
-expensive update drops the old forest before it builds the new one.
+The dynamic path answers one fixed k.  It layers the lines with the
+logarithmic method keyed to the promised deletion times, keeps recent lines
+and every line due by the next expensive update (overdue ones included) as
+trivial chains in a leftover list, maintains the set I of bichromatic chain
+intersections with exact violation counts, and answers queries from a
+buffered partition-tree forest over I.  Static and dynamic paths collect
+the intersections with one routine over `chain_pair_intersections`, which
+decides signs on the lines' integer forms.  Each update counts its new
+candidates in one exact side pass and inserts them into the forest as one
+batch: one merge and one tree build per update.  The zero sides of that
+pass are the live lines through each candidate.  A candidate leaves the
+forest only when the last live red line or the last live blue line through
+it is deleted, so a point where three or more lines meet stays while a
+red-blue pair through it is live.  An expensive update drops the old
+forest before it builds the new one.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chains import Chain, ChainKind, ChainPiece, ChainSet, DLine, Direction, \
+from .chains import Chain, ChainKind, ChainPiece, DLine, Direction, \
     chain_decomposition, chain_pair_intersections
 from .core import Color, PointR2
 from .errors import ScheduleViolation, UnknownId
@@ -70,6 +75,23 @@ class LPResult:
 COUNT_CHUNK = 1 << 12
 
 
+def _sides_and_counts(
+    points: Sequence[tuple[RatT, RatT]],
+    red: Sequence[DLine],
+    blue: Sequence[DLine],
+):
+    """Per bounded chunk of the points, one numpy pass: the chunk's
+    `scans.line_sides` array against red + blue, and each of its points'
+    violations (red lines strictly below it, blue lines strictly above)."""
+    cols = line_columns(list(red) + list(blue))
+    nr = len(red)
+    step = max(1, COUNT_CHUNK // max(1, len(cols[0])))
+    for i in range(0, len(points), step):
+        sides = line_sides(cols, points[i:i + step])
+        yield sides, (np.count_nonzero(sides[:, :nr] > 0, axis=1)
+                      + np.count_nonzero(sides[:, nr:] < 0, axis=1)).tolist()
+
+
 def violation_counts(
     points: Sequence[tuple[RatT, RatT]],
     red: Sequence[DLine],
@@ -77,15 +99,8 @@ def violation_counts(
 ) -> list[int]:
     """Violations of each point (x, y): the red lines strictly below it
     plus the blue lines strictly above it."""
-    cols = line_columns(list(red) + list(blue))
-    nr = len(red)
-    step = max(1, COUNT_CHUNK // max(1, len(cols[0])))
-    out: list[int] = []
-    for i in range(0, len(points), step):
-        sides = line_sides(cols, points[i:i + step])
-        out.extend((np.count_nonzero(sides[:, :nr] > 0, axis=1)
-                    + np.count_nonzero(sides[:, nr:] < 0, axis=1)).tolist())
-    return out
+    return [v for _, counts in _sides_and_counts(points, red, blue)
+            for v in counts]
 
 
 def violations_at(p: PointR2, red: Sequence[DLine], blue: Sequence[DLine]) -> int:
@@ -176,14 +191,19 @@ def _safe_interval(host: Chain, opp: Chain, host_concave: bool):
 def _chain_candidates(
     red_chains: Sequence[Chain], blue_chains: Sequence[Chain]
 ) -> list[tuple[RatT, RatT]]:
+    """The distinct intersections of the red with the blue chains, in
+    order of first appearance.  They are told apart by their integer
+    numerators and denominators: hashing a Fraction takes a modular
+    inverse."""
     pts = []
     seen = set()
     for cr in red_chains:
         for cb in blue_chains:
-            for xy in chain_pair_intersections(cr, cb):
-                if xy not in seen:
-                    seen.add(xy)
-                    pts.append(xy)
+            for x, y in chain_pair_intersections(cr, cb):
+                key = x.numerator, x.denominator, y.numerator, y.denominator
+                if key not in seen:
+                    seen.add(key)
+                    pts.append((x, y))
     return pts
 
 
@@ -268,16 +288,8 @@ def check_schedule(delete_at: dict[int, Optional[int]], u: int, id_: int,
 
 @dataclass
 class _Layer:
-    index: int
     lines: list[DLine]
-    chainsets: dict[int, ChainSet]   # level -> decomposition (built at creation)
-
-    def chains_for(self, k_active: int) -> list[Chain]:
-        if not self.lines:
-            return []
-        best = min((lv for lv in self.chainsets if lv >= k_active),
-                   default=max(self.chainsets))
-        return self.chainsets[best].chains
+    chains: list[Chain]     # the chain cover of the lines' <=k-level
 
 
 def _trivial_chain(line: DLine, kind: ChainKind) -> Chain:
@@ -285,7 +297,7 @@ def _trivial_chain(line: DLine, kind: ChainKind) -> Chain:
 
 
 class DynState:
-    """Semi-online LP-with-violations state.
+    """Semi-online LP-with-violations state for one fixed k.
 
     Updates are numbered 1, 2, ... in arrival order.  An insertion may carry
     the update index at which its deletion is promised; it must be later
@@ -294,29 +306,26 @@ class DynState:
     of a line inserted without a promised time, raises ScheduleViolation
     and leaves the state unchanged.
 
+    A candidate leaves the forest only when the last live red line or the
+    last live blue line through it is deleted: the lines through it are the
+    zero sides of the exact pass that counts its violations.  So it stays
+    while it is a red-blue vertex of live lines, also where three meet.
+
     Single writer; queries are read-only between updates.
     """
 
-    def __init__(
-        self,
-        cs: ConstraintSet,
-        schedule: dict[int, Optional[int]],
-        k: int,
-        kmin_mode: bool = False,
-    ):
+    def __init__(self, cs: ConstraintSet, schedule: dict[int, Optional[int]],
+                 k: int):
         self.k = k
-        self.kmin_mode = kmin_mode
         self.live: dict[int, tuple[DLine, Color]] = {}
         self.delete_at: dict[int, Optional[int]] = {}
         self.u = 0
         self.updates_since_init = 0
         self.stats = {"expensive_updates": 0, "full_rebuilds": 0}
-        for l in cs.red:
-            self.live[l.id] = (l, Color.RED)
-            self.delete_at[l.id] = schedule.get(l.id)
-        for l in cs.blue:
-            self.live[l.id] = (l, Color.BLUE)
-            self.delete_at[l.id] = schedule.get(l.id)
+        for color, lines in ((Color.RED, cs.red), (Color.BLUE, cs.blue)):
+            for l in lines:
+                self.live[l.id] = (l, color)
+                self.delete_at[l.id] = schedule.get(l.id)
         self._full_init()
 
     # -- bookkeeping ---------------------------------------------------------
@@ -324,32 +333,10 @@ class DynState:
     def _lines(self, color: Color) -> list[DLine]:
         return [l for l, c in self.live.values() if c is color]
 
-    def _measure_kmin(self) -> int:
-        red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
-        if not red or not blue:
-            return 0
-        forest_min = self.forest.min_count()
-        gap = far_left_min(red, blue)
-        return gap if forest_min is None else min(gap, forest_min)
-
-    def _cadence_from(self, k_target: int, n: int) -> int:
-        logn = max(1, math.ceil(math.log2(max(n, 2))))
-        return max(1, 1 << max(0, (k_target * logn - 1).bit_length()))
-
     def _full_init(self) -> None:
-        n = max(len(self.live), 2)
-        if self.kmin_mode:
-            red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
-            if red and blue:
-                k_cur, _ = static_min_violations(ConstraintSet(red, blue))
-            else:
-                k_cur = 0
-            k_cur = max(k_cur, 1)
-            self.cadence = self._cadence_from(k_cur, n)
-            self.k_active = min(2 * self.cadence_exp_bound(k_cur), n)
-        else:
-            self.cadence = self._cadence_from(max(self.k, 1), n)
-            self.k_active = min(self.k, n)
+        # cadence: the power of two at or above k * ceil(log2 n)
+        logn = max(1, math.ceil(math.log2(max(len(self.live), 2))))
+        self.cadence = 1 << max(0, (max(self.k, 1) * logn - 1).bit_length())
         self.layers: dict[Color, dict[int, _Layer]] = {
             Color.RED: {}, Color.BLUE: {}
         }
@@ -361,32 +348,11 @@ class DynState:
         self.stats["full_rebuilds"] += 1
         self._rebuild_candidates()
 
-    def cadence_exp_bound(self, k_cur: int) -> int:
-        # smallest power of two >= k_cur, doubled for the activation level
-        p = 1
-        while p < k_cur:
-            p *= 2
-        return p
-
-    def _layer_levels(self, nlines: int) -> list[int]:
-        if not self.kmin_mode:
-            return [min(self.k, nlines)]
-        out = []
-        l = 1
-        while True:
-            out.append(min(1 << l, nlines))
-            if (1 << l) >= nlines:
-                break
-            l += 1
-        return sorted(set(out))
-
     def _build_layer(self, index: int, lines: list[DLine], color: Color) -> _Layer:
         direction = Direction.LOWER if color is Color.RED else Direction.UPPER
-        sets = {}
-        for lv in self._layer_levels(len(lines)):
-            sets[lv] = chain_decomposition(lines, lv, direction,
-                                           source=f"layer {index}")
-        return _Layer(index, lines, sets)
+        cover = chain_decomposition(lines, min(self.k, len(lines)), direction,
+                                    source=f"layer {index}")
+        return _Layer(lines, cover.chains)
 
     def _distribute(self, ids: list[int], upto: Optional[int]) -> None:
         """Place the given live line ids into leftover + layers by their
@@ -432,40 +398,34 @@ class DynState:
             _trivial_chain(l, kind) for l in self.leftover[color].values()
         ]
         for layer in self.layers[color].values():
-            out.extend(layer.chains_for(self.k_active))
+            out.extend(layer.chains)
         return out
 
-    def _counted(self, found: list[tuple[RatT, RatT, tuple[int, int]]]
-                 ) -> list[PTPoint]:
-        """Candidate points (x, y, ids of the two lines through it) with
-        their violation counts against the live lines."""
-        counts = violation_counts([(x, y) for x, y, _ in found],
-                                  self._lines(Color.RED),
-                                  self._lines(Color.BLUE))
-        return [PTPoint(x, y, cnt, True, payload=ids)
-                for (x, y, ids), cnt in zip(found, counts)]
+    def _candidates(self, found: list[tuple[RatT, RatT]]) -> list[PTPoint]:
+        """The points with their violation counts against the live lines.
+        A point's payload is [red, blue]: how many live red and blue lines
+        pass through it (the zero sides of the counting pass), and
+        points_by_line files it under each of those lines."""
+        red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
+        lines = red + blue
+        pts: list[PTPoint] = []
+        for sides, counts in _sides_and_counts(found, red, blue):
+            base = len(pts)
+            pts.extend(PTPoint(x, y, cnt, payload=[0, 0])
+                       for (x, y), cnt in zip(found[base:], counts))
+            rows, cols = np.nonzero(sides == 0)
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                pt = pts[base + i]
+                pt.payload[j >= len(red)] += 1
+                self.points_by_line.setdefault(lines[j].id, []).append(pt)
+        return pts
 
     def _rebuild_candidates(self) -> None:
         # free the old candidates first: the old and the new forest are
         # never held at once
         self.forest, self.points_by_line = None, {}
-        red_chains = self._all_chains(Color.RED)
-        blue_chains = self._all_chains(Color.BLUE)
-        found = []
-        seen = set()
-        for cr in red_chains:
-            for cb in blue_chains:
-                for x, y in chain_pair_intersections(cr, cb):
-                    if (x, y) in seen:
-                        continue
-                    seen.add((x, y))
-                    ids = (cr.piece_at(x).line.id, cb.piece_at(x).line.id)
-                    found.append((x, y, ids))
-        pts = self._counted(found)
-        self.forest = PartitionForest(pts)
-        for pt in pts:
-            for id_ in pt.payload:
-                self.points_by_line.setdefault(id_, []).append(pt)
+        self.forest = PartitionForest(self._candidates(_chain_candidates(
+            self._all_chains(Color.RED), self._all_chains(Color.BLUE))))
 
     # -- updates ----------------------------------------------------------------
 
@@ -480,20 +440,11 @@ class DynState:
         # all counts of existing candidates shift where the new line is violated
         self.forest.halfplane_update(line, above=(color is Color.RED), delta=+1)
         kind = ChainKind.CONCAVE if color is Color.RED else ChainKind.CONVEX
-        new_chain = _trivial_chain(line, kind)
-        found = []
-        for opp in self._all_chains(color.other()):
-            if color is Color.RED:
-                inters = chain_pair_intersections(new_chain, opp)
-            else:
-                inters = chain_pair_intersections(opp, new_chain)
-            for x, y in inters:
-                found.append((x, y, (line.id, opp.piece_at(x).line.id)))
-        pts = self._counted(found)
-        self.forest.insert(*pts)
-        for pt in pts:
-            for id_ in pt.payload:
-                self.points_by_line.setdefault(id_, []).append(pt)
+        new = [_trivial_chain(line, kind)]
+        opp = self._all_chains(color.other())
+        found = (_chain_candidates(new, opp) if color is Color.RED
+                 else _chain_candidates(opp, new))
+        self.forest.insert(*self._candidates(found))
         self._maybe_expensive()
 
     def delete(self, id_: int) -> None:
@@ -511,8 +462,10 @@ class DynState:
         del self.leftover[color][id_]
         del self.live[id_]
         del self.delete_at[id_]
+        slot = color is Color.BLUE      # this colour's payload entry
         for pt in self.points_by_line.pop(id_, []):
-            if pt.alive:
+            pt.payload[slot] -= 1
+            if pt.alive and not pt.payload[slot]:
                 self.forest.delete(pt)
         self.forest.halfplane_update(line, above=(color is Color.RED), delta=-1)
         self._maybe_expensive()
@@ -524,16 +477,9 @@ class DynState:
         if self.u % self.cadence != 0:
             return
         self.stats["expensive_updates"] += 1
-        if self.kmin_mode:
-            k_cur = max(self._measure_kmin(), 1)
-            n = max(len(self.live), 2)
-            self.cadence = self._cadence_from(k_cur, n)
-            self.k_active = min(2 * self.cadence_exp_bound(k_cur), n)
         # flush the leftover and every layer whose block ends here: those of
-        # index <= v2(u), and any below a cadence that k_min tracking raised
-        # (expensive updates no longer reach them at their block ends)
-        upto = max((self.u & -self.u).bit_length() - 1,
-                   self.cadence.bit_length() - 1)
+        # index <= v2(u), which is at least log2(cadence)
+        upto = (self.u & -self.u).bit_length() - 1
         moved = []
         for color in (Color.RED, Color.BLUE):
             moved.extend(self.leftover[color].keys())
@@ -547,7 +493,7 @@ class DynState:
 
     def query(self, kq: Optional[int] = None) -> LPResult:
         kq = self.k if kq is None else kq
-        if not self.kmin_mode and kq > self.k:
+        if kq > self.k:
             raise ValueError(f"query k'={kq} exceeds structure k={self.k}")
         red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
         if not red or not blue:
@@ -558,18 +504,6 @@ class DynState:
         if pt is None:
             return LPResult(LPStatus.INFEASIBLE)
         return LPResult(LPStatus.FEASIBLE, PointR2(pt.x, pt.y), pt.count)
-
-    def query_kmin(self) -> tuple[int, LPResult]:
-        if not self.kmin_mode:
-            raise ValueError("structure was not built in k_min-tracking mode")
-        red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
-        if not red or not blue:
-            return 0, LPResult(LPStatus.UNBOUNDED, reason="empty-side")
-        k_min = self._measure_kmin()
-        if k_min > self.k_active:
-            self._full_init()   # defensive; cannot happen within the contract
-            k_min = self._measure_kmin()
-        return k_min, self.query(k_min)
 
     # -- audits ---------------------------------------------------------------
 

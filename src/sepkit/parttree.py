@@ -345,7 +345,9 @@ class PartitionForest:
             if match is None:
                 break
             self.trees.remove(match)
-            merged.extend(match.alive_points())
+            alive = match.alive_points()
+            self.deleted -= match.size - len(alive)     # dropped dead points
+            merged.extend(alive)
         self.trees.append(PartitionTree(merged))
 
     def halfplane_update(self, line: DLine, above: bool, delta: int) -> None:

@@ -373,6 +373,7 @@ def test_readme_cli_lines_parse():
     {"op": "delete", "id": 1.0},
     {"op": "query", "k": "2"},
     {"op": "query", "k": -1},
+    {"op": "query", "k": 2},        # above --k 1
 ], ids=lambda op: json.dumps(op))
 def test_simulate_bad_stream_line_exit_2(capsys, tmp_path, bad):
     ok = {"op": "insert", "color": "B", "m": "2", "c": "1", "id": 1,

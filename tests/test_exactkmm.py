@@ -13,7 +13,7 @@ from sepkit.core import (
 from sepkit.errors import EmptyColor
 from sepkit.exactkmm import (
     ExactSolver,
-    best_at_slope,
+    _analysis_for,
     minmax_curve,
     solve_exact,
 )
@@ -182,10 +182,21 @@ def test_edge_interior_descent(rng):
     pytest.skip("no bounded curve edges with positive error sampled")
 
 
+def best_at_slope(pts, k, m, orientation):
+    """Valid dual point on the vertical line x = m minimizing the error
+    (vertically nearest to the MinMax curve), with that error; None when
+    the column has no valid point."""
+    ana = _analysis_for(pts, orientation, k)
+    cands = ana.column(m).valid_near(ana.curve.value_at(m), k, neighbours=True)
+    if not cands:
+        return None
+    best, _ = min(cands, key=lambda c: (ana.vert_err(m, c[0]), c[0]))
+    return best, ana.vert_err(m, best)
+
+
 def test_vertical_optimality(rng):
     # the reported best at a fixed slope is the valid point vertically
     # closest to the curve, verified against a column scan
-    from sepkit.exactkmm import _analysis_for
     from sepkit.scans import ColumnProfile
 
     for _ in range(8):

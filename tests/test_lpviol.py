@@ -153,9 +153,10 @@ def test_leftmost_query_with_inserts(rng):
 # -- dynamic -------------------------------------------------------------------
 
 
-def make_sequence(rng, n0, T, late_share=0.0, late_max=8):
+def make_sequence(rng, n0, T, late_share=0.0, late_max=8, hubs=()):
     """Semi-online stream; a late_share of the promised deletions arrives
-    1..late_max updates late, and never if that is after T."""
+    1..late_max updates late, and never if that is after T.  With hubs,
+    every line passes through one of those integer points."""
     used_slopes = set()
     next_id = [0]
 
@@ -166,6 +167,9 @@ def make_sequence(rng, n0, T, late_share=0.0, late_max=8):
                 used_slopes.add(m)
                 i = next_id[0]
                 next_id[0] += 1
+                if hubs:
+                    px, py = rng.choice(hubs)
+                    return DLine(i, Rat(m), Rat(py - m * px))
                 return DLine(i, Rat(m), Rat(rng.randint(-60, 60)))
 
     pending, schedule = {}, {}
@@ -268,48 +272,41 @@ def test_dynamic_overdue_lines_keep_on_time_deletions():
 
 
 def test_dynamic_late_deletions(rng):
+    # the second stream is degenerate: every line passes through one of two
+    # integer points, so many candidates lie on three or more lines, and
+    # deleting one of them can leave a red-blue pair through the candidate
     late = 0
-    for k in (0, 1, 2):
-        cs, schedule, ops = make_sequence(rng, rng.randint(6, 12), 80,
-                                          late_share=0.5, late_max=16)
-        promised = dict(schedule)
-        for u, op in enumerate(ops, start=1):
-            if op[0] == "insert":
-                promised[op[1].id] = op[3]
-            elif u > promised[op[1]]:
-                late += 1
-        st = DynState(cs, schedule, k)
-        _replay(st, cs, ops, k, audit_every=1)
+    for hubs in ((), [(0, 0), (1, 1)]):
+        for k in (0, 1, 2):
+            cs, schedule, ops = make_sequence(rng, rng.randint(6, 12), 80,
+                                              late_share=0.5, late_max=16,
+                                              hubs=hubs)
+            promised = dict(schedule)
+            for u, op in enumerate(ops, start=1):
+                if op[0] == "insert":
+                    promised[op[1].id] = op[3]
+                elif u > promised[op[1]]:
+                    late += 1
+            st = DynState(cs, schedule, k)
+            _replay(st, cs, ops, k, audit_every=1)
     assert late > 0
 
 
-def test_dynamic_kmin(rng):
-    # with late deletions too: k_min tracking changes the cadence at
-    # expensive updates, and a layer left below a raised cadence would be
-    # flushed after its lines fall due
-    for late_share in (0.0, 0.0, 0.3, 0.3, 0.3, 0.3):
-        cs, schedule, ops = make_sequence(rng, 10, 60, late_share=late_share)
-        st = DynState(cs, schedule, 4, kmin_mode=True)
-        live = {l.id: (l, Color.RED) for l in cs.red}
-        live.update({l.id: (l, Color.BLUE) for l in cs.blue})
-        prev = None
-        for op in ops:
-            _apply(st, op)
-            if op[0] == "insert":
-                live[op[1].id] = (op[1], op[2])
-            else:
-                del live[op[1]]
-            st.audit()
-            red = [l for l, c in live.values() if c is Color.RED]
-            blue = [l for l, c in live.values() if c is Color.BLUE]
-            got_k, got_res = st.query_kmin()
-            if red and blue:
-                want_k, want_res = static_min_violations(ConstraintSet(red, blue))
-                assert got_k == want_k
-                assert got_res.status == want_res.status
-            if op[0] == "insert" and prev is not None:
-                assert got_k <= prev + 1
-            prev = got_k
+@pytest.mark.parametrize("gone", [1, 2])
+def test_dynamic_keeps_candidate_on_three_lines(gone):
+    # red y=0 and blue y=-x, y=-2x meet in (0, 0): after either blue line
+    # goes, (0, 0) is still the red-blue vertex of the other one
+    red, blue = [DLine(0, 0, 0)], [DLine(1, -1, 0), DLine(2, -2, 0)]
+    st = DynState(ConstraintSet(red, blue), {gone: 1}, 0)
+    st.audit()
+    st.delete(gone)
+    st.audit()
+    got = st.query(0)
+    want = static_leftmost_valid(
+        ConstraintSet(red, [b for b in blue if b.id != gone]), 0)
+    assert got.status is want.status is LPStatus.FEASIBLE
+    assert (got.point.x, got.point.y, got.violations) == (0, 0, 0)
+    assert (want.point.x, want.point.y, want.violations) == (0, 0, 0)
 
 
 def test_dynamic_spec_examples():

@@ -149,6 +149,7 @@ def test_order_keys_on_float_ties(seed):
     def check():
         forest.audit()
         assert _counts(forest) == shadow
+        assert len(forest) == len(alive)
         assert forest.min_count() == min(shadow.values(), default=None)
         for kq in range(-2, 4):
             got = forest.leftmost_valid(kq)
@@ -183,6 +184,14 @@ def test_order_keys_on_float_ties(seed):
                 if (v > 0) if above else (v < 0):
                     shadow[id(p)] += delta
         check()
+
+
+def test_len_after_insert_absorbs_dead_points():
+    # the batch of 4 absorbs the tree of 4 and drops its dead point
+    forest = PartitionForest([PTPoint(Rat(i), Rat(0), 0) for i in range(4)])
+    forest.delete(forest.trees[0].alive_points()[0])
+    forest.insert(*[PTPoint(Rat(10 + i), Rat(0), 0) for i in range(4)])
+    assert len(forest) == sum(len(t.alive_points()) for t in forest.trees) == 7
 
 
 @st.composite
