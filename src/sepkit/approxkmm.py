@@ -368,8 +368,9 @@ class ApproxSolver:
         return self.analyses
 
     def solve(self, k: int, tol: RatLike = Rat(1, 10**12)) -> ApproxReport:
-        """Best wedge optimum.  Each optimum is exact, so the result does
-        not depend on `tol`."""
+        """Best wedge optimum.  Each optimum is exact, so `tol` has no
+        effect until a search over delta (ROADMAP, direction 3) gives it
+        one."""
         k = min(k, len(self.pts))
         best = None
         for wedge, ana in zip(self.tgon.wedges, self.analyses):
@@ -413,6 +414,7 @@ def solve_approx(
     pts: Sequence[LabeledPoint], k: int, eps: RatLike,
     tol: RatLike = Rat(1, 10**12),
 ) -> ApproxReport:
+    """`ApproxSolver(pts, k, eps).solve(k, tol)`; `tol` has no effect."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return ApproxSolver(pts, k, eps).solve(k, tol)

@@ -119,7 +119,6 @@ class ChainSet:
     chains: list[Chain]
     direction: Direction
     k: int
-    source: str = "static"
 
     def __iter__(self):
         return iter(self.chains)
@@ -165,7 +164,7 @@ def envelope(lines: Sequence[DLine], direction: Direction) -> Chain:
 
 
 def chain_decomposition(
-    lines: Sequence[DLine], k: int, direction: Direction, source: str = "static"
+    lines: Sequence[DLine], k: int, direction: Direction
 ) -> ChainSet:
     """min(k+1, n) chains covering all edges of the <=k-level."""
     if not lines:
@@ -174,12 +173,8 @@ def chain_decomposition(
         raise ValueError("k must be >= 0")
     if direction is Direction.UPPER:
         low = chain_decomposition([l.neg() for l in lines], k, Direction.LOWER)
-        return ChainSet(
-            [c.negated(ChainKind.CONVEX) for c in low.chains],
-            Direction.UPPER,
-            k,
-            source,
-        )
+        return ChainSet([c.negated(ChainKind.CONVEX) for c in low.chains],
+                        Direction.UPPER, k)
     n = len(lines)
     m = min(k + 1, n)
     # order at x = -infinity: bottom-to-top is decreasing slope, then
@@ -239,7 +234,7 @@ def chain_decomposition(
             x1 = hist[i + 1][1] if i + 1 < len(hist) else None
             pieces.append(ChainPiece(line, x0, x1))
         chains.append(Chain(ChainKind.CONCAVE, pieces))
-    return ChainSet(chains, Direction.LOWER, k, source)
+    return ChainSet(chains, Direction.LOWER, k)
 
 
 def chain_pair_intersections(concave: Chain, convex: Chain) -> list[tuple[RatT, RatT]]:

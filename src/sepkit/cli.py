@@ -3,16 +3,16 @@
 Each subcommand takes only the flags it reads; argparse rejects any other
 flag with exit code 2.
 
-  solve     --problem --dim --k --eps --tol --perturb --strict --out INPUT
+  solve     --problem --dim --k --eps --perturb --strict --out INPUT
   oracle    --problem {minmis,minmax,kmm} --dim --k --perturb --strict
             --out INPUT
   simulate  --k --verify --out STREAM
   plot      --k --svg --perturb --strict INPUT
 
 --k is required for kmm and kmm-approx and rejected for the other
-problems; --eps is required for kmm-approx and, like --tol, rejected for
-the others.  Exit codes: 0 ok, 2 usage/parse error, 3 infeasible, 4
-schedule violation, 5 internal invariant failure.
+problems; --eps is required for kmm-approx and rejected for the others.
+Exit codes: 0 ok, 2 usage/parse error, 3 infeasible, 4 schedule
+violation, 5 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -157,10 +157,9 @@ def _solve_2d(args, pts, use_oracle: bool) -> tuple[dict, int]:
             "k_min": rep.k_min, "counts": rep.counts,
         }, EXIT_OK
 
-    # kmm-approx; without --tol the solver's default applies
-    tol = {} if args.tol is None else {"tol": args.tol}
+    # kmm-approx
     try:
-        rep = solve_approx(pts, args.k, args.eps, **tol)
+        rep = solve_approx(pts, args.k, args.eps)
     except Infeasible:
         k_min = solve_exact(pts, len(pts)).k_min
         return {"status": "infeasible", "problem": "kmm-approx",
@@ -233,14 +232,10 @@ def cmd_solve(args) -> int:
             raise ParseError("--eps is required for problem kmm-approx")
     elif args.eps is not None:
         raise ParseError("--eps only applies to kmm-approx")
-    elif args.tol is not None:
-        raise ParseError("--tol only applies to kmm-approx")
     if args.eps is not None:
         args.eps = _rational("--eps", args.eps)
         if args.eps <= 0:
             raise ParseError(f"--eps must be > 0, not {rat_str(args.eps)}")
-    if args.tol is not None:
-        args.tol = _rational("--tol", args.tol)
     return _answer(args, use_oracle=False)
 
 
@@ -393,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = _instance_parser(sub, "solve", PROBLEMS, "solve one instance")
     solve.add_argument("--eps")
-    solve.add_argument("--tol", help="kmm-approx tolerance (default 1/10^12)")
     _instance_parser(sub, "oracle", ORACLE_PROBLEMS,
                      "solve via the brute-force oracle")
 

@@ -123,17 +123,6 @@ def euclid_dist_sq(p: PointR2, l: LineR2) -> RatT:
     return v * v / (l.m * l.m + R1)
 
 
-def misclassified(sep: Separator, lp: LabeledPoint) -> bool:
-    """Points exactly on the line are never misclassified."""
-    v = vertical_distance(lp.point, sep.line)
-    if v == 0:
-        return False
-    above = v > 0
-    if sep.orientation is Orientation.BLUE_ABOVE:
-        return above if lp.color is Color.RED else not above
-    return above if lp.color is Color.BLUE else not above
-
-
 def classify_mis(sep: Separator, pts: Sequence[LabeledPoint]) -> MisReport:
     """Count misclassified points and the exact squared distance to the
     farthest one (0 when nothing is misclassified)."""

@@ -69,6 +69,16 @@ class MinMaxCurve:
 
 @dataclass
 class ExactSolveReport:
+    """The optimum for one k; `best` is None when no separator misclassifies
+    at most k points.
+
+    `probe_limit_sq` is the least far-gap limit: a value that near-vertical
+    separators approach but do not attain.  When it is below `max_sq`,
+    `infinity_probe_wins` is set: then `probe_limit_sq` is the infimum, and
+    `best` is an attained witness with at most k misclassified points, not
+    the best attained line.
+    """
+
     best: Optional[Separator]
     mis: Optional[int]
     max_sq: Optional[RatT]
@@ -293,17 +303,11 @@ class OrientationAnalysis(VerticalError):
         return best
 
 
-def _analysis_for(
-    pts: Sequence[LabeledPoint], orientation: Orientation, kmax: int
-) -> OrientationAnalysis:
+def _analysis_for(pts: Sequence[LabeledPoint], kmax: int) -> OrientationAnalysis:
+    """The BLUE_ABOVE analysis (red duals below, blue duals above); its
+    `swapped()` is the RED_ABOVE one."""
     reds, blues = split_colors(pts)
-    if not reds or not blues:
-        raise EmptyColor("both colors required")
-    if orientation is Orientation.BLUE_ABOVE:
-        below, above = duals(reds), duals(blues)
-    else:
-        below, above = duals(blues), duals(reds)
-    return OrientationAnalysis(below, above, kmax)
+    return OrientationAnalysis(duals(reds), duals(blues), kmax)
 
 
 class ExactSolver:
@@ -317,7 +321,7 @@ class ExactSolver:
         self.n = len(self.pts)
         kmax = min(kmax, self.n)
         # one vertex scan serves both orientations
-        blue_above = _analysis_for(pts, Orientation.BLUE_ABOVE, kmax)
+        blue_above = _analysis_for(pts, kmax)
         self.analyses = {Orientation.BLUE_ABOVE: blue_above,
                          Orientation.RED_ABOVE: blue_above.swapped()}
         self.k_min = min(a.k_min() for a in self.analyses.values())

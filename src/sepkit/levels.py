@@ -47,10 +47,6 @@ class LevelSubdivision:
     edges: list[LevelEdge]
     vertices: list[LevelVertex]
 
-    @property
-    def metrics(self) -> dict:
-        return {"edges": len(self.edges), "vertices": len(self.vertices)}
-
 
 def build_leq_k(
     lines: Sequence[DLine], k: int, direction: Direction
@@ -136,7 +132,6 @@ class OverlayFaceMap:
     slabs: list[list[LevelEdge]]            # edges per slab, bottom to top
     cells: list[list[Cell]]                 # per slab, bottom to top
     valid_region_count: int
-    bichromatic_crossings: int
 
     def all_cells(self):
         for col in self.cells:
@@ -163,17 +158,6 @@ class OverlayFaceMap:
             for lo, hi in zip(col, col[1:]):
                 yield lo, hi, hi.lo_edge
 
-    @property
-    def metrics(self) -> dict:
-        cells = sum(len(c) for c in self.cells)
-        return {
-            "slabs": len(self.slabs),
-            "cells": cells,
-            "valid_cells": sum(1 for c in self.all_cells() if c.valid),
-            "valid_regions": self.valid_region_count,
-            "bichromatic_crossings": self.bichromatic_crossings,
-        }
-
 
 def _edge_covers(e: LevelEdge, a: RatT, b: RatT) -> bool:
     return (e.x_lo is None or e.x_lo <= a) and (e.x_hi is None or e.x_hi >= b)
@@ -194,7 +178,6 @@ def overlay_and_label(
 
     feat_x: list[RatT] = [v.x for v in lvl_r.vertices] + [v.x for v in lvl_b.vertices]
     feat_y: list[RatT] = [v.y for v in lvl_r.vertices] + [v.y for v in lvl_b.vertices]
-    ncross = 0
     for er in lvl_r.edges:
         for eb in lvl_b.edges:
             x = cross_x(er.line, eb.line)
@@ -205,7 +188,6 @@ def overlay_and_label(
                     and (eb.x_hi is None or x <= eb.x_hi):
                 feat_x.append(x)
                 feat_y.append(er.line.y_at(x))
-                ncross += 1
 
     if feat_x:
         x_min, x_max = min(feat_x), max(feat_x)
@@ -287,7 +269,6 @@ def overlay_and_label(
         slabs=slabs,
         cells=cells,
         valid_region_count=region_count,
-        bichromatic_crossings=ncross,
     )
 
 

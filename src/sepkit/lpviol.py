@@ -348,10 +348,9 @@ class DynState:
         self.stats["full_rebuilds"] += 1
         self._rebuild_candidates()
 
-    def _build_layer(self, index: int, lines: list[DLine], color: Color) -> _Layer:
+    def _build_layer(self, lines: list[DLine], color: Color) -> _Layer:
         direction = Direction.LOWER if color is Color.RED else Direction.UPPER
-        cover = chain_decomposition(lines, min(self.k, len(lines)), direction,
-                                    source=f"layer {index}")
+        cover = chain_decomposition(lines, min(self.k, len(lines)), direction)
         return _Layer(lines, cover.chains)
 
     def _distribute(self, ids: list[int], upto: Optional[int]) -> None:
@@ -388,7 +387,7 @@ class DynState:
                 idx = min(idx, upto)
             buckets.setdefault((color, idx), []).append(line)
         for (color, idx), lines in buckets.items():
-            self.layers[color][idx] = self._build_layer(idx, lines, color)
+            self.layers[color][idx] = self._build_layer(lines, color)
 
     # -- candidate set I and the forest ---------------------------------------
 

@@ -44,45 +44,22 @@ class OracleReport:
 def oracle_1d(pts: Sequence[Point1D], k: int) -> OracleReport:
     """Exhaustive scan over all candidate separator positions in R^1.
 
-    Positions: every point coordinate, every midpoint of consecutive points,
-    probes beyond both extremes, and both orientations' extremal midpoints
-    (the MinMax separators, which need not be midpoints of consecutive
-    points).  Value is the distance to the farthest misclassified point.
+    Picks, among the `oracle_1d_table` rows with at most k misclassified
+    points, the least (value, position, orientation rank).  Value is the
+    distance to the farthest misclassified point; the empty set reports
+    value 0 and no witness.
     """
-    if not pts:
-        return OracleReport("1d", R0, None, {"positions": 0})
-    xs = sorted(p.x for p in pts)
-    positions = list(xs)
-    positions.append(xs[0] - 1)
-    positions.append(xs[-1] + 1)
-    for a, b in zip(xs, xs[1:]):
-        positions.append((a + b) / 2)
-    reds = sorted(p.x for p in pts if p.color is Color.RED)
-    blues = sorted(p.x for p in pts if p.color is Color.BLUE)
-    if reds and blues:
-        positions.append((reds[-1] + blues[0]) / 2)   # red-left MinMax
-        positions.append((blues[-1] + reds[0]) / 2)   # blue-left MinMax
-    best = None
-    for orient in (Orient1D.RED_LEFT, Orient1D.BLUE_LEFT):
-        left, right = (reds, blues) if orient is Orient1D.RED_LEFT else (blues, reds)
-        for s in positions:
-            mis = _count_lt(right, s) + _count_gt(left, s)
-            if mis > k:
-                continue
-            val = R0
-            if left and left[-1] > s:
-                val = max(val, left[-1] - s)
-            if right and right[0] < s:
-                val = max(val, s - right[0])
-            key = (val, s, 0 if orient is Orient1D.RED_LEFT else 1)
-            if best is None or key < best[0]:
-                best = (key, (s, mis, val, orient))
-    if best is None:
-        return OracleReport("1d", None, None, {"positions": len(positions)})
-    s, mis, val, orient = best[1]
+    rows = oracle_1d_table(pts)
+    stats = {"positions": len(rows) // 2}
+    valid = [row for row in rows if row[0] <= k]
+    if not valid:
+        return OracleReport("1d", None, None, stats)
+    mis, val, s, oi = min(valid, key=lambda row: (row[1], row[2], row[3]))
+    if s is None:
+        return OracleReport("1d", val, None, stats)
+    orient = (Orient1D.RED_LEFT, Orient1D.BLUE_LEFT)[oi]
     return OracleReport(
-        "1d", val, {"separator_x": s, "mis": mis, "orientation": orient},
-        {"positions": len(positions)},
+        "1d", val, {"separator_x": s, "mis": mis, "orientation": orient}, stats,
     )
 
 
@@ -114,28 +91,29 @@ def _violations(p: PointR2, red: Sequence[LineR2], blue: Sequence[LineR2]) -> in
     return v
 
 
-def _far_left_gap_counts(red: Sequence[LineR2], blue: Sequence[LineR2]) -> list[int]:
-    """Violation count of every 'gap' between consecutive lines at x = -inf.
+def _far_gap_counts(
+    red: Sequence[LineR2], blue: Sequence[LineR2], side: int
+) -> list[int]:
+    """Violation count of every 'gap' between consecutive lines at
+    x = side * infinity (side is -1 or +1).
 
-    At x -> -inf lines are ordered bottom-to-top by decreasing slope, ties by
+    There, lines are ordered bottom-to-top by side * slope, ties by
     increasing intercept.  Gap i sits above the first i lines.
     """
     order = sorted(
         [(l, Color.RED) for l in red] + [(l, Color.BLUE) for l in blue],
-        key=lambda t: (-t[0].m, t[0].c),
+        key=lambda t: (side * t[0].m, t[0].c),
     )
-    n = len(order)
     counts = []
     reds_below = 0
     blues_above = sum(1 for _, c in order if c is Color.BLUE)
-    for i in range(n + 1):
+    for _, c in order:
         counts.append(reds_below + blues_above)
-        if i < n:
-            _, c = order[i]
-            if c is Color.RED:
-                reds_below += 1
-            else:
-                blues_above -= 1
+        if c is Color.RED:
+            reds_below += 1
+        else:
+            blues_above -= 1
+    counts.append(reds_below + blues_above)
     return counts
 
 
@@ -171,7 +149,7 @@ def oracle_leftmost_valid(
         return OracleReport(
             "lp", None, {"status": "unbounded", "reason": "empty-side"}, {}
         )
-    gaps = _far_left_gap_counts(red, blue)
+    gaps = _far_gap_counts(red, blue, -1)
     if min(gaps) <= k:
         return OracleReport("lp", None, {"status": "unbounded"}, {"gaps": len(gaps)})
     verts = _arrangement_vertices(red, blue)
@@ -204,8 +182,7 @@ def oracle_min_violations(
     if not red or not blue:
         return OracleReport("minmis", 0, {"status": "unbounded",
                                           "reason": "empty-side"}, {})
-    best = min(_far_left_gap_counts(red, blue))
-    best = min(best, min(_far_right_gap_counts(red, blue)))
+    best = min(min(_far_gap_counts(red, blue, side)) for side in (-1, 1))
     verts = _arrangement_vertices(red, blue)
     for v in verts:
         best = min(best, _violations(v, red, blue))
@@ -222,26 +199,6 @@ def oracle_min_violations(
             best = min(best, _violations(PointR2(x, l.y_at(x)), red, blue))
     res = oracle_leftmost_valid(red, blue, best)
     return OracleReport("minmis", best, res.witness, {"vertices": len(verts)})
-
-
-def _far_right_gap_counts(red, blue) -> list[int]:
-    order = sorted(
-        [(l, Color.RED) for l in red] + [(l, Color.BLUE) for l in blue],
-        key=lambda t: (t[0].m, t[0].c),
-    )
-    n = len(order)
-    counts = []
-    reds_below = 0
-    blues_above = sum(1 for _, c in order if c is Color.BLUE)
-    for i in range(n + 1):
-        counts.append(reds_below + blues_above)
-        if i < n:
-            _, c = order[i]
-            if c is Color.RED:
-                reds_below += 1
-            else:
-                blues_above -= 1
-    return counts
 
 
 def oracle_minmis(pts: Sequence[LabeledPoint]) -> OracleReport:
@@ -383,52 +340,29 @@ class KmmCandidateTable:
                     max(d for _, _, d in cands))
         max_C = max(abs(c) for _, c, _ in cands)
         bound = max_coord * max_M * 2 + max_C
-        use_numpy = bound < 3_000_000_000 and bound * bound < 2**62
-        if use_numpy:
-            M = np.array([c[0] for c in cands], dtype=np.int64)[:, None]
-            C = np.array([c[1] for c in cands], dtype=np.int64)[:, None]
-            D = np.array([c[2] for c in cands], dtype=np.int64)[:, None]
-            px = np.array(PX, dtype=np.int64)[None, :]
-            py = np.array(PY, dtype=np.int64)[None, :]
-            red = np.array(is_red, dtype=bool)[None, :]
-            S = py * D - M * px - C
-            above = S > 0
-            below = S < 0
-            sq = S * S
-            rows = []
-            for wrong in (
-                (above & red) | (below & ~red),   # BLUE_ABOVE
-                (below & red) | (above & ~red),   # RED_ABOVE
-            ):
-                mis = wrong.sum(axis=1)
-                msq = np.where(wrong, sq, 0).max(axis=1, initial=0)
-                rows.append((mis, msq))
-            self.table = []
-            for idx, (m, c, d) in enumerate(cands):
-                self.table.append(
-                    (
-                        int(rows[0][0][idx]), int(rows[0][1][idx]),
-                        int(rows[1][0][idx]), int(rows[1][1][idx]),
-                        m, c, d,
-                    )
-                )
-        else:  # exact fallback for large coordinates
-            self.table = []
-            for (m, c, d) in cands:
-                misba = misra = 0
-                sqba = sqra = 0
-                for x, y, r in zip(PX, PY, is_red):
-                    s = y * d - m * x - c
-                    if s == 0:
-                        continue
-                    sq = s * s
-                    if (s > 0) == r:  # red above or blue below
-                        misba += 1
-                        sqba = max(sqba, sq)
-                    else:
-                        misra += 1
-                        sqra = max(sqra, sq)
-                self.table.append((misba, sqba, misra, sqra, m, c, d))
+        # int64 while every |S| and S*S fits, else exact Python ints
+        dtype = np.int64 if bound * bound < 2**62 else object
+        M, C, D = (np.array(col, dtype=dtype)[:, None] for col in zip(*cands))
+        px = np.array(PX, dtype=dtype)[None, :]
+        py = np.array(PY, dtype=dtype)[None, :]
+        red = np.array(is_red, dtype=bool)[None, :]
+        S = py * D - M * px - C
+        above = S > 0
+        below = S < 0
+        sq = S * S
+        rows = []
+        for wrong in (
+            (above & red) | (below & ~red),   # BLUE_ABOVE
+            (below & red) | (above & ~red),   # RED_ABOVE
+        ):
+            mis = wrong.sum(axis=1)
+            msq = np.where(wrong, sq, 0).max(axis=1, initial=0)
+            rows.append((mis, msq))
+        self.table = [
+            (int(rows[0][0][idx]), int(rows[0][1][idx]),
+             int(rows[1][0][idx]), int(rows[1][1][idx]), m, c, d)
+            for idx, (m, c, d) in enumerate(cands)
+        ]
 
     def query(self, k: int) -> Optional[tuple[RatT, Separator, int]]:
         """Minimum exact max_sq over valid candidates; None when infeasible."""
@@ -468,8 +402,12 @@ def oracle_kmm(pts: Sequence[LabeledPoint], k: int, cap: int = 60) -> OracleRepo
 def oracle_1d_table(pts: Sequence[Point1D]):
     """Shared position/value table for several k queries on one point set.
 
-    Rows are (mis, value, separator_x, orientation rank).  The empty set has
-    one row: any separator misclassifies nothing, value 0, no position.
+    Positions: every point coordinate, every midpoint of consecutive points,
+    probes beyond both extremes, and both orientations' extremal midpoints
+    (the MinMax separators, which need not be midpoints of consecutive
+    points).  Rows are (mis, value, separator_x, orientation rank), one per
+    position and orientation.  The empty set has one row: any separator
+    misclassifies nothing, value 0, no position.
     """
     if not pts:
         return [(0, R0, None, 0)]
@@ -516,7 +454,7 @@ class LpOracleTable:
     """Per-instance violation counts at every dual vertex, for many k."""
 
     def __init__(self, red: Sequence[LineR2], blue: Sequence[LineR2]):
-        self.gap_min = min(_far_left_gap_counts(red, blue))
+        self.gap_min = min(_far_gap_counts(red, blue, -1))
         self.rows = []
         for v in _arrangement_vertices(red, blue):
             self.rows.append((v.x, v.y, _violations(v, red, blue)))

@@ -1,9 +1,9 @@
 """Exact rational arithmetic helpers.
 
 All coordinates, slopes, intercepts and squared distances in this package are
-arbitrary-precision rationals.  gmpy2.mpq is used as the carrier (it is a
-canonical num/den pair with den > 0), with fractions.Fraction as a drop-in
-fallback when gmpy2 is unavailable.
+arbitrary-precision rationals, carried as fractions.Fraction (a canonical
+numerator/denominator pair with denominator > 0).  `rat` is the parser for
+values that come from outside the program; `Rat` builds one directly.
 """
 
 from __future__ import annotations
@@ -12,32 +12,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def Rat(*args) -> "RatT":
-        if len(args) == 1:
-            a = args[0]
-            if isinstance(a, str):
-                return _rat_from_str(a)
-            if isinstance(a, float):
-                f = Fraction(a)
-                return _mpq(f.numerator, f.denominator)
-            return _mpq(a)
-        return _mpq(*args)
-
-    _HAVE_GMPY = True
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
-
-    def Rat(*args) -> "RatT":
-        if len(args) == 1 and isinstance(args[0], str):
-            return _rat_from_str(args[0])
-        return Fraction(*args)
-
-    _HAVE_GMPY = False
-
-RatT = type(_mpq(0))
+Rat = RatT = Fraction
 RatLike = Union[int, str, RatT]
 
 R0 = Rat(0)
@@ -49,10 +24,8 @@ def _rat_from_str(s: str) -> RatT:
     s = s.strip()
     if "/" in s:
         num, den = s.split("/", 1)
-        f = Fraction(int(num), int(den))
-    else:
-        f = Fraction(s)  # exact decimal parse
-    return _mpq(f.numerator, f.denominator)
+        return Fraction(int(num), int(den))
+    return Fraction(s)  # exact decimal parse
 
 
 def rat(value: RatLike) -> RatT:
@@ -60,11 +33,9 @@ def rat(value: RatLike) -> RatT:
     if isinstance(value, RatT):
         return value
     if isinstance(value, int):
-        return _mpq(value)
+        return Fraction(value)
     if isinstance(value, str):
         return _rat_from_str(value)
-    if isinstance(value, Fraction):
-        return _mpq(value.numerator, value.denominator)
     raise TypeError(f"cannot convert {type(value).__name__} to rational")
 
 
@@ -158,15 +129,3 @@ def sqrt_decimal_str(x: RatT, sig: int = 12) -> str:
     else:
         out = digits + "0" * (e - sig)
     return out.rstrip(".") if out.endswith(".") else out
-
-
-def rat_sqrt_exact(x: RatT) -> RatT | None:
-    """Exact rational square root, or None when x is not a perfect square."""
-    x = rat(x)
-    if x < 0:
-        return None
-    n, d = num(x), den(x)
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Rat(rn, rd)
-    return None

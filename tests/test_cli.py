@@ -1,11 +1,15 @@
 import json
 import os
+import random
 import re
 import shlex
 
 import pytest
 
 from sepkit.cli import build_parser, main
+from sepkit.core import LineR2, Orientation, Separator, classify_mis
+from sepkit.dataio import load_points
+from tests.conftest import random_instance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 DS3 = os.path.join(DATA, "ds3.csv")
@@ -59,6 +63,46 @@ def test_solve_approx(capsys):
     doc = docs[0]
     assert doc["t"] == 8 and doc["mis"] <= 1
     _schema().validate(doc)
+
+
+def _write_csv(path, pts):
+    path.write_text("".join(f"{p.point.x},{p.point.y},{p.color.value}\n"
+                            for p in pts))
+    return str(path)
+
+
+def test_solve_minmis_matches_oracle(capsys, tmp_path):
+    rng = random.Random(12)
+    paths = [DS2, DS3] + [
+        _write_csv(tmp_path / f"r{i}.csv", random_instance(rng, rng.randint(4, 12)))
+        for i in range(5)
+    ]
+    for path in paths:
+        code, docs = run(capsys, "oracle", "--problem", "minmis", path)
+        assert code == 0
+        want = docs[0]["k_min"]
+        code, docs = run(capsys, "solve", "--problem", "minmis", path)
+        assert code == 0
+        doc = docs[0]
+        _schema().validate(doc)
+        assert doc["k_min"] == want, path
+        if "line" in doc:
+            line = LineR2.of(doc["line"]["m"], doc["line"]["c"])
+            sep = Separator(line, Orientation(doc["orientation"]))
+            assert classify_mis(sep, load_points(path)).mis == want, path
+
+
+def test_solve_approx_infeasible_exit_3(capsys):
+    code, docs = run(capsys, "solve", "--problem", "kmm-approx", "--k", "0",
+                     "--eps", "1", DS3)
+    assert code == 3
+    _schema().validate(docs[0])
+    approx = docs[0]
+    code, docs = run(capsys, "solve", "--problem", "kmm", "--k", "0", DS3)
+    assert code == 3
+    assert approx == {"status": "infeasible", "problem": "kmm-approx",
+                      "k_min": docs[0]["k_min"]}
+    assert approx["k_min"] == 1
 
 
 def test_oracle_subcommand(capsys):
@@ -234,7 +278,6 @@ def test_plot_structural_diff(tmp_path, capsys):
     assert "<svg" in text and 'id="valid-regions"' in text
     # structural diff: polygon count equals the overlay's valid cells
     from sepkit.core import split_colors
-    from sepkit.dataio import load_points
     from sepkit.exactkmm import duals
     from sepkit.levels import overlay_and_label
 
@@ -316,6 +359,8 @@ def test_bad_flag_value_exit_2(capsys, argv):
     ["solve", "--problem", "kmm", "--k", "1", "--tol", "5", DS3],
     ["solve", "--problem", "maxstrip", "--tol", "5", DS2],
     ["solve", "--problem", "kmm", "--k", "1", "--eps", "1", DS3],
+    ["solve", "--problem", "kmm-approx", "--k", "1", "--eps", "1",
+     "--tol", "5", DS3],
     ["oracle", "--problem", "kmm-approx", "--k", "1", "--eps", "1", DS3],
     ["oracle", "--problem", "maxstrip", DS2],
     ["oracle", "--problem", "minmax", "--k", "0", DS3],

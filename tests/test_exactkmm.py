@@ -182,11 +182,11 @@ def test_edge_interior_descent(rng):
     pytest.skip("no bounded curve edges with positive error sampled")
 
 
-def best_at_slope(pts, k, m, orientation):
+def best_at_slope(pts, k, m):
     """Valid dual point on the vertical line x = m minimizing the error
-    (vertically nearest to the MinMax curve), with that error; None when
-    the column has no valid point."""
-    ana = _analysis_for(pts, orientation, k)
+    (vertically nearest to the MinMax curve) in the BLUE_ABOVE orientation,
+    with that error; None when the column has no valid point."""
+    ana = _analysis_for(pts, k)
     cands = ana.column(m).valid_near(ana.curve.value_at(m), k, neighbours=True)
     if not cands:
         return None
@@ -202,10 +202,10 @@ def test_vertical_optimality(rng):
     for _ in range(8):
         pts = random_instance(rng, rng.randint(4, 14))
         k = rng.randint(0, 3)
-        ana = _analysis_for(pts, Orientation.BLUE_ABOVE, k)
+        ana = _analysis_for(pts, k)
         for _ in range(15):
             m = Rat(rng.randint(-60, 60), rng.randint(1, 5))
-            res = best_at_slope(pts, k, m, Orientation.BLUE_ABOVE)
+            res = best_at_slope(pts, k, m)
             col = ColumnProfile(ana.below, ana.above, m)
             cy = ana.curve.value_at(m)
             cands = [h for h in col.heights if col.mis_at(h) <= k]

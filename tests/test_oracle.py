@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sepkit.core import Color, LabeledPoint, LineR2, split_colors
+from sepkit.core import Color, LabeledPoint, LineR2, PointR2, split_colors
 from sepkit.errors import CapExceeded
 from sepkit.exactkmm import ExactSolver, duals, minmax_curve
 from sepkit.lpviol import ConstraintSet, static_min_violations
@@ -29,6 +29,19 @@ def test_oracle_1d_examples():
     one_color = [Point1D.of(i, Color.RED, i) for i in range(5)]
     assert oracle_1d(one_color, 5).value == 0
     assert oracle_1d([], 0).value == 0
+
+
+def test_oracle_kmm_big_coordinates(ds3):
+    # coordinates of 10^12 overflow the int64 bound of the candidate table,
+    # so it evaluates on Python ints
+    s = 10**12
+    big = [LabeledPoint(PointR2(p.point.x * s, p.point.y * s), p.color, p.id)
+           for p in ds3]
+    for k in range(len(ds3) + 1):
+        want, got = oracle_kmm(ds3, k), oracle_kmm(big, k)
+        assert (got.value is None) == (want.value is None), k
+        if want.value is not None:
+            assert got.value == want.value * s * s, k
 
 
 def test_oracle_1d_multi_empty_set():

@@ -1,10 +1,9 @@
-import pytest
+from fractions import Fraction
 
 from sepkit.rat import (
     Rat,
     rat,
     rat_decimal_str,
-    rat_sqrt_exact,
     rat_str,
     sqrt_decimal_str,
 )
@@ -14,6 +13,8 @@ def test_parse_forms():
     assert rat("3") == 3
     assert rat("-0.25") == Rat(-1, 4)
     assert rat("1/3") == Rat(1, 3)
+    assert rat(" 1 / 3 ") == Rat(1, 3)
+    assert type(rat("-0.25")) is Fraction
     assert rat(7) == 7
     assert rat(Rat(2, 4)) == Rat(1, 2)
 
@@ -46,12 +47,6 @@ def test_sqrt_decimal_round_half_even():
     assert sqrt_decimal_str(v, sig=12) == "1.00000000000"  # ties-to-even: stays
     v = Rat(10**12 + 15, 10**12) ** 2
     assert sqrt_decimal_str(v, sig=12) == "1.00000000002"
-
-
-def test_sqrt_exact():
-    assert rat_sqrt_exact(Rat(9, 4)) == Rat(3, 2)
-    assert rat_sqrt_exact(Rat(2)) is None
-    assert rat_sqrt_exact(Rat(-1)) is None
 
 
 def test_sqrt_matches_float(rng):
