@@ -127,40 +127,42 @@ class ChainSet:
         return len(self.chains)
 
 
-def envelope(lines: Sequence[DLine], direction: Direction) -> Chain:
-    """Lower or upper envelope as a single chain."""
+def envelope(lines: Sequence[DLine], direction: Direction, cols=None) -> Chain:
+    """Lower or upper envelope as a single chain.  `cols` is
+    line_columns(lines), if the caller has it.
+
+    Lines are added by decreasing slope, the lowest of each slope first, to
+    a stack of pieces; a new line pops the top piece while it crosses the
+    top line at or left of that piece's left breakpoint.  The upper
+    envelope is the same walk over the negated integer forms.  Crossings
+    stay integer pairs, compared by cross-multiplication; a rational is
+    built only for a returned breakpoint."""
     if not lines:
         raise EmptyInput("envelope of empty line set")
+    a, b, c = line_columns(lines) if cols is None else cols
     if direction is Direction.UPPER:
-        low = envelope([l.neg() for l in lines], Direction.LOWER)
-        return low.negated(ChainKind.CONVEX)
-    # lower envelope: add lines by decreasing slope, keep a stack of pieces
-    by_slope: dict[RatT, DLine] = {}
-    for l in lines:
-        cur = by_slope.get(l.m)
-        if cur is None or l.c < cur.c:
-            by_slope[l.m] = l
-    order = sorted(by_slope.values(), key=lambda l: -l.m)
-    stack: list[DLine] = []
-    xs: list[RatT] = []  # xs[i] = crossing of stack[i] and stack[i+1]
-    for l in order:
+        b, c = -b, -c
+    order, _ = exact_order((-b, a), (c, a))
+    A, B, C = a.tolist(), b.tolist(), c.tolist()
+    stack: list[int] = []
+    xs: list[tuple[int, int]] = []  # xs[t] = crossing of stack[t], stack[t+1]
+    for j in order.tolist():
+        if stack and B[stack[-1]] * A[j] == B[j] * A[stack[-1]]:
+            continue                # parallel to the top, and not below it
         while stack:
-            x = cross_x(stack[-1], l)
-            if xs and x <= xs[-1]:
-                stack.pop()
-                xs.pop()
-            else:
-                stack.append(l)
-                xs.append(x)
+            i = stack[-1]
+            # x = num/den with den > 0, as i is the steeper line
+            num, den = C[j] * A[i] - C[i] * A[j], B[i] * A[j] - B[j] * A[i]
+            if not xs or num * xs[-1][1] > xs[-1][0] * den:
+                xs.append((num, den))
                 break
-        if not stack:
-            stack.append(l)
-    pieces = []
-    for i, l in enumerate(stack):
-        lo = xs[i - 1] if i > 0 else None
-        hi = xs[i] if i < len(xs) else None
-        pieces.append(ChainPiece(l, lo, hi))
-    return Chain(ChainKind.CONCAVE, pieces)
+            stack.pop()
+            xs.pop()
+        stack.append(j)
+    bounds = [None] + [Rat(num, den) for num, den in xs] + [None]
+    kind = ChainKind.CONCAVE if direction is Direction.LOWER else ChainKind.CONVEX
+    return Chain(kind, [ChainPiece(lines[i], bounds[t], bounds[t + 1])
+                        for t, i in enumerate(stack)])
 
 
 def chain_decomposition(

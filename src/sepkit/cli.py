@@ -28,7 +28,7 @@ from .core import Color, LabeledPoint, Orientation, split_colors, validate_point
     perturb_points
 from .errors import ParseError, ScheduleViolation, SepkitError, UnknownId, \
     ValidationError
-from .exactkmm import duals, minmax_curve, solve_exact
+from .exactkmm import ExactSolver, duals, minmax_curve, solve_exact
 from .hullmargin import StripStatus, max_margin_static
 from .levels import overlay_and_label
 from .lpviol import ConstraintSet, DynState, LPStatus, static_leftmost_valid, \
@@ -126,6 +126,11 @@ def _solve_2d(args, pts, use_oracle: bool) -> tuple[dict, int]:
                "orientation": orient.value}
         if res.status is LPStatus.FEASIBLE:
             doc["line"] = {"m": rat_str(res.point.x), "c": rat_str(-res.point.y)}
+        elif res.reason != "empty-side":
+            # no leftmost valid point (unbounded): the exact solver's witness
+            rep = solve_exact(pts, km)
+            doc["line"] = _line_doc(rep.best.line)
+            doc["orientation"] = rep.orientation.value
         return doc, EXIT_OK
 
     if args.problem in ("minmax", "kmm"):
@@ -161,7 +166,7 @@ def _solve_2d(args, pts, use_oracle: bool) -> tuple[dict, int]:
     try:
         rep = solve_approx(pts, args.k, args.eps)
     except Infeasible:
-        k_min = solve_exact(pts, len(pts)).k_min
+        k_min = ExactSolver(pts, args.k).k_min
         return {"status": "infeasible", "problem": "kmm-approx",
                 "k_min": k_min}, EXIT_INFEASIBLE
     return {

@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Sequence
 
 from .core import Color, LabeledPoint
 from .errors import ParseError
-from .rat import rat, rat_decimal_str
+from .rat import rat
 
 
 def _parse_color(s: str) -> Color:
@@ -44,16 +43,6 @@ def points_from_csv(text: str) -> list[LabeledPoint]:
     return pts
 
 
-def points_to_csv(pts: Sequence[LabeledPoint]) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    for lp in pts:
-        w.writerow(
-            [rat_decimal_str(lp.point.x), rat_decimal_str(lp.point.y), lp.color.value]
-        )
-    return out.getvalue()
-
-
 def points_from_json(text: str) -> list[LabeledPoint]:
     try:
         doc = json.loads(text)
@@ -70,18 +59,6 @@ def points_from_json(text: str) -> list[LabeledPoint]:
             raise ParseError(f"points[{i}]: {exc}") from exc
         pts.append(LabeledPoint.of(x, y, c, len(pts)))
     return pts
-
-
-def points_to_json(pts: Sequence[LabeledPoint]) -> str:
-    recs = [
-        {
-            "x": rat_decimal_str(lp.point.x),
-            "y": rat_decimal_str(lp.point.y),
-            "c": lp.color.value,
-        }
-        for lp in pts
-    ]
-    return json.dumps({"points": recs})
 
 
 def load_points(path: str) -> list[LabeledPoint]:

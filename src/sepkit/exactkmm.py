@@ -41,6 +41,8 @@ from .scans import (
     FarGap,
     FarGaps,
     far_gaps,
+    least_vertex_mis,
+    line_columns,
     scan_vertices,
     segment_valid_crossings,
 )
@@ -152,34 +154,27 @@ class OrientationAnalysis(VerticalError):
 
     `slab` = (x_lo, x_hi) restricts every candidate family to the dual x in
     x_lo <= x <= x_hi, the separator slopes of one t-gon wedge in its rotated
-    frame; None is the whole line.  The vertex scan, envelopes and curve
-    cover the whole line; columns are built for the curve vertices in the
-    slab, and the far gaps when first read (`k_min` reads only their mis; a
+    frame; None is the whole line.  The vertex scan (vertices with mis <=
+    kmax), envelopes and curve cover the whole line; columns are built for
+    the curve vertices in the slab, and the far gaps when first read (a
     gap's limit is built when `far_limit_sq` or the probes read that gap).
-    `swapped()` gives the other orientation from the same vertex scan.
+    The integer line columns are built once and shared by the scan, the
+    envelopes, the columns and the far gaps.
     """
 
     def __init__(self, below: list[DLine], above: list[DLine], kmax: int,
                  slab: Optional[tuple[RatT, RatT]] = None):
-        self._build(below, above, kmax, slab,
-                    scan_vertices(below, above, kmax))
-
-    def swapped(self) -> OrientationAnalysis:
-        """The analysis with the roles exchanged (the other orientation),
-        built on the `swapped` result of this analysis's vertex scan."""
-        ana = OrientationAnalysis.__new__(OrientationAnalysis)
-        ana._build(self.above, self.below, self.kmax, self.slab,
-                   self.scan.swapped)
-        return ana
-
-    def _build(self, below, above, kmax, slab, scan) -> None:
         self.below = below
         self.above = above
         self.kmax = kmax
         self.slab = slab
-        self.scan = scan
-        self.env_lo = envelope(below, Direction.LOWER)
-        self.env_hi = envelope(above, Direction.UPPER)
+        self.cols = line_columns(list(below) + list(above))
+        nb = len(below)
+        self.scan = scan_vertices(below, above, kmax, cols=self.cols)
+        self.env_lo = envelope(below, Direction.LOWER,
+                               cols=tuple(col[:nb] for col in self.cols))
+        self.env_hi = envelope(above, Direction.UPPER,
+                               cols=tuple(col[nb:] for col in self.cols))
         self.curve = midpoint_curve(self.env_lo, self.env_hi)
         self.curve_vertices = [
             v for v in self.curve.vertices if self.in_slab(v.x)
@@ -196,16 +191,17 @@ class OrientationAnalysis(VerticalError):
         """The column profile at x, built once per x."""
         col = self.columns.get(x)
         if col is None:
-            col = self.columns[x] = ColumnProfile(self.below, self.above, x)
+            col = self.columns[x] = ColumnProfile(self.below, self.above, x,
+                                                  cols=self.cols)
         return col
 
     @cached_property
     def gaps_left(self) -> FarGaps:
-        return far_gaps(self.below, self.above, -1)
+        return far_gaps(self.below, self.above, -1, cols=self.cols)
 
     @cached_property
     def gaps_right(self) -> FarGaps:
-        return far_gaps(self.below, self.above, +1)
+        return far_gaps(self.below, self.above, +1, cols=self.cols)
 
     # -- error evaluation --------------------------------------------------
 
@@ -296,22 +292,22 @@ class OrientationAnalysis(VerticalError):
                 return p
         return None
 
-    def k_min(self) -> int:
-        best = min(min(self.gaps_left.mis), min(self.gaps_right.mis))
-        if self.scan.min_vertex_mis is not None:
-            best = min(best, self.scan.min_vertex_mis)
-        return best
-
 
 def _analysis_for(pts: Sequence[LabeledPoint], kmax: int) -> OrientationAnalysis:
-    """The BLUE_ABOVE analysis (red duals below, blue duals above); its
-    `swapped()` is the RED_ABOVE one."""
+    """The BLUE_ABOVE analysis (red duals below, blue duals above)."""
     reds, blues = split_colors(pts)
     return OrientationAnalysis(duals(reds), duals(blues), kmax)
 
 
 class ExactSolver:
-    """Shared-analysis exact solver; reusable across several k values."""
+    """Shared-analysis exact solver; reusable across several k values.
+
+    `k_min` is exact: the least mis over every far gap and every vertex of
+    both orientations.  Each analysis's scan keeps the vertices with mis <=
+    kmax.  When neither has one, the scans are redone with a doubled cap
+    until a vertex turns up or the cap reaches the least far-gap mis, below
+    which a vertex would have to lie to matter.
+    """
 
     def __init__(self, pts: Sequence[LabeledPoint], kmax: int):
         reds, blues = split_colors(pts)
@@ -320,11 +316,24 @@ class ExactSolver:
         self.pts = list(pts)
         self.n = len(self.pts)
         kmax = min(kmax, self.n)
-        # one vertex scan serves both orientations
         blue_above = _analysis_for(pts, kmax)
-        self.analyses = {Orientation.BLUE_ABOVE: blue_above,
-                         Orientation.RED_ABOVE: blue_above.swapped()}
-        self.k_min = min(a.k_min() for a in self.analyses.values())
+        self.analyses = {
+            Orientation.BLUE_ABOVE: blue_above,
+            Orientation.RED_ABOVE: OrientationAnalysis(
+                blue_above.above, blue_above.below, kmax),
+        }
+        self.k_min = self._k_min(kmax)
+
+    def _k_min(self, cap: int) -> int:
+        anas = list(self.analyses.values())
+        gap_min = min(min(gaps.mis) for a in anas
+                      for gaps in (a.gaps_left, a.gaps_right))
+        found = [a.scan.min_vertex_mis for a in anas]
+        while found == [None, None] and cap < gap_min - 1:
+            cap = min(2 * cap + 1, gap_min - 1)
+            found = [least_vertex_mis(a.below, a.above, cap, cols=a.cols)
+                     for a in anas]
+        return min([m for m in found if m is not None] + [gap_min])
 
     def solve(self, k: int) -> ExactSolveReport:
         k = min(k, self.n)

@@ -23,19 +23,17 @@ whose int / int division is correctly rounded too.  Both run the same
 code.  A rational is built only for a value that leaves the sweep, or to
 sort a float-tied run of distinct values.
 
-The vertex scan (`scan_vertices`) sweeps every line against all n lines in
-blocks of rows: one 2-D numpy pass computes a block's crossings, sorts each
-row by float key (argsort along the row), and takes the running counts as
-a cumulative sum along it.  A block holds at most SCAN_BLOCK crossings (an
-eighth of that on Python ints), so its arrays stay the same size whatever
-n is.  A row with two equal float
-keys (concurrent lines, or distinct values that round alike) is redone
-exactly by the per-line `crossings`.  The same pass serves both role
-assignments: at a vertex p on line e the lines not through p change sides
-when the roles swap, so the swapped mis is n - through(p) - mis(p), where
-through(p) counts the lines identical to e (e included) and the lines
-crossing e at p.  Far gaps keep their mis from the integer far order and
-build a gap's limit only when it is read; column profiles keep sorted
+The vertex scan (`scan_vertices`) keeps the vertices with mis <= kmax.  A
+band filter (`_band_rows`) first drops the lines that cannot pass through
+such a vertex; floats only pick its bounds, and every drop holds exactly.
+Each line left is swept against all n lines in blocks of rows, so every
+mis is exact: one 2-D numpy pass computes a block's crossings, sorts each
+row by float key and takes the running counts as a cumulative sum along
+it.  A block holds at most SCAN_BLOCK crossings (an eighth of that on
+Python ints), whatever n is.  A row with two equal float keys (concurrent
+lines, or distinct values that round alike) is redone exactly by the
+per-line `crossings`.  Far gaps keep their mis from the integer far order
+and build a gap's limit only when it is read; column profiles keep sorted
 integer heights and build a rational only for a height they return.
 
 The side of a line at a rational point (x, y) = (p/q, r/s) is the sign of
@@ -53,7 +51,7 @@ nothing to filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -259,6 +257,16 @@ def line_sides(cols, points: Sequence[tuple[RatT, RatT]]) -> np.ndarray:
 # bounds its arrays whatever n is.
 SCAN_BLOCK = 1 << 14
 
+# Lines per slab of the vertex-scan filter: n lines are cut into about
+# n // SLAB_LINES slabs.
+SLAB_LINES = 16
+
+# Relative error allowance of a line's float value (B*w + C) / A at a float
+# wall w: a few roundings of the coefficients and the three operations stay
+# below 5 units in the last place; the absolute term covers underflow.
+_REL_ERR = 8 * 2.0 ** -53
+_ABS_ERR = 1e-300
+
 
 @dataclass(frozen=True)
 class VertexRecord:
@@ -270,43 +278,36 @@ class VertexRecord:
 @dataclass
 class VertexScanResult:
     vertices: list[VertexRecord]     # vertices with mis <= kmax
-    min_vertex_mis: Optional[int]    # over all vertices, unfiltered
+    min_vertex_mis: Optional[int]    # least vertex mis if <= kmax, else None
     min_cross_x: Optional[RatT]
     max_cross_x: Optional[RatT]
-    count: int                       # total vertices scanned
-    # the scan with the roles swapped, made in the same pass
-    swapped: Optional[VertexScanResult] = field(
-        default=None, compare=False, repr=False)
+    count: int                       # non-parallel line pairs (vertices met)
 
 
 @dataclass
 class _Block:
     """The crossings of a block of rows with every line, each row in x
     order: position t of row i is its t-th crossing, with the line
-    `order[i, t]`, the float key of x, the on-point count `mis` (see
-    `crossings`) and `through`, the number of lines through the crossing
-    (the lines crossing row i's line there, plus the lines identical to it,
-    itself included).  Positions t >= ncross[i] are parallel lines; num and
-    den are indexed by line, not by position."""
+    `order[i, t]` and the on-point count `mis` (see `crossings`).
+    Positions t >= ncross[i] are parallel lines; num and den are indexed by
+    line, not by position."""
 
     ncross: np.ndarray
     order: np.ndarray
-    key: np.ndarray
     mis: np.ndarray
-    through: np.ndarray
     num: np.ndarray
     den: np.ndarray
 
 
-def _block_crossings(r0: int, r1: int, a, b, c, isb: np.ndarray) -> _Block:
-    """`crossings` of the rows r0 <= i < r1 in one 2-D pass.  A row where
-    two crossings share a float key is redone exactly by `crossings`."""
+def _block_crossings(rows: np.ndarray, a, b, c, isb: np.ndarray) -> _Block:
+    """`crossings` of the lines `rows` (an index array) in one 2-D pass.  A
+    row where two crossings share a float key is redone exactly by
+    `crossings`."""
     n = len(a)
-    A, B, C = a[r0:r1, None], b[r0:r1, None], c[r0:r1, None]
+    A, B, C = a[rows, None], b[rows, None], c[rows, None]
     num = c * A - C * a
     den = B * a - b * A
     par = den == 0
-    ident = np.count_nonzero(par & (num == 0), axis=1)
     bb = den < 0
     low = bb | (par & (num < 0))
     high = ~bb & (~par | (num > 0))
@@ -327,19 +328,11 @@ def _block_crossings(r0: int, r1: int, a, b, c, isb: np.ndarray) -> _Block:
     adj = (isb[order] == np.take_along_axis(bb, order, axis=1)).astype(np.int64)
     delta = 1 - 2 * adj
     mis = start[:, None] + np.cumsum(delta, axis=1) - delta - adj
-    through = np.broadcast_to(ident[:, None] + 1, key.shape)
-    if tied.any():
-        through = through.copy()
-        for i in np.flatnonzero(tied):
-            cr = crossings((A[i, 0], B[i, 0], C[i, 0]), a, b, c, isb)
-            m = len(cr.idx)
-            starts = np.flatnonzero(~cr.same)
-            runs = np.diff(np.append(starts, m))
-            order[i, :m] = cr.idx
-            key[i, :m] = _float_key(cr.num, cr.den)
-            mis[i, :m] = cr.mis()
-            through[i, :m] = ident[i] + np.repeat(runs, runs)
-    return _Block(ncross, order, key, mis, through, num, den)
+    for i in np.flatnonzero(tied):
+        cr = crossings((A[i, 0], B[i, 0], C[i, 0]), a, b, c, isb)
+        order[i, :len(cr.idx)] = cr.idx
+        mis[i, :len(cr.idx)] = cr.mis()
+    return _Block(ncross, order, mis, num, den)
 
 
 def _exact_extreme(num, den, key, lowest: bool) -> tuple[int, int]:
@@ -351,68 +344,175 @@ def _exact_extreme(num, den, key, lowest: bool) -> tuple[int, int]:
     return int(num[t]), int(den[t])
 
 
+def _far_index(a, b, c, side: int) -> np.ndarray:
+    """The lines' indices bottom to top beyond every crossing on one side
+    (-1 left, +1 right), as in far_order."""
+    return exact_order((b * side, a), (c, a))[0]
+
+
+def _extreme_crossing(a, b, c, side: int) -> tuple[int, int]:
+    """The x of the leftmost (side -1) or rightmost (side 1) vertex as
+    (num, den), den > 0.  The lines through that vertex are contiguous in
+    the far order on that side, so two of them, not parallel, are adjacent
+    there: only adjacent pairs are crossed."""
+    order = _far_index(a, b, c, side)
+    i, j = order[:-1], order[1:]
+    num = c[j] * a[i] - c[i] * a[j]
+    den = b[i] * a[j] - b[j] * a[i]
+    num, den = np.where(den < 0, -num, num), np.abs(den)
+    cross = np.flatnonzero(den != 0)
+    num, den = num[cross], den[cross]
+    return _exact_extreme(num, den, _float_key(num, den), side < 0)
+
+
+def _slab_walls(a, b, c, lo: float, hi: float) -> np.ndarray:
+    """Float walls from lo to hi, about len(a) // SLAB_LINES slabs, at
+    quantiles of a fixed sample of crossings, so that slabs are narrow
+    where vertices are dense.  The sample crosses each of the n >= 2 lines
+    with 8 others, at offsets spread by a fixed multiplier."""
+    n = len(a)
+    t = np.arange(8 * n)
+    i = t % n
+    j = (i + 1 + t * 40503 % (n - 1)) % n
+    den = b[i] * a[j] - b[j] * a[i]
+    cross = np.flatnonzero(den != 0)
+    x = _float_key((c[j] * a[i] - c[i] * a[j])[cross], den[cross])
+    x = x[np.isfinite(x)]
+    slabs = max(1, n // SLAB_LINES)
+    at = np.arange(1, slabs) * len(x) // slabs
+    inner = np.partition(x, at)[at] if x.size and at.size else x[:0]
+    # increasing, as x[at] is; a repeated wall makes an empty slab
+    return np.concatenate(([lo], np.clip(inner, lo, hi), [hi]))
+
+
+def _wall_values(af, bf, cf, walls: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Float bounds (down, up), walls by lines, on each line's exact value
+    (B*w + C) / A at each float wall w, from the columns made floats
+    (af, bf, cf): the float value widened by the error allowance.  Where
+    the float value is not finite, a bound is +-inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = walls[:, None] * bf
+        val = (err + cf) / af
+        err = (np.abs(err) + np.abs(cf)) * _REL_ERR / af + _ABS_ERR
+        up = val + err
+        val -= err
+        return val, up
+
+
+def _band_rows(a, b, c, nb: int, k: int,
+               lo: tuple[int, int], hi: tuple[int, int]) -> np.ndarray:
+    """The lines that can pass through a vertex with mis <= k, in index
+    order (below-lines are the first nb): every line through such a vertex
+    is among them.
+
+    At a point with mis <= k at most k below-lines lie strictly under it,
+    so it is not above the (k+1)-th lowest below-line, nor below the
+    (k+1)-th highest above-line.  Cut [lo, hi], which holds every vertex,
+    into slabs at float walls (exact dyadic rationals).  In a slab, the
+    (k+1)-th lowest below-line stays under the (k+1)-th least of the
+    below-lines' larger wall values, whichever k+1 lines that picks; the
+    (k+1)-th highest above-line likewise stays over the (k+1)-th greatest
+    of the above-lines' smaller wall values.  A line wholly above the
+    first bound or wholly below the second in a slab carries no such
+    vertex there.  Wall values are floats widened by an error allowance
+    (_REL_ERR), so every comparison that drops a line holds exactly.  A
+    value that is not finite is nan or widened to +-inf: np.partition
+    sorts nan last, and a comparison with nan is false, so it keeps its
+    line and never tightens a bound."""
+    n = len(a)
+    if k >= nb and k >= n - nb:
+        return np.arange(n)
+    try:
+        af, bf, cf = (col.astype(np.float64) for col in (a, b, c))
+    except OverflowError:       # Python ints beyond the float range
+        return np.arange(n)
+    # every vertex lies in [lo, hi]: one float step outward holds the
+    # correctly rounded extremes
+    walls = _slab_walls(a, b, c, np.nextafter(fdiv(*lo), -inf),
+                        np.nextafter(fdiv(*hi), inf))
+    keep = np.zeros(n, dtype=bool)
+    # slabs in blocks of about SCAN_BLOCK values, as in the row pass
+    step = max(1, SCAN_BLOCK // n)
+    for s in range(0, len(walls) - 1, step):
+        down, up = _wall_values(af, bf, cf, walls[s:s + step + 1])
+        with np.errstate(invalid="ignore"):
+            top = np.maximum(up[:-1], up[1:])           # a line's slab maximum
+            bottom = np.minimum(down[:-1], down[1:])    # and minimum
+            drop = np.zeros(top.shape, dtype=bool)
+            if k < nb:
+                ceiling = np.partition(top[:, :nb], k, axis=1)[:, k, None]
+                drop |= bottom > ceiling
+            if k < n - nb:
+                floor = -np.partition(-bottom[:, nb:], k, axis=1)[:, k, None]
+                drop |= top < floor
+        keep |= ~drop.all(axis=0)
+    return np.flatnonzero(keep)
+
+
+def _kept_blocks(a, b, c, nb: int, kmax: int, lo, hi):
+    """The vertices with mis <= kmax, by blocks of rows (r, blk, keep):
+    blk is `_block_crossings` of the rows r, run only on the lines
+    `_band_rows` keeps (lo and hi are the extreme crossings), and keep
+    marks each such vertex once, on the row of the first line through
+    it."""
+    n = len(a)
+    rows = _band_rows(a, b, c, nb, kmax, lo, hi)
+    isb = np.arange(n) < nb
+    # a Python-int entry points to an object of several words
+    block = SCAN_BLOCK if a.dtype == np.int64 else SCAN_BLOCK // 8
+    step = max(1, block // n)
+    for s in range(0, len(rows), step):
+        r = rows[s:s + step]
+        blk = _block_crossings(r, a, b, c, isb)
+        yield r, blk, ((np.arange(n) < blk.ncross[:, None])
+                       & (blk.order > r[:, None]) & (blk.mis <= kmax))
+
+
+def _crossing_pairs(a, b) -> int:
+    """The number of line pairs that are not parallel: each meets once."""
+    _, same = exact_order((b, a))
+    runs = np.diff(np.append(np.flatnonzero(~same), len(a)))
+    return (len(a) ** 2 - int((runs * runs).sum())) // 2
+
+
 def scan_vertices(
-    below: Sequence[DLine], above: Sequence[DLine], kmax: int
+    below: Sequence[DLine], above: Sequence[DLine], kmax: int, cols=None
 ) -> VertexScanResult:
     """All arrangement vertices with mis <= kmax, plus global stats.  A
     vertex is recorded once per pair of lines through it, on the row of the
     pair's first line in below + above order, rows in that order and each
-    row in x order.  The result's `swapped` is scan_vertices(above, below,
-    kmax), made in the same pass."""
-    lines = list(below) + list(above)
-    n, nb = len(lines), len(below)
+    row in x order.  `cols` is line_columns(below + above), if the caller
+    has it."""
+    a, b, c = line_columns(list(below) + list(above)) if cols is None else cols
+    count = _crossing_pairs(a, b)
+    if not count:
+        return VertexScanResult([], None, None, None, 0)
+    lo, hi = _extreme_crossing(a, b, c, -1), _extreme_crossing(a, b, c, 1)
     out: list[VertexRecord] = []
-    # swapped records: rows of above-lines first, then rows of below-lines
-    swap_out: tuple[list[VertexRecord], list[VertexRecord]] = ([], [])
-    min_mis: list[tuple[int, int]] = []
-    lo: list[tuple[int, int]] = []   # extreme crossing x as (num, den)
-    hi: list[tuple[int, int]] = []
-    count = 0
-    a, b, c = line_columns(lines)
-    isb = np.arange(n) < nb
-    # a Python-int entry points to an object of several words
-    block = SCAN_BLOCK if a.dtype == np.int64 else SCAN_BLOCK // 8
-    step = max(1, block // max(n, 1))
-    for r0 in range(0, n, step):
-        blk = _block_crossings(r0, min(n, r0 + step), a, b, c, isb)
-        rows = np.arange(r0, r0 + len(blk.ncross))[:, None]
-        real = np.arange(n) < blk.ncross[:, None]
-        if not real.any():
-            continue
-        count += int(blk.ncross.sum())
-        # with the roles swapped, the lines off the vertex change sides
-        swap_mis = n - blk.through - blk.mis
-        min_mis.append((int(blk.mis[real].min()), int(swap_mis[real].min())))
-        # the extreme crossings are first or last in their rows
-        r = np.flatnonzero(blk.ncross)
-        for t, dest, lowest in ((np.zeros_like(r), lo, True),
-                                (blk.ncross[r] - 1, hi, False)):
-            j = blk.order[r, t]
-            dest.append(_exact_extreme(blk.num[r, j], blk.den[r, j],
-                                       blk.key[r, t], lowest))
-        later = real & (blk.order > rows)
-        swap_later = np.where(rows < nb, later & (blk.order < nb),
-                              real & ((blk.order > rows) | (blk.order < nb)))
-        # dest[row is a below-line] takes the record
-        for rec, mis, dest in ((later, blk.mis, (out, out)),
-                               (swap_later, swap_mis, swap_out)):
-            for i, t in zip(*np.nonzero(rec & (mis <= kmax))):
-                j = blk.order[i, t]
-                p, q = int(blk.num[i, j]), int(blk.den[i, j])
-                e = r0 + int(i)
-                # line e at x = p/q: y = (B*p + C*q) / (A*q)
-                y = Rat(int(b[e]) * p + int(c[e]) * q, int(a[e]) * q)
-                dest[e < nb].append(VertexRecord(Rat(p, q), y, int(mis[i, t])))
-    if not min_mis:
-        return VertexScanResult(out, None, None, None, 0,
-                                VertexScanResult([], None, None, None, 0))
-    minx = Rat(*min(lo, key=lambda x: Fraction(*x)))
-    maxx = Rat(*max(hi, key=lambda x: Fraction(*x)))
-    swapped = VertexScanResult(swap_out[0] + swap_out[1],
-                               min(m for _, m in min_mis), minx, maxx,
-                               count // 2)
-    return VertexScanResult(out, min(m for m, _ in min_mis), minx, maxx,
-                            count // 2, swapped)
+    for r, blk, keep in _kept_blocks(a, b, c, len(below), kmax, lo, hi):
+        for i, t in zip(*np.nonzero(keep)):
+            j = blk.order[i, t]
+            p, q = int(blk.num[i, j]), int(blk.den[i, j])
+            e = int(r[i])
+            # line e at x = p/q: y = (B*p + C*q) / (A*q)
+            y = Rat(int(b[e]) * p + int(c[e]) * q, int(a[e]) * q)
+            out.append(VertexRecord(Rat(p, q), y, int(blk.mis[i, t])))
+    return VertexScanResult(out, min((v.mis for v in out), default=None),
+                            Rat(*lo), Rat(*hi), count)
+
+
+def least_vertex_mis(below: Sequence[DLine], above: Sequence[DLine],
+                     kmax: int, cols=None) -> Optional[int]:
+    """scan_vertices(below, above, kmax, cols).min_vertex_mis, without
+    building the vertex records."""
+    a, b, c = line_columns(list(below) + list(above)) if cols is None else cols
+    if not _crossing_pairs(a, b):
+        return None
+    lo, hi = _extreme_crossing(a, b, c, -1), _extreme_crossing(a, b, c, 1)
+    return min((int(blk.mis[keep].min()) for _, blk, keep in
+                _kept_blocks(a, b, c, len(below), kmax, lo, hi) if keep.any()),
+               default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +554,30 @@ def gap_mis(order: Sequence[tuple[DLine, bool]]) -> list[int]:
 
 class FarGaps:
     """The gaps of a far order (see far_order) on one side, bottom to top.
-    `mis` holds every gap's mis, from the integer order; a gap's slope range
-    and limit (its FarGap) are built when the gap is first read."""
+    `mis` holds every gap's mis, from the integer order; the order as
+    (line, is_below) pairs, and a gap's slope range and limit (its FarGap),
+    are built when first read.  `cols` is line_columns(below + above), if
+    the caller has it."""
 
     def __init__(self, below: Sequence[DLine], above: Sequence[DLine],
-                 side: int):
+                 side: int, cols=None):
         self.below, self.above, self.side = below, above, side
-        self.order = far_order(below, above, side)
-        self.mis = gap_mis(self.order)
+        a, b, c = line_columns(list(below) + list(above)) if cols is None else cols
+        self._index = _far_index(a, b, c, side)
+        # the bottom gap has every above-line over it; passing a line adds a
+        # below-line under the gap or takes an above-line off it
+        step = np.where(self._index < len(below), 1, -1)
+        self.mis = (len(above) + np.append(0, np.cumsum(step))).tolist()
         self._read: dict[int, FarGap] = {}
+
+    @cached_property
+    def _lines(self) -> list[DLine]:
+        return list(self.below) + list(self.above)
+
+    @cached_property
+    def order(self) -> list[tuple[DLine, bool]]:
+        nb = len(self.below)
+        return [(self._lines[j], j < nb) for j in self._index.tolist()]
 
     def __getitem__(self, i: int) -> FarGap:
         gap = self._read.get(i)
@@ -482,8 +597,8 @@ class FarGaps:
 
     def _gap(self, i: int) -> FarGap:
         m_red, m_blue = self._slopes
-        lo_line = self.order[i - 1][0] if i > 0 else None
-        hi_line = self.order[i][0] if i < len(self.order) else None
+        lo_line = self._lines[self._index[i - 1]] if i > 0 else None
+        hi_line = self._lines[self._index[i]] if i < len(self._index) else None
         if self.side < 0:
             alo = hi_line.m if hi_line else None
             ahi = lo_line.m if lo_line else None
@@ -502,9 +617,11 @@ class FarGaps:
         return FarGap(self.mis[i], alo, ahi, lim)
 
 
-def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int) -> FarGaps:
-    """Exact gap structure beyond all crossings on one side (-1 left, +1 right)."""
-    return FarGaps(below, above, side)
+def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int,
+             cols=None) -> FarGaps:
+    """Exact gap structure beyond all crossings on one side (-1 left, +1
+    right).  `cols` is line_columns(below + above), if the caller has it."""
+    return FarGaps(below, above, side, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +636,22 @@ class ColumnProfile:
     group counts below-lines strictly below and above-lines strictly above.
     The heights stay integer pairs (num, den), sorted exactly; a search
     bisects their float keys and compares only float-tied heights exactly,
-    and a rational is built only for a height that is returned.
+    and a rational is built only for a height that is returned.  `cols` is
+    line_columns(below + above), if the caller has it.
     """
 
-    def __init__(self, below: Sequence[DLine], above: Sequence[DLine], x: RatT):
+    def __init__(self, below: Sequence[DLine], above: Sequence[DLine], x: RatT,
+                 cols=None):
         self.x = x
         lines = list(below) + list(above)
         p, q = rat_num(x), rat_den(x)
         # line j at x = p/q has height (B_j*p + C_j*q) / (A_j*q)
-        a, b, c = line_columns(lines, (p, q))
+        if cols is None:
+            a, b, c = line_columns(lines, (p, q))
+        elif cols[0].dtype == np.int64 and max(abs(p), q) >= INT64_BOUND:
+            a, b, c = (col.astype(object) for col in cols)
+        else:
+            a, b, c = cols
         hnum, hden = b * p + c * q, a * q
         order, same = exact_order((hnum, hden))
         starts = np.flatnonzero(~same)
@@ -546,10 +670,6 @@ class ColumnProfile:
     @cached_property
     def heights(self) -> list[RatT]:
         return [self._height(i) for i in range(len(self._num))]
-
-    @cached_property
-    def onpoint(self) -> list[int]:
-        return self._onpoint.tolist()
 
     @cached_property
     def interval(self) -> list[int]:

@@ -139,9 +139,9 @@ def test_one_column_per_wedge_and_x(monkeypatch, rng):
     built = []
     real = exactkmm.ColumnProfile
 
-    def counting(below, above, x):
+    def counting(below, above, x, **kwargs):
         built.append((id(below), x))
-        return real(below, above, x)
+        return real(below, above, x, **kwargs)
 
     monkeypatch.setattr(exactkmm, "ColumnProfile", counting)
     monkeypatch.setattr(approxkmm, "ColumnProfile", counting)

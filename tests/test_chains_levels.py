@@ -1,18 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepkit.chains import (
+    Chain,
     ChainKind,
+    ChainPiece,
     Direction,
     DLine,
     chain_decomposition,
     chain_pair_intersections,
+    cross_x,
     envelope,
 )
 from sepkit.errors import EmptyInput
 from sepkit.levels import build_leq_k, overlay_and_label
 from sepkit.rat import Rat
+from sepkit.scans import line_columns
 from tests.conftest import random_lines
 
 L = lambda i, m, c: DLine(i, Rat(m), Rat(c))
@@ -46,6 +51,71 @@ def test_envelope_is_pointwise_min(rng):
         up.check_shape()
         x = Rat(rng.randint(-50, 50))
         assert up.value_at(x) == max(l.y_at(x) for l in lines)
+
+
+def reference_envelope(lines, direction):
+    """The envelope on Fraction lines: the lowest line of each slope, added
+    by decreasing slope to a stack of pieces; the upper envelope through
+    negated lines."""
+    if direction is Direction.UPPER:
+        low = reference_envelope([l.neg() for l in lines], Direction.LOWER)
+        return low.negated(ChainKind.CONVEX)
+    by_slope = {}
+    for l in lines:
+        cur = by_slope.get(l.m)
+        if cur is None or l.c < cur.c:
+            by_slope[l.m] = l
+    stack, xs = [], []
+    for l in sorted(by_slope.values(), key=lambda l: -l.m):
+        while stack:
+            x = cross_x(stack[-1], l)
+            if xs and x <= xs[-1]:
+                stack.pop()
+                xs.pop()
+            else:
+                stack.append(l)
+                xs.append(x)
+                break
+        if not stack:
+            stack.append(l)
+    bounds = [None] + xs + [None]
+    return Chain(ChainKind.CONCAVE, [ChainPiece(l, bounds[i], bounds[i + 1])
+                                     for i, l in enumerate(stack)])
+
+
+@st.composite
+def envelope_lines(draw):
+    """Lines on a small grid, so that equal slopes, identical lines (under
+    different ids) and concurrent lines are common; scaled by a huge
+    non-dyadic amount, the columns hold Python ints."""
+    scale = draw(st.sampled_from([Rat(1), Rat(1, 3), Rat(10**30, 7)]))
+    n = draw(st.integers(1, 25))
+    return [DLine(i, Rat(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2]))),
+                  Rat(draw(st.integers(-3, 3))) * scale) for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=envelope_lines(), direction=st.sampled_from(list(Direction)))
+def test_envelope_matches_fraction_reference(lines, direction):
+    want = reference_envelope(lines, direction)
+    for cols in (None, line_columns(lines)):
+        got = envelope(lines, direction, cols=cols)
+        assert got.kind is want.kind
+        assert [(p.line, p.line.id, p.x_lo, p.x_hi) for p in got.pieces] == \
+            [(p.line, p.line.id, p.x_lo, p.x_hi) for p in want.pieces]
+
+
+def test_envelope_on_python_int_columns():
+    big = Rat(10**30, 7)
+    lines = [DLine(0, Rat(1), big), DLine(1, Rat(-1), big), DLine(2, Rat(0), big + 1),
+             DLine(3, Rat(1), big), DLine(4, Rat(0), big - Rat(1, 3))]
+    assert line_columns(lines)[0].dtype == object
+    for direction in Direction:
+        got = envelope(lines, direction)
+        want = reference_envelope(lines, direction)
+        assert [(p.line.id, p.x_lo, p.x_hi) for p in got.pieces] == \
+            [(p.line.id, p.x_lo, p.x_hi) for p in want.pieces]
+    assert [p.line.id for p in envelope(lines, Direction.LOWER).pieces] == [0, 4, 1]
 
 
 # -- chain decompositions ----------------------------------------------------

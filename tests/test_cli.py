@@ -86,10 +86,22 @@ def test_solve_minmis_matches_oracle(capsys, tmp_path):
         doc = docs[0]
         _schema().validate(doc)
         assert doc["k_min"] == want, path
-        if "line" in doc:
-            line = LineR2.of(doc["line"]["m"], doc["line"]["c"])
-            sep = Separator(line, Orientation(doc["orientation"]))
-            assert classify_mis(sep, load_points(path)).mis == want, path
+        line = LineR2.of(doc["line"]["m"], doc["line"]["c"])
+        sep = Separator(line, Orientation(doc["orientation"]))
+        assert classify_mis(sep, load_points(path)).mis == want, path
+
+
+def test_solve_minmis_line_where_leftmost_point_is_unbounded(capsys):
+    """On ds3 the semi-online LP's leftmost valid point is unbounded in
+    either orientation, so the line is the exact solver's witness."""
+    code, docs = run(capsys, "solve", "--problem", "minmis", DS3)
+    assert code == 0
+    doc = docs[0]
+    _schema().validate(doc)
+    assert doc["k_min"] == 1
+    sep = Separator(LineR2.of(doc["line"]["m"], doc["line"]["c"]),
+                    Orientation(doc["orientation"]))
+    assert classify_mis(sep, load_points(DS3)).mis == 1
 
 
 def test_solve_approx_infeasible_exit_3(capsys):

@@ -1,14 +1,30 @@
+import csv
+import io
+import json
+
 import pytest
 
 from sepkit.core import Color, LabeledPoint
-from sepkit.dataio import (
-    points_from_csv,
-    points_from_json,
-    points_to_csv,
-    points_to_json,
-)
+from sepkit.dataio import points_from_csv, points_from_json
 from sepkit.errors import ParseError
-from sepkit.rat import Rat
+from sepkit.rat import Rat, rat_decimal_str
+
+
+def _rows(pts):
+    """Each point as exact decimal (or n/d) strings and its colour letter."""
+    return [(rat_decimal_str(p.point.x), rat_decimal_str(p.point.y), p.color.value)
+            for p in pts]
+
+
+def points_to_csv(pts):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(_rows(pts))
+    return out.getvalue()
+
+
+def points_to_json(pts):
+    return json.dumps({"points": [{"x": x, "y": y, "c": c}
+                                  for x, y, c in _rows(pts)]})
 
 
 def test_csv_round_trip_exact():

@@ -226,6 +226,36 @@ def test_kmin_matches_oracle(rng):
         assert solve_exact(pts, 0).k_min == oracle_minmis(pts).value
 
 
+def test_kmin_far_above_zero_and_on_parallel_duals():
+    """k_min from a scan capped at kmax = 0: random colours put k_min far
+    above 0, so the cap is doubled; shared x makes every dual parallel, so
+    only the far gaps count."""
+    rng = random.Random(31)
+    kmins = []
+    for _ in range(12):
+        pts = random_instance(rng, rng.randint(14, 24))
+        pts = [LabeledPoint(p.point, rng.choice([Color.RED, Color.BLUE]), p.id)
+               for p in pts]
+        if len({p.color for p in pts}) < 2:
+            continue
+        solver = ExactSolver(pts, 0)
+        assert all(a.scan.min_vertex_mis is None or a.scan.min_vertex_mis == 0
+                   for a in solver.analyses.values())
+        assert solver.k_min == oracle_minmis(pts).value
+        kmins.append(solver.k_min)
+    assert max(kmins) >= 4
+    for n in (2, 5, 9):
+        for _ in range(4):
+            colors = [rng.choice([Color.RED, Color.BLUE]) for _ in range(n - 1)]
+            pts = [LabeledPoint.of(3, y, c, y) for y, c in
+                   enumerate(colors + [Color.BLUE if Color.RED in colors
+                                       else Color.RED])]
+            rng.shuffle(pts)
+            solver = ExactSolver(pts, 0)
+            assert all(a.scan.count == 0 for a in solver.analyses.values())
+            assert solver.k_min == oracle_minmis(pts).value
+
+
 def test_k_clamped_beyond_n(rng):
     pts = random_instance(rng, 8)
     a = solve_exact(pts, 50)

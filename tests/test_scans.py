@@ -1,8 +1,8 @@
 """The exact crossing order and the sweeps built on it, against Fraction
 references: float-tied distinct values, equal values written differently,
-and int64 as well as Python-int (dtype object) arrays.  The block vertex
-scan is checked against a one-line-at-a-time scan, and its swapped result
-against a scan with the roles exchanged."""
+and int64 as well as Python-int (dtype object) arrays.  The band-filtered
+vertex scan is checked against the unfiltered block scan and a
+one-line-at-a-time scan, in both role assignments."""
 
 import random
 from fractions import Fraction
@@ -113,9 +113,15 @@ def reference_scan(below, above, kmax):
             xs.append(x)
             if mis <= kmax:
                 verts.append(VertexRecord(x, y, mis))
-    return VertexScanResult(verts, min(all_mis, default=None),
+    return VertexScanResult(verts, _cut(all_mis, kmax),
                             min(xs, default=None), max(xs, default=None),
                             len(xs))
+
+
+def _cut(all_mis, kmax):
+    """The least vertex mis if it is <= kmax, else None."""
+    least = min(all_mis, default=None)
+    return least if least is not None and least <= kmax else None
 
 
 def reference_segment(m_e, c_e, below, above, k):
@@ -184,7 +190,8 @@ def test_scans_at_near_ties_match_reference():
         col = ColumnProfile(below, above, x_col)
         heights = sorted({l.y_at(x_col) for l in lines})
         assert col.heights == heights
-        assert col.onpoint == [_mis(x_col, h, below, above) for h in heights]
+        assert [col.mis_at(h) for h in heights] == \
+            [_mis(x_col, h, below, above) for h in heights]
         gaps = [heights[0] - 1] + [(a + b) / 2 for a, b in zip(heights, heights[1:])] \
             + [heights[-1] + 1]
         assert col.interval == [_mis(x_col, y, below, above) for y in gaps]
@@ -216,30 +223,164 @@ def test_scans_match_reference_on_degenerate_lines(lines, k):
         reference_segment(e.m, e.c, below, above, k)
 
 
-# -- one pass, both role assignments ----------------------------------------
+# -- the band filter against the unfiltered scan ----------------------------
+
+
+def unfiltered_scan(below, above, kmax):
+    """The vertex scan over every row, in blocks of rows: the scan before
+    the band filter.  The extreme crossings are the first and last of each
+    row, and every crossing of a row is counted."""
+    lines = below + above
+    n = len(lines)
+    a, b, c = line_columns(lines)
+    isb = np.arange(n) < len(below)
+    block = scans.SCAN_BLOCK if a.dtype == np.int64 else scans.SCAN_BLOCK // 8
+    step = max(1, block // max(n, 1))
+    out, all_mis, lo, hi, count = [], [], [], [], 0
+    for r0 in range(0, n, step):
+        rows = np.arange(r0, min(n, r0 + step))
+        blk = scans._block_crossings(rows, a, b, c, isb)
+        real = np.arange(n) < blk.ncross[:, None]
+        if not real.any():
+            continue
+        count += int(blk.ncross.sum())
+        all_mis.append(int(blk.mis[real].min()))
+        r = np.flatnonzero(blk.ncross)
+        for t, dest, lowest in ((np.zeros_like(r), lo, True),
+                                (blk.ncross[r] - 1, hi, False)):
+            j = blk.order[r, t]
+            num, den = blk.num[r, j], blk.den[r, j]
+            dest.append(scans._exact_extreme(num, den, scans._float_key(num, den),
+                                             lowest))
+        keep = real & (blk.order > rows[:, None]) & (blk.mis <= kmax)
+        for i, t in zip(*np.nonzero(keep)):
+            j = blk.order[i, t]
+            x = Rat(int(blk.num[i, j]), int(blk.den[i, j]))
+            out.append(VertexRecord(x, lines[rows[i]].y_at(x), int(blk.mis[i, t])))
+    if not all_mis:
+        return VertexScanResult(out, None, None, None, 0)
+    return VertexScanResult(out, _cut(all_mis, kmax),
+                            Rat(*min(lo, key=lambda x: Fraction(*x))),
+                            Rat(*max(hi, key=lambda x: Fraction(*x))), count // 2)
 
 
 def test_swapped_scan_at_near_ties_matches_reference():
     for below, above, _ in (_INT64_CASE, _OBJECT_CASE):
         for kmax in range(len(below) + len(above) + 1):
-            got = scan_vertices(below, above, kmax).swapped
+            got = scan_vertices(above, below, kmax)
             assert got == reference_scan(above, below, kmax)
-            assert got == scan_vertices(above, below, kmax)
+            assert got == unfiltered_scan(above, below, kmax)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(lines=scaled_lines(), k=st.integers(0, 4),
        block=st.sampled_from([1, 8, scans.SCAN_BLOCK]))
 def test_swapped_scan_matches_scan_with_roles_exchanged(lines, k, block):
-    """Exact equality, the vertex order included; small blocks put every
-    row, or a few rows, in a block of its own."""
+    """Exact equality, the vertex order included, in both role
+    assignments; small blocks put every row, or a few rows, in a block of
+    its own."""
     below, above = lines
     with mock.patch.object(scans, "SCAN_BLOCK", block):
         direct = scan_vertices(below, above, k)
         exchanged = scan_vertices(above, below, k)
-    assert direct.swapped == exchanged
-    assert direct.swapped.vertices == exchanged.vertices
+    assert exchanged == reference_scan(above, below, k)
+    assert exchanged.vertices == reference_scan(above, below, k).vertices
     assert direct == reference_scan(below, above, k)
+
+
+@st.composite
+def grid_lines(draw):
+    """Up to 30 lines on a small grid of slopes and integer intercepts:
+    parallel and identical lines, pencils of concurrent lines, and vertices
+    at dyadic x that a float wall can hit exactly.  Intercepts may be
+    scaled by a huge non-dyadic amount, which keeps the combinatorics and
+    puts the columns on Python ints."""
+    scale = draw(st.sampled_from([Rat(1), Rat(1), Rat(10**30, 7)]))
+    n = draw(st.integers(1, 30))
+    lines = [DLine(i, Rat(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2]))),
+                   draw(st.integers(-4, 4)) * scale) for i in range(n)]
+    nb = draw(st.integers(0, n))
+    return lines[:nb], lines[nb:]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(lines=grid_lines(), k=st.integers(0, 12),
+       slab=st.sampled_from([1, 2, scans.SLAB_LINES]))
+def test_filtered_scan_matches_unfiltered_on_grids(lines, k, slab):
+    """One slab per line or two puts walls on vertices; k runs past the
+    number of below-lines and of above-lines, where a side gives no
+    bound."""
+    below, above = lines
+    with mock.patch.object(scans, "SLAB_LINES", slab):
+        for bl, ab in ((below, above), (above, below)):
+            got = scan_vertices(bl, ab, k)
+            assert got == unfiltered_scan(bl, ab, k)
+            assert got.vertices == unfiltered_scan(bl, ab, k).vertices
+            assert scans.least_vertex_mis(bl, ab, k) == got.min_vertex_mis
+
+
+def test_filter_walls_on_vertices_and_dropped_rows():
+    """On a grid, some walls sit exactly on vertices, the filter drops
+    rows, and the scan still equals the unfiltered one for every k."""
+    lines = [DLine(i, Rat(m), Rat(c)) for i, (m, c) in enumerate(
+        (m, c) for m in range(-3, 4) for c in range(-3, 4))]
+    below, above = lines[::2], lines[1::2]
+    walls, rows = [], []
+    real_walls, real_rows = scans._slab_walls, scans._band_rows
+
+    def record_walls(*args):
+        got = real_walls(*args)
+        walls.extend(got.tolist())
+        return got
+
+    def record_rows(*args):
+        got = real_rows(*args)
+        rows.append(len(got))
+        return got
+
+    with mock.patch.object(scans, "SLAB_LINES", 1), \
+            mock.patch.object(scans, "_slab_walls", record_walls), \
+            mock.patch.object(scans, "_band_rows", record_rows):
+        for k in range(len(lines) + 1):
+            assert scan_vertices(below, above, k) == unfiltered_scan(below, above, k)
+    xs = {v.x for v in unfiltered_scan(below, above, len(lines)).vertices}
+    assert any(Fraction(w) in xs for w in walls)
+    assert min(rows) < len(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), big=st.booleans())
+def test_wall_values_bound_the_exact_values(data, big):
+    """Each float bound holds the exact value (B*w + C) / A, or is not
+    finite on its own side: coefficients that round when made floats, and
+    walls from subnormal to near the float range."""
+    coef = st.integers(-2**70, 2**70) if big else st.integers(-2**24, 2**24)
+    n = data.draw(st.integers(1, 6))
+    lines = [(data.draw(st.integers(1, 2**70 if big else 2**24)),
+              data.draw(coef), data.draw(coef)) for _ in range(n)]
+    a, b, c = (np.array(col, dtype=object if big else np.int64)
+               for col in zip(*lines))
+    walls = np.array(sorted(data.draw(st.lists(st.one_of(
+        st.floats(-1e300, 1e300), st.sampled_from([0.0, 5e-324, -1e-310, 1e308])),
+        min_size=2, max_size=5))))
+    down, up = scans._wall_values(*(col.astype(np.float64) for col in (a, b, c)),
+                                  walls)
+    for w, (lo_row, hi_row) in zip(walls, zip(down, up)):
+        for (A, B, C), lo, hi in zip(lines, lo_row, hi_row):
+            exact = (B * Fraction(w) + C) / A
+            assert lo != np.inf and hi != -np.inf
+            assert not (np.isfinite(lo) and Fraction(lo) > exact)
+            assert not (np.isfinite(hi) and Fraction(hi) < exact)
+
+
+def test_wall_values_where_the_value_underflows():
+    """3*w/7 at the least subnormal w rounds to 0: only the absolute term
+    of the allowance lifts the upper bound over it."""
+    walls = np.array([0.0, 5e-324])
+    down, up = scans._wall_values(np.array([7.0]), np.array([3.0]),
+                                  np.array([0.0]), walls)
+    exact = 3 * Fraction(5e-324) / 7
+    assert Fraction(float(down[1, 0])) <= exact <= Fraction(float(up[1, 0]))
 
 
 def rowwise_scan(below, above, kmax):
@@ -257,7 +398,7 @@ def rowwise_scan(below, above, kmax):
             xs.append(x)
             if mis[t] <= kmax:
                 verts.append(VertexRecord(x, li.y_at(x), int(mis[t])))
-    return VertexScanResult(verts, min(all_mis, default=None),
+    return VertexScanResult(verts, _cut(all_mis, kmax),
                             min(xs, default=None), max(xs, default=None),
                             len(xs))
 
@@ -289,7 +430,8 @@ def test_block_scan_over_several_blocks(copied):
     below, above = lines[:90], lines[90:]
     for kmax in (0, 60, len(lines)):
         res = scan_vertices(below, above, kmax)
+        exchanged = scan_vertices(above, below, kmax)
         assert res == rowwise_scan(below, above, kmax)
-        assert res.swapped == rowwise_scan(above, below, kmax)
-        assert res.swapped == scan_vertices(above, below, kmax)
-    assert res.vertices and res.swapped.vertices
+        assert exchanged == rowwise_scan(above, below, kmax)
+        assert exchanged == unfiltered_scan(above, below, kmax)
+    assert res.vertices and exchanged.vertices
