@@ -19,7 +19,7 @@ from .core import (
     euclid_dist_sq,
     vertical_distance,
 )
-from .rat import Rat, rat
+from .rat import Rat
 
 __all__ = [
     "Color",
@@ -35,7 +35,6 @@ __all__ = [
     "euclid_dist_sq",
     "vertical_distance",
     "Rat",
-    "rat",
 ]
 
 __version__ = "0.1.0"

@@ -9,19 +9,28 @@ exact vertical-error optimization over a slope slab in the dual plane.
 Rotations are exact: corners are rational points on the unit circle
 (tan-half-angle approximations of the ideal corner angles), and the realized
 polygon is verified against 1/cos(max half-gap) <= 1+eps by exact rational
-comparison.  Corners come in opposite pairs, so one in-frame orientation per
-corner covers both primal orientations.
+comparison.  make_tgon keeps the smallest precision that verifies, so the
+corners have small denominators (at most 29 at eps = 1/10), and
+rotated_duals computes each rotated dual from integer numerators over the
+corner's denominator: on integer points with |coordinate| below 8e5,
+every wedge at eps = 1/10 sweeps int64 line columns.  Corners come in
+opposite pairs, so one in-frame orientation per corner covers both primal
+orientations.
 
 ApproxSolver builds one OrientationAnalysis per wedge, with the wedge's
 slope slab as its slab, so each wedge reuses the exact solver's candidate
 enumeration (valid arrangement vertices, curve vertices with their nearest
-valid heights, valid curve crossings) over that slab; solve(k) takes the
-best wedge_optimum, which adds the slab walls and scores by vertical error.
-The delta-decision structure (DeltaContext, decide_delta) answers "is there
-a valid separator with vertical error <= delta in this wedge"; the solver
-does not call it, and tests check wedge optima against it.  DynApprox
-keeps a live set under semi-online updates and re-solves it with
-ApproxSolver on every report.
+valid heights, valid curve crossings) over that slab.  The vertex scan
+runs its band filter on the slab and records only the vertices in it: a
+dual vertex is a primal line through two points, and its direction lies
+in one wedge, so the t wedges together record about one arrangement's
+valid vertices, and each sweeps only the lines that can pass through one
+in its slab.  solve(k) takes the best wedge_optimum, which adds the slab
+walls and scores by vertical error.  The delta-decision structure
+(DeltaContext, decide_delta) answers "is there a valid separator with
+vertical error <= delta in this wedge"; the solver does not call it, and
+tests check wedge optima against it.  DynApprox keeps a live set under
+semi-online updates and re-solves it with ApproxSolver on every report.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .chains import Chain, ChainPiece, Direction, DLine, \
@@ -46,6 +56,7 @@ from .errors import EmptyColor, NonPositiveEps, SepkitError
 from .exactkmm import OrientationAnalysis, VerticalError
 from .lpviol import PlyStructure, check_schedule, violations_at
 from .rat import R0, Rat, RatLike, RatT, rat
+from .rat import den as rat_den, num as rat_num
 from .scans import ColumnProfile
 # unused here; imported only so perfbench/spans.py can wrap this name
 from .scans import segment_valid_crossings  # noqa: F401
@@ -62,12 +73,9 @@ class Wedge:
     m_lo: RatT                       # slab of separator slopes in the frame
     m_hi: RatT
 
-    def rotate(self, p: PointR2) -> PointR2:
-        """Map the frame so this corner points straight down."""
-        wx, wy = self.corner
-        return PointR2(-wy * p.x + wx * p.y, -wx * p.x - wy * p.y)
-
     def unrotate(self, p: PointR2) -> PointR2:
+        """Map a point of the frame, where this corner points straight down,
+        back to the original plane."""
         wx, wy = self.corner
         return PointR2(-wy * p.x - wx * p.y, wx * p.x - wy * p.y)
 
@@ -83,8 +91,8 @@ class Wedge:
 class TGon:
     t: int                  # smallest t >= 3 with 1/cos(pi/t) <= 1+eps
     eps: RatT
-    corners: list[tuple[RatT, RatT]]
-    wedges: list[Wedge]
+    corners: tuple[tuple[RatT, RatT], ...]
+    wedges: tuple[Wedge, ...]
 
 
 def _circle_point(angle: float, prec: int) -> tuple[RatT, RatT]:
@@ -93,13 +101,42 @@ def _circle_point(angle: float, prec: int) -> tuple[RatT, RatT]:
     return rat(Fraction(1 - u * u) / den), rat(Fraction(2 * u) / den)
 
 
+def _tgon_corners(t_eff: int, prec: int) -> list[tuple[RatT, RatT]]:
+    """Rational unit vectors near the corners of the regular t_eff-gon,
+    counterclockwise from (0, -1): each tan-half-angle is the nearest
+    fraction with denominator <= prec, and the second half mirrors the
+    first."""
+    half = [_circle_point(-math.pi / 2 + 2 * math.pi * j / t_eff, prec)
+            for j in range(t_eff // 2)]
+    return half + [(-x, -y) for x, y in half]
+
+
+def _tgon_verified(corners: list[tuple[RatT, RatT]], eps: RatT) -> bool:
+    """The corners advance counterclockwise, and every gap has
+    (1 + <w_i, w_{i+1}>)/2 >= 1/(1+eps)^2: then each wedge's metric is
+    within 1+eps of the Euclidean one."""
+    bound = 1 / ((1 + eps) * (1 + eps))
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        if ax * by - ay * bx <= 0 or 1 + ax * bx + ay * by < 2 * bound:
+            return False
+    return True
+
+
+# Tan-half-angle precisions (largest denominator) in the order make_tgon
+# tries them: small corners keep the rotated duals' integer forms small.
+_PRECISIONS = list(range(1, 100)) + [10**e for e in range(2, 15)]
+
+
+@lru_cache(maxsize=64)
 def make_tgon(eps: RatLike) -> TGon:
     """Regular t-gon machinery for a given eps > 0.
 
-    The reported t follows 1/cos(pi/t) <= 1+eps exactly; the realized corner
-    set is the smallest even refinement whose rational corners provably
-    satisfy the same bound (verified by exact comparison of
-    (1 + <w_i, w_{i+1}>)/2 >= 1/(1+eps)^2).
+    The reported t follows 1/cos(pi/t) <= 1+eps exactly.  The realized
+    corner set is the first that _tgon_verified accepts, taking the even
+    refinements of t in turn and, for each, the precisions of _PRECISIONS
+    in turn: the smallest precision whose rational corners provably
+    satisfy the same bound.  Each eps is built once, and callers share the
+    (immutable) result.
     """
     eps = rat(eps)
     if eps <= 0:
@@ -108,45 +145,19 @@ def make_tgon(eps: RatLike) -> TGon:
     t = 3
     while 1.0 / math.cos(math.pi / t) > (1.0 + feps) * (1 + 1e-12):
         t += 1
-    t_eff = t if t % 2 == 0 else t + 1
-    bound = 1 / ((1 + eps) * (1 + eps))   # need (1+dot)/2 >= bound per gap
-    prec = 10**8
-    for _ in range(64):
-        half = t_eff // 2
-        corners = []
-        ok = True
-        for j in range(half):
-            ang = -math.pi / 2 + 2 * math.pi * j / t_eff
-            wx, wy = _circle_point(ang, prec)
-            assert wx * wx + wy * wy == 1
-            corners.append((wx, wy))
-        corners += [(-x, -y) for x, y in corners]
-        for j in range(t_eff):
-            ax, ay = corners[j]
-            bx, by = corners[(j + 1) % t_eff]
-            if ax * by - ay * bx <= 0:          # must advance counterclockwise
-                ok = False
-                break
-            dot = ax * bx + ay * by
-            if (1 + dot) < 2 * bound:
-                ok = False
-                break
-        if ok:
-            wedges = []
-            for j in range(t_eff):
-                w = corners[j]
-                prv = corners[(j - 1) % t_eff]
-                nxt = corners[(j + 1) % t_eff]
-                m_lo = _bisector_slope(w, prv)
-                m_hi = _bisector_slope(w, nxt)
-                if m_lo > m_hi:
-                    m_lo, m_hi = m_hi, m_lo
-                wedges.append(Wedge(j, w, m_lo, m_hi))
-            return TGon(t, eps, corners, wedges)
-        prec *= 100
-        if prec > 10**14:
-            prec = 10**8
-            t_eff += 2
+    t_even = t if t % 2 == 0 else t + 1
+    for t_eff in range(t_even, t_even + 32, 2):
+        for prec in _PRECISIONS:
+            corners = _tgon_corners(t_eff, prec)
+            if _tgon_verified(corners, eps):
+                wedges = []
+                for j, w in enumerate(corners):
+                    m_lo = _bisector_slope(w, corners[j - 1])
+                    m_hi = _bisector_slope(w, corners[(j + 1) % t_eff])
+                    if m_lo > m_hi:
+                        m_lo, m_hi = m_hi, m_lo
+                    wedges.append(Wedge(j, w, m_lo, m_hi))
+                return TGon(t, eps, tuple(corners), tuple(wedges))
     raise AssertionError("t-gon construction did not converge")
 
 
@@ -191,14 +202,26 @@ class DeltaContext(VerticalError):
 def rotated_duals(
     pts: Sequence[LabeledPoint], wedge: Wedge
 ) -> tuple[list[DLine], list[DLine]]:
+    """The duals of the points in the wedge's frame, reds (below) then blues
+    (above).  With the corner (a, b)/d, the rotation that points it straight
+    down maps (x, y) to (-b*x + a*y, -a*x - b*y)/d, whose dual line has
+    m = (-b*x + a*y)/d and c = (a*x + b*y)/d: integer numerators over one
+    denominator, which give the integer form directly, and one rational
+    built per coefficient."""
+    wx, wy = wedge.corner
+    d = math.lcm(rat_den(wx), rat_den(wy))
+    a, b = rat_num(wx) * (d // rat_den(wx)), rat_num(wy) * (d // rat_den(wy))
+
+    def dual(p: LabeledPoint) -> DLine:
+        x, y = p.point.x, p.point.y
+        qx, qy = rat_den(x), rat_den(y)
+        X, Y = rat_num(x) * qy, rat_num(y) * qx     # x = X/(qx*qy), y likewise
+        w, m, c = d * qx * qy, a * Y - b * X, a * X + b * Y
+        g = math.gcd(w, m, c)
+        return DLine.of_abc(p.id, (w // g, m // g, c // g))
+
     reds, blues = split_colors(pts)
-    below = [
-        DLine(p.id, q.x, -q.y) for p in reds for q in [wedge.rotate(p.point)]
-    ]
-    above = [
-        DLine(p.id, q.x, -q.y) for p in blues for q in [wedge.rotate(p.point)]
-    ]
-    return below, above
+    return [dual(p) for p in reds], [dual(p) for p in blues]
 
 
 def build_delta_context(
@@ -347,7 +370,9 @@ class ApproxReport:
 
 
 class ApproxSolver:
-    """Shared per-wedge analyses; reusable across several k values."""
+    """Shared per-wedge analyses; reusable for every k <= kmax.  Each wedge's
+    scan keeps only the vertices with mis <= kmax, so a larger k is refused
+    (ValueError) rather than answered from a partial candidate set."""
 
     def __init__(self, pts: Sequence[LabeledPoint], kmax: int, eps: RatLike):
         reds, blues = split_colors(pts)
@@ -356,7 +381,7 @@ class ApproxSolver:
         self.pts = list(pts)
         self.eps = rat(eps)
         self.tgon = make_tgon(eps)
-        kmax = min(kmax, len(self.pts))
+        self.kmax = kmax = min(kmax, len(self.pts))
         self.analyses = [
             OrientationAnalysis(*rotated_duals(pts, w), kmax, (w.m_lo, w.m_hi))
             for w in self.tgon.wedges
@@ -372,6 +397,8 @@ class ApproxSolver:
         effect until a search over delta (ROADMAP, direction 3) gives it
         one."""
         k = min(k, len(self.pts))
+        if k > self.kmax:
+            raise ValueError(f"k = {k} exceeds this solver's kmax = {self.kmax}")
         best = None
         for wedge, ana in zip(self.tgon.wedges, self.analyses):
             sol = wedge_optimum(ana, wedge, k)

@@ -46,6 +46,15 @@ class DLine:
         """Integer form (A, B, C): A*y = B*x + C with A > 0."""
         return homogeneous(self.m, self.c)
 
+    @staticmethod
+    def of_abc(id_: int, abc: tuple[int, int, int]) -> "DLine":
+        """The line A*y = B*x + C, given with A > 0 and gcd(A, B, C) = 1,
+        which is then its integer form: it is stored, not recomputed."""
+        a, b, c = abc
+        line = DLine(id_, Rat(b, a), Rat(c, a))
+        line.__dict__["abc"] = abc      # where cached_property keeps it
+        return line
+
     def y_at(self, x: RatT) -> RatT:
         return self.m * x + self.c
 

@@ -20,6 +20,7 @@ attained candidate is flagged rather than silently accepted.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -97,9 +98,18 @@ def duals(pts: Sequence[LabeledPoint]) -> list[DLine]:
     return [DLine(p.id, p.point.x, -p.point.y) for p in pts]
 
 
-def midpoint_curve(env_lo: Chain, env_hi: Chain) -> MinMaxCurve:
-    """Merge the two envelopes into their vertical midpoint polyline."""
-    bounds = sorted(set(env_lo.breakpoints()) | set(env_hi.breakpoints()))
+def midpoint_curve(env_lo: Chain, env_hi: Chain,
+                   slab: Optional[tuple[RatT, RatT]] = None) -> MinMaxCurve:
+    """Merge the two envelopes into their vertical midpoint polyline.  With
+    a slab (x_lo, x_hi), only each envelope's breakpoints in the closed
+    slab and its nearest one on either side are merged: every piece that
+    meets the slab is exact there, and pieces wholly outside it may not
+    be."""
+    bps = [env_lo.breakpoints(), env_hi.breakpoints()]     # each sorted
+    if slab is not None:
+        bps = [b[max(bisect_left(b, slab[0]) - 1, 0):
+                 bisect_right(b, slab[1]) + 1] for b in bps]
+    bounds = sorted(set(bps[0]) | set(bps[1]))
     pieces: list[ChainPiece] = []
     verts: list[PointR2] = []
     prev: Optional[RatT] = None
@@ -154,12 +164,14 @@ class OrientationAnalysis(VerticalError):
 
     `slab` = (x_lo, x_hi) restricts every candidate family to the dual x in
     x_lo <= x <= x_hi, the separator slopes of one t-gon wedge in its rotated
-    frame; None is the whole line.  The vertex scan (vertices with mis <=
-    kmax), envelopes and curve cover the whole line; columns are built for
-    the curve vertices in the slab, and the far gaps when first read (a
-    gap's limit is built when `far_limit_sq` or the probes read that gap).
-    The integer line columns are built once and shared by the scan, the
-    envelopes, the columns and the far gaps.
+    frame; None is the whole line.  The vertex scan keeps the vertices with
+    mis <= kmax in the slab, and its band filter cuts only the slab, so a
+    wedge's rows are the lines that can pass through such a vertex there.
+    The envelopes cover the whole line, and the curve is merged only around
+    the slab; columns are built for the curve vertices in the slab, and the
+    far gaps when first read (a gap's limit is built when `far_limit_sq` or
+    the probes read that gap).  The integer line columns are built once
+    and shared by the scan, the envelopes, the columns and the far gaps.
     """
 
     def __init__(self, below: list[DLine], above: list[DLine], kmax: int,
@@ -170,12 +182,13 @@ class OrientationAnalysis(VerticalError):
         self.slab = slab
         self.cols = line_columns(list(below) + list(above))
         nb = len(below)
-        self.scan = scan_vertices(below, above, kmax, cols=self.cols)
+        self.scan = scan_vertices(below, above, kmax, cols=self.cols,
+                                  slab=slab)
         self.env_lo = envelope(below, Direction.LOWER,
                                cols=tuple(col[:nb] for col in self.cols))
         self.env_hi = envelope(above, Direction.UPPER,
                                cols=tuple(col[nb:] for col in self.cols))
-        self.curve = midpoint_curve(self.env_lo, self.env_hi)
+        self.curve = midpoint_curve(self.env_lo, self.env_hi, slab)
         self.curve_vertices = [
             v for v in self.curve.vertices if self.in_slab(v.x)
         ]
@@ -218,7 +231,7 @@ class OrientationAnalysis(VerticalError):
         of the module docstring.  With `neighbours`, a valid curve vertex
         also brings the nearest valid heights around it (as b or c)."""
         for v in self.scan.vertices:
-            if v.mis <= k and self.in_slab(v.x):
+            if v.mis <= k:
                 yield "a", v.x, v.y, v.mis
         for v in self.curve_vertices:
             for y, mis in self.columns[v.x].valid_near(v.y, k, neighbours):
@@ -300,7 +313,9 @@ def _analysis_for(pts: Sequence[LabeledPoint], kmax: int) -> OrientationAnalysis
 
 
 class ExactSolver:
-    """Shared-analysis exact solver; reusable across several k values.
+    """Shared-analysis exact solver; reusable for every k <= kmax.  The
+    scans keep only the vertices with mis <= kmax, so a larger k is refused
+    (ValueError) rather than answered from a partial candidate set.
 
     `k_min` is exact: the least mis over every far gap and every vertex of
     both orientations.  Each analysis's scan keeps the vertices with mis <=
@@ -315,7 +330,7 @@ class ExactSolver:
             raise EmptyColor("both colors required")
         self.pts = list(pts)
         self.n = len(self.pts)
-        kmax = min(kmax, self.n)
+        self.kmax = kmax = min(kmax, self.n)
         blue_above = _analysis_for(pts, kmax)
         self.analyses = {
             Orientation.BLUE_ABOVE: blue_above,
@@ -337,6 +352,8 @@ class ExactSolver:
 
     def solve(self, k: int) -> ExactSolveReport:
         k = min(k, self.n)
+        if k > self.kmax:
+            raise ValueError(f"k = {k} exceeds this solver's kmax = {self.kmax}")
         counts = {"a": 0, "b": 0, "c": 0, "d": 0}
         best = None   # (max_sq, x, y, kind_rank, orient_rank, mis, orientation)
         best_limit_sq = None

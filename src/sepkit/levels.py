@@ -133,25 +133,6 @@ class OverlayFaceMap:
     cells: list[list[Cell]]                 # per slab, bottom to top
     valid_region_count: int
 
-    def all_cells(self):
-        for col in self.cells:
-            yield from col
-
-    def locate(self, x: RatT, y: RatT) -> Cell:
-        """Cell containing (x, y); points on walls/edges resolve upward."""
-        xlo, xhi, ylo, yhi = self.box
-        if not (xlo <= x <= xhi and ylo <= y <= yhi):
-            raise ValueError("point outside the clipped complex")
-        s = min(bisect.bisect_right(self.walls, x) - 1, len(self.slabs) - 1)
-        s = max(s, 0)
-        idx = 0
-        for e in self.slabs[s]:
-            if e.line.y_at(x) <= y:
-                idx += 1
-            else:
-                break
-        return self.cells[s][idx]
-
     def adjacent_pairs(self):
         """Yield (lower_cell, upper_cell, edge) for every in-slab edge."""
         for s, col in enumerate(self.cells):

@@ -63,29 +63,6 @@ def rat_str(x: RatT) -> str:
     return f"{num(x)}/{den(x)}"
 
 
-def rat_decimal_str(x: RatT) -> str:
-    """Render exactly as a decimal when the denominator is 2^a*5^b, else 'n/d'."""
-    x = rat(x)
-    n, d = num(x), den(x)
-    if d == 1:
-        return str(n)
-    d2 = d
-    e2 = e5 = 0
-    while d2 % 2 == 0:
-        d2 //= 2
-        e2 += 1
-    while d2 % 5 == 0:
-        d2 //= 5
-        e5 += 1
-    if d2 != 1:
-        return f"{n}/{d}"
-    digits = max(e2, e5)
-    scaled = abs(n) * 10**digits // d
-    sign = "-" if n < 0 else ""
-    s = str(scaled).rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
-
-
 def sqrt_decimal_str(x: RatT, sig: int = 12) -> str:
     """Decimal rendering of sqrt(x) to `sig` significant digits, round-half-even.
 

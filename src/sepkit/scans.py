@@ -32,9 +32,12 @@ row by float key and takes the running counts as a cumulative sum along
 it.  A block holds at most SCAN_BLOCK crossings (an eighth of that on
 Python ints), whatever n is.  A row with two equal float keys (concurrent
 lines, or distinct values that round alike) is redone exactly by the
-per-line `crossings`.  Far gaps keep their mis from the integer far order
-and build a gap's limit only when it is read; column profiles keep sorted
-integer heights and build a rational only for a height they return.
+per-line `crossings`.  Given a slab of x (a t-gon wedge's slopes), the
+filter cuts only the slab and the scan records only the vertices in it,
+decided on float keys with an exact fallback at the walls.  Far gaps keep
+their mis from the integer far order and build a gap's limit only when it
+is read; column profiles keep sorted integer heights and build a rational
+only for a height they return.
 
 The side of a line at a rational point (x, y) = (p/q, r/s) is the sign of
 A*r*q - (B*p + C*q)*s, that is of A*y - B*x - C times q*s > 0: positive
@@ -277,8 +280,8 @@ class VertexRecord:
 
 @dataclass
 class VertexScanResult:
-    vertices: list[VertexRecord]     # vertices with mis <= kmax
-    min_vertex_mis: Optional[int]    # least vertex mis if <= kmax, else None
+    vertices: list[VertexRecord]     # vertices with mis <= kmax (in the slab)
+    min_vertex_mis: Optional[int]    # their least mis, None if there are none
     min_cross_x: Optional[RatT]
     max_cross_x: Optional[RatT]
     count: int                       # non-parallel line pairs (vertices met)
@@ -350,9 +353,8 @@ def _far_index(a, b, c, side: int) -> np.ndarray:
     return exact_order((b * side, a), (c, a))[0]
 
 
-def _extreme_crossing(a, b, c, side: int) -> tuple[int, int]:
-    """The x of the leftmost (side -1) or rightmost (side 1) vertex as
-    (num, den), den > 0.  The lines through that vertex are contiguous in
+def _extreme_crossing(a, b, c, side: int) -> RatT:
+    """The x of the leftmost (side -1) or rightmost (side 1) vertex.  The lines through that vertex are contiguous in
     the far order on that side, so two of them, not parallel, are adjacent
     there: only adjacent pairs are crossed."""
     order = _far_index(a, b, c, side)
@@ -362,14 +364,15 @@ def _extreme_crossing(a, b, c, side: int) -> tuple[int, int]:
     num, den = np.where(den < 0, -num, num), np.abs(den)
     cross = np.flatnonzero(den != 0)
     num, den = num[cross], den[cross]
-    return _exact_extreme(num, den, _float_key(num, den), side < 0)
+    return Rat(*_exact_extreme(num, den, _float_key(num, den), side < 0))
 
 
 def _slab_walls(a, b, c, lo: float, hi: float) -> np.ndarray:
     """Float walls from lo to hi, about len(a) // SLAB_LINES slabs, at
-    quantiles of a fixed sample of crossings, so that slabs are narrow
-    where vertices are dense.  The sample crosses each of the n >= 2 lines
-    with 8 others, at offsets spread by a fixed multiplier."""
+    quantiles of the crossings of a fixed sample that lie between them, so
+    that slabs are narrow where vertices are dense.  The sample crosses
+    each of the n >= 2 lines with 8 others, at offsets spread by a fixed
+    multiplier."""
     n = len(a)
     t = np.arange(8 * n)
     i = t % n
@@ -377,7 +380,7 @@ def _slab_walls(a, b, c, lo: float, hi: float) -> np.ndarray:
     den = b[i] * a[j] - b[j] * a[i]
     cross = np.flatnonzero(den != 0)
     x = _float_key((c[j] * a[i] - c[i] * a[j])[cross], den[cross])
-    x = x[np.isfinite(x)]
+    x = x[(lo < x) & (x < hi)]
     slabs = max(1, n // SLAB_LINES)
     at = np.arange(1, slabs) * len(x) // slabs
     inner = np.partition(x, at)[at] if x.size and at.size else x[:0]
@@ -400,18 +403,21 @@ def _wall_values(af, bf, cf, walls: np.ndarray
         return val, up
 
 
-def _band_rows(a, b, c, nb: int, k: int,
-               lo: tuple[int, int], hi: tuple[int, int]) -> np.ndarray:
-    """The lines that can pass through a vertex with mis <= k, in index
-    order (below-lines are the first nb): every line through such a vertex
-    is among them.
+def _rat_float(x: RatT) -> float:
+    return fdiv(rat_num(x), rat_den(x))
+
+
+def _band_rows(a, b, c, nb: int, k: int, lo: RatT, hi: RatT) -> np.ndarray:
+    """The lines that can pass through a vertex with mis <= k and x in
+    [lo, hi], in index order (below-lines are the first nb): every line
+    through such a vertex is among them.
 
     At a point with mis <= k at most k below-lines lie strictly under it,
     so it is not above the (k+1)-th lowest below-line, nor below the
-    (k+1)-th highest above-line.  Cut [lo, hi], which holds every vertex,
-    into slabs at float walls (exact dyadic rationals).  In a slab, the
-    (k+1)-th lowest below-line stays under the (k+1)-th least of the
-    below-lines' larger wall values, whichever k+1 lines that picks; the
+    (k+1)-th highest above-line.  Cut [lo, hi] into slabs at float walls
+    (exact dyadic rationals).  In a slab, the (k+1)-th lowest below-line
+    stays under the (k+1)-th least of the below-lines' larger wall values,
+    whichever k+1 lines that picks; the
     (k+1)-th highest above-line likewise stays over the (k+1)-th greatest
     of the above-lines' smaller wall values.  A line wholly above the
     first bound or wholly below the second in a slab carries no such
@@ -427,10 +433,9 @@ def _band_rows(a, b, c, nb: int, k: int,
         af, bf, cf = (col.astype(np.float64) for col in (a, b, c))
     except OverflowError:       # Python ints beyond the float range
         return np.arange(n)
-    # every vertex lies in [lo, hi]: one float step outward holds the
-    # correctly rounded extremes
-    walls = _slab_walls(a, b, c, np.nextafter(fdiv(*lo), -inf),
-                        np.nextafter(fdiv(*hi), inf))
+    # one float step outward holds the correctly rounded ends
+    walls = _slab_walls(a, b, c, np.nextafter(_rat_float(lo), -inf),
+                        np.nextafter(_rat_float(hi), inf))
     keep = np.zeros(n, dtype=bool)
     # slabs in blocks of about SCAN_BLOCK values, as in the row pass
     step = max(1, SCAN_BLOCK // n)
@@ -450,13 +455,31 @@ def _band_rows(a, b, c, nb: int, k: int,
     return np.flatnonzero(keep)
 
 
-def _kept_blocks(a, b, c, nb: int, kmax: int, lo, hi):
-    """The vertices with mis <= kmax, by blocks of rows (r, blk, keep):
-    blk is `_block_crossings` of the rows r, run only on the lines
-    `_band_rows` keeps (lo and hi are the extreme crossings), and keep
-    marks each such vertex once, on the row of the first line through
-    it."""
+def _within(num: np.ndarray, den: np.ndarray, lo: RatT, hi: RatT
+            ) -> np.ndarray:
+    """lo <= num/den <= hi for each entry (den > 0).  Correctly rounded
+    division is monotone, so a float key on the far side of a wall's float
+    decides; only a key equal to a wall's float is compared exactly."""
+    key = _float_key(num, den)
+    lo_f, hi_f = _rat_float(lo), _rat_float(hi)
+    inside = (lo_f < key) & (key < hi_f)
+    for t in np.flatnonzero((key == lo_f) | (key == hi_f)):
+        inside[t] = lo <= Rat(int(num[t]), int(den[t])) <= hi
+    return inside
+
+
+def _kept_blocks(a, b, c, nb: int, kmax: int, lo: RatT, hi: RatT,
+                 slab: Optional[tuple[RatT, RatT]] = None):
+    """The vertices with mis <= kmax (and, with a slab, x in it), by blocks
+    of rows (r, blk, keep): blk is `_block_crossings` of the rows r, run
+    only on the lines `_band_rows` keeps between lo and hi (the extreme
+    crossings, cut to the slab), and keep marks each such vertex once, on
+    the row of the first line through it."""
     n = len(a)
+    if slab is not None:
+        lo, hi = max(lo, slab[0]), min(hi, slab[1])
+        if lo > hi:
+            return
     rows = _band_rows(a, b, c, nb, kmax, lo, hi)
     isb = np.arange(n) < nb
     # a Python-int entry points to an object of several words
@@ -465,8 +488,13 @@ def _kept_blocks(a, b, c, nb: int, kmax: int, lo, hi):
     for s in range(0, len(rows), step):
         r = rows[s:s + step]
         blk = _block_crossings(r, a, b, c, isb)
-        yield r, blk, ((np.arange(n) < blk.ncross[:, None])
-                       & (blk.order > r[:, None]) & (blk.mis <= kmax))
+        keep = ((np.arange(n) < blk.ncross[:, None])
+                & (blk.order > r[:, None]) & (blk.mis <= kmax))
+        if slab is not None:
+            i, t = np.nonzero(keep)
+            j = blk.order[i, t]
+            keep[i, t] = _within(blk.num[i, j], blk.den[i, j], lo, hi)
+        yield r, blk, keep
 
 
 def _crossing_pairs(a, b) -> int:
@@ -477,20 +505,24 @@ def _crossing_pairs(a, b) -> int:
 
 
 def scan_vertices(
-    below: Sequence[DLine], above: Sequence[DLine], kmax: int, cols=None
+    below: Sequence[DLine], above: Sequence[DLine], kmax: int, cols=None,
+    slab: Optional[tuple[RatT, RatT]] = None,
 ) -> VertexScanResult:
     """All arrangement vertices with mis <= kmax, plus global stats.  A
     vertex is recorded once per pair of lines through it, on the row of the
     pair's first line in below + above order, rows in that order and each
     row in x order.  `cols` is line_columns(below + above), if the caller
-    has it."""
+    has it.  `slab` = (x_lo, x_hi) keeps only the vertices with x_lo <= x
+    <= x_hi, and the band filter cuts only that part of the line; the
+    stats stay global."""
     a, b, c = line_columns(list(below) + list(above)) if cols is None else cols
     count = _crossing_pairs(a, b)
     if not count:
         return VertexScanResult([], None, None, None, 0)
     lo, hi = _extreme_crossing(a, b, c, -1), _extreme_crossing(a, b, c, 1)
     out: list[VertexRecord] = []
-    for r, blk, keep in _kept_blocks(a, b, c, len(below), kmax, lo, hi):
+    for r, blk, keep in _kept_blocks(a, b, c, len(below), kmax, lo, hi,
+                                     slab):
         for i, t in zip(*np.nonzero(keep)):
             j = blk.order[i, t]
             p, q = int(blk.num[i, j]), int(blk.den[i, j])
@@ -499,7 +531,7 @@ def scan_vertices(
             y = Rat(int(b[e]) * p + int(c[e]) * q, int(a[e]) * q)
             out.append(VertexRecord(Rat(p, q), y, int(blk.mis[i, t])))
     return VertexScanResult(out, min((v.mis for v in out), default=None),
-                            Rat(*lo), Rat(*hi), count)
+                            lo, hi, count)
 
 
 def least_vertex_mis(below: Sequence[DLine], above: Sequence[DLine],

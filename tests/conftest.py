@@ -1,10 +1,11 @@
+import bisect
 import random
 
 import pytest
 
 from sepkit.chains import DLine
 from sepkit.core import Color, LabeledPoint
-from sepkit.rat import Rat
+from sepkit.rat import Rat, den, num, rat
 
 
 def random_instance(rng, n, coord=50, ensure_both=True):
@@ -118,3 +119,49 @@ def ds3():
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def rat_decimal_str(x):
+    """Render exactly as a decimal when the denominator is 2^a*5^b, else 'n/d'."""
+    x = rat(x)
+    n, d = num(x), den(x)
+    if d == 1:
+        return str(n)
+    d2 = d
+    e2 = e5 = 0
+    while d2 % 2 == 0:
+        d2 //= 2
+        e2 += 1
+    while d2 % 5 == 0:
+        d2 //= 5
+        e5 += 1
+    if d2 != 1:
+        return f"{n}/{d}"
+    digits = max(e2, e5)
+    scaled = abs(n) * 10**digits // d
+    sign = "-" if n < 0 else ""
+    s = str(scaled).rjust(digits + 1, "0")
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+
+
+def all_cells(ov):
+    """Every cell of an OverlayFaceMap, slab by slab, bottom to top."""
+    for col in ov.cells:
+        yield from col
+
+
+def locate(ov, x, y):
+    """The OverlayFaceMap cell containing (x, y); points on walls and edges
+    resolve upward."""
+    xlo, xhi, ylo, yhi = ov.box
+    if not (xlo <= x <= xhi and ylo <= y <= yhi):
+        raise ValueError("point outside the clipped complex")
+    s = min(bisect.bisect_right(ov.walls, x) - 1, len(ov.slabs) - 1)
+    s = max(s, 0)
+    idx = 0
+    for e in ov.slabs[s]:
+        if e.line.y_at(x) <= y:
+            idx += 1
+        else:
+            break
+    return ov.cells[s][idx]

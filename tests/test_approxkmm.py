@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -10,16 +11,20 @@ from sepkit.approxkmm import (
     DynApprox,
     Infeasible,
     Wedge,
+    _tgon_corners,
+    _tgon_verified,
     build_delta_context,
     decide_delta,
     make_tgon,
+    rotated_duals,
     solve_approx,
     wedge_optimum,
 )
-from sepkit.core import Color, LabeledPoint, classify_mis
+from sepkit.chains import DLine
+from sepkit.core import Color, LabeledPoint, PointR2, classify_mis
 from sepkit.errors import NonPositiveEps, ScheduleViolation, UnknownId
-from sepkit.exactkmm import ExactSolver
-from sepkit.rat import R0, Rat
+from sepkit.exactkmm import ExactSolver, midpoint_curve
+from sepkit.rat import R0, Rat, homogeneous
 from tests.conftest import random_instance, random_separable_instance
 
 WIDE = Wedge(0, (Rat(0), Rat(-1)), Rat(-10), Rat(10))
@@ -51,15 +56,109 @@ def test_tgon_exact_bound():
             assert tg.corners[j + h] == (-tg.corners[j][0], -tg.corners[j][1])
 
 
+def test_smallest_verified_corners():
+    """make_tgon keeps the least integer precision whose corners pass the
+    exact check: eps 1 and 1/2 take the axis corners, eps 1/10 corners with
+    denominators up to 29."""
+    for eps, prec, den in ((Rat(1), 1, 1), (Rat(1, 2), 1, 1),
+                           (Rat(1, 10), 5, 29), (Rat(1, 100), 15, 269)):
+        tg = make_tgon(eps)
+        t_eff = len(tg.corners)
+        assert tg.corners == tuple(_tgon_corners(t_eff, prec))
+        assert _tgon_verified(tg.corners, eps)
+        assert not any(_tgon_verified(_tgon_corners(t_eff, p), eps)
+                       for p in range(1, prec))
+        assert max(v.denominator for w in tg.corners for v in w) == den
+
+
+def _rotate(wedge, p):
+    """The Fraction rotation that points the wedge's corner straight down."""
+    wx, wy = wedge.corner
+    return PointR2(-wy * p.x + wx * p.y, -wx * p.x - wy * p.y)
+
+
 def test_wedge_rotation_roundtrip(rng):
     tg = make_tgon(Rat(1, 10))
-    from sepkit.core import PointR2
 
     for w in tg.wedges:
         p = PointR2.of(rng.randint(-20, 20), rng.randint(-20, 20))
-        assert w.unrotate(w.rotate(p)) == p
-        q = w.rotate(PointR2.of(*w.corner))
+        assert w.unrotate(_rotate(w, p)) == p
+        q = _rotate(w, PointR2.of(*w.corner))
         assert (q.x, q.y) == (0, -1)
+
+
+def test_rotated_duals_match_fraction_rotation(rng):
+    """Line for line the duals of the Fraction rotation, integer forms
+    included, on integer and non-integer points."""
+    pts = [LabeledPoint(PointR2(Rat(rng.randint(-10**6, 10**6),
+                                    rng.choice([1, 1, 3, 7, 10**9])),
+                                Rat(rng.randint(-10**6, 10**6),
+                                    rng.choice([1, 2, 5]))),
+                        rng.choice([Color.RED, Color.BLUE]), i)
+           for i in range(40)]
+    wedges = [w for eps in (Rat(1), Rat(1, 10), Rat(1, 100))
+              for w in make_tgon(eps).wedges]
+    wedges.append(Wedge(0, (Rat(3, 5), Rat(-4, 5)), Rat(-1), Rat(1)))
+    for w in wedges:
+        want = tuple([DLine(p.id, q.x, -q.y) for p in pts
+                      if p.color is color for q in [_rotate(w, p.point)]]
+                     for color in (Color.RED, Color.BLUE))
+        got = rotated_duals(pts, w)
+        assert got == want
+        for line in got[0] + got[1]:
+            assert line.abc == homogeneous(line.m, line.c)
+
+
+def test_kmm_approx_shape_wedges_run_int64():
+    """eps = 1/10 on integer points with |coordinate| <= 3e5, the benchmark
+    instance shape: every wedge's integer line columns fit int64."""
+    rng = random.Random(5)
+    c = 3 * 10**5
+    pts = [LabeledPoint.of(x, y, Color.RED if i % 2 else Color.BLUE, i)
+           for i, (x, y) in enumerate(
+               [(c, c), (-c, c), (c, -c), (-c, -c), (c, 0), (0, -c)]
+               + [(rng.randint(-c, c), rng.randint(-c, c)) for _ in range(30)])]
+    solver = ApproxSolver(pts, 4, Rat(1, 10))
+    assert len(solver.analyses) == 8
+    for ana in solver.analyses:
+        assert all(col.dtype == np.int64 for col in ana.cols)
+
+
+def _on_slab(curve, lo, hi):
+    """The curve's pieces cut to [lo, hi], as (m, c, x1, x2)."""
+    out = []
+    for p in curve.pieces:
+        x1 = lo if p.x_lo is None or p.x_lo < lo else p.x_lo
+        x2 = hi if p.x_hi is None or p.x_hi > hi else p.x_hi
+        if x1 <= x2:
+            out.append((p.line.m, p.line.c, x1, x2))
+    return out
+
+
+def test_wedge_curve_is_the_whole_curve_on_the_slab(rng):
+    """Each wedge merges only the envelope breakpoints near its slab; on
+    the slab its curve has the whole curve's pieces and vertices."""
+    for _ in range(12):
+        pts = random_instance(rng, rng.randint(4, 24))
+        solver = ApproxSolver(pts, 3, Rat(1, 10))
+        for w, ana in zip(solver.tgon.wedges, solver.analyses):
+            whole = midpoint_curve(ana.env_lo, ana.env_hi)
+            lo, hi = w.m_lo, w.m_hi
+            assert ana.curve_vertices == \
+                [v for v in whole.vertices if lo <= v.x <= hi]
+            assert _on_slab(ana.curve, lo, hi) == _on_slab(whole, lo, hi)
+
+
+def test_solve_beyond_kmax_refused():
+    """A solver built for kmax keeps only the wedge vertices with mis <=
+    kmax, so it refuses a larger k instead of answering from part of the
+    candidates; k is clamped to n first."""
+    pts = random_instance(random.Random(8), 10)
+    solver = ApproxSolver(pts, 0, 1)
+    with pytest.raises(ValueError, match="kmax = 0"):
+        solver.solve(1)
+    assert ApproxSolver(pts, 50, 1).solve(10**6) == \
+        ApproxSolver(pts, 10, 1).solve(10)
 
 
 def test_decide_delta_examples(ds3, ds2):

@@ -18,7 +18,7 @@ from sepkit.errors import EmptyInput
 from sepkit.levels import build_leq_k, overlay_and_label
 from sepkit.rat import Rat
 from sepkit.scans import line_columns
-from tests.conftest import random_lines
+from tests.conftest import all_cells, locate, random_lines
 
 L = lambda i, m, c: DLine(i, Rat(m), Rat(c))
 
@@ -220,17 +220,17 @@ def test_overlay_examples(ds3):
     R = [L(0, 0, 0), L(1, 2, -2)]
     B = [L(2, 0, -2), L(3, 2, 0)]
     ov = overlay_and_label(R, B, 1)
-    c = ov.locate(Rat(1), Rat(-1, 2))
+    c = locate(ov, Rat(1), Rat(-1, 2))
     assert c.mis == 1 and c.valid
-    c = ov.locate(Rat(1), Rat(1))
+    c = locate(ov, Rat(1), Rat(1))
     assert c.mis == 3 and not c.valid
 
     ov = overlay_and_label([L(0, 0, 0)], [L(1, 0, 1)], 0)
-    assert all(not c.valid for c in ov.all_cells())
+    assert all(not c.valid for c in all_cells(ov))
 
     ov = overlay_and_label([L(0, 0, 1)], [L(1, 0, 0)], 0)
     assert ov.valid_region_count == 1
-    valid = [c for c in ov.all_cells() if c.valid]
+    valid = [c for c in all_cells(ov) if c.valid]
     assert valid and all(c.touches_box for c in valid)
 
 

@@ -9,7 +9,7 @@ import pytest
 from sepkit.cli import build_parser, main
 from sepkit.core import LineR2, Orientation, Separator, classify_mis
 from sepkit.dataio import load_points
-from tests.conftest import random_instance
+from tests.conftest import all_cells, random_instance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 DS3 = os.path.join(DATA, "ds3.csv")
@@ -296,7 +296,7 @@ def test_plot_structural_diff(tmp_path, capsys):
     pts = load_points(DS3)
     reds, blues = split_colors(pts)
     ov = overlay_and_label(duals(reds), duals(blues), 1)
-    want = sum(1 for c in ov.all_cells() if c.valid)
+    want = sum(1 for c in all_cells(ov) if c.valid)
     got = text.count("<polygon")
     assert got == want
 

@@ -7,7 +7,8 @@ import pytest
 from sepkit.core import Color, LabeledPoint
 from sepkit.dataio import points_from_csv, points_from_json
 from sepkit.errors import ParseError
-from sepkit.rat import Rat, rat_decimal_str
+from sepkit.rat import Rat
+from tests.conftest import rat_decimal_str
 
 
 def _rows(pts):

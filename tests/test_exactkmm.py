@@ -256,6 +256,16 @@ def test_kmin_far_above_zero_and_on_parallel_duals():
             assert solver.k_min == oracle_minmis(pts).value
 
 
+def test_solve_beyond_kmax_refused():
+    """The scans keep only the vertices with mis <= kmax, so a solver built
+    for kmax refuses a larger k (it answered from part of the candidates
+    before); k is clamped to n first."""
+    pts = random_instance(random.Random(8), 10)
+    with pytest.raises(ValueError, match="kmax = 2"):
+        ExactSolver(pts, 2).solve(3)
+    assert ExactSolver(pts, 50).solve(10**6) == ExactSolver(pts, 10).solve(10)
+
+
 def test_k_clamped_beyond_n(rng):
     pts = random_instance(rng, 8)
     a = solve_exact(pts, 50)

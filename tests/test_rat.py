@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+import sepkit
 from sepkit.rat import (
     Rat,
     rat,
-    rat_decimal_str,
     rat_str,
     sqrt_decimal_str,
 )
+from tests.conftest import rat_decimal_str
 
 
 def test_parse_forms():
@@ -17,6 +18,17 @@ def test_parse_forms():
     assert type(rat("-0.25")) is Fraction
     assert rat(7) == 7
     assert rat(Rat(2, 4)) == Rat(1, 2)
+
+
+def test_rat_module_not_shadowed():
+    """The package root does not re-export the function `rat`, so the
+    submodule sepkit.rat is reachable in both import forms."""
+    import sepkit.rat as r
+    from sepkit.rat import rat as parse
+
+    assert r.RatT is Fraction and r.rat is parse
+    assert sepkit.rat is r
+    assert parse("1/3") == Fraction(1, 3)
 
 
 def test_rat_str():

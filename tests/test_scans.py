@@ -2,7 +2,8 @@
 references: float-tied distinct values, equal values written differently,
 and int64 as well as Python-int (dtype object) arrays.  The band-filtered
 vertex scan is checked against the unfiltered block scan and a
-one-line-at-a-time scan, in both role assignments."""
+one-line-at-a-time scan, in both role assignments, and the scan cut to a
+slab against the unfiltered scan's vertices in that slab."""
 
 import random
 from fractions import Fraction
@@ -346,6 +347,70 @@ def test_filter_walls_on_vertices_and_dropped_rows():
     xs = {v.x for v in unfiltered_scan(below, above, len(lines)).vertices}
     assert any(Fraction(w) in xs for w in walls)
     assert min(rows) < len(lines)
+
+
+def _cut_to_slab(res, lo, hi):
+    """The scan result with only the vertices of the closed slab [lo, hi]."""
+    verts = [v for v in res.vertices if lo <= v.x <= hi]
+    return VertexScanResult(verts, min((v.mis for v in verts), default=None),
+                            res.min_cross_x, res.max_cross_x, res.count)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), lines=grid_lines(), k=st.integers(0, 12),
+       slab_lines=st.sampled_from([1, 2, scans.SLAB_LINES]))
+def test_slab_scan_is_the_scan_cut_to_the_slab(data, lines, k, slab_lines):
+    """Slab ends on vertices, between them, and beyond every crossing on
+    one or both sides (a slab that meets the crossings' range on one side
+    only, or not at all), on int64 and Python-int columns."""
+    below, above = lines
+    xs = sorted({v.x for v in unfiltered_scan(below, above, 10**6).vertices})
+    far = Rat(10**40)
+    ends = [st.sampled_from([-far, far]),
+            st.fractions(-5, 5, max_denominator=4)]
+    if xs:
+        ends.append(st.sampled_from(xs))
+    lo, hi = sorted(data.draw(st.one_of(ends)) for _ in range(2))
+    with mock.patch.object(scans, "SLAB_LINES", slab_lines):
+        for bl, ab in ((below, above), (above, below)):
+            got = scan_vertices(bl, ab, k, slab=(lo, hi))
+            want = _cut_to_slab(unfiltered_scan(bl, ab, k), lo, hi)
+            assert got == want
+            assert got.vertices == want.vertices
+
+
+def test_slab_scan_rows():
+    """A slab holding no crossing scans no row; a narrow slab keeps fewer
+    rows than the whole line, and its vertices are exactly those with x in
+    the closed slab, both ends on vertices."""
+    lines = [DLine(i, Rat(m), Rat(c)) for i, (m, c) in enumerate(
+        (m, c) for m in range(-3, 4) for c in range(-3, 4))]
+    below = [l for l in lines if l.c >= 0]
+    above = [l for l in lines if l.c < 0]
+    rows = []
+    real_block = scans._block_crossings
+
+    def record_rows(r, *args):
+        rows.append(len(r))
+        return real_block(r, *args)
+
+    full = scan_vertices(below, above, 5)
+    lo, hi = Rat(0), Rat(1, 2)
+    with mock.patch.object(scans, "_block_crossings", record_rows):
+        # at k = n the band filter keeps every line
+        for k in (5, len(lines)):
+            assert scan_vertices(below, above, k, slab=(Rat(100), Rat(200))) \
+                == VertexScanResult([], None, full.min_cross_x,
+                                    full.max_cross_x, full.count)
+        assert rows == []
+        scan_vertices(below, above, 5)
+        whole = sum(rows)
+        rows.clear()
+        got = scan_vertices(below, above, 5, slab=(lo, hi))
+        assert 0 < sum(rows) < whole
+    assert got == _cut_to_slab(full, lo, hi)
+    assert {v.x for v in got.vertices} >= {lo, hi}
+    assert len(got.vertices) < len(full.vertices)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
