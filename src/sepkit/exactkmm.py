@@ -7,7 +7,10 @@ per-slope unconstrained optima), and enumerates every candidate optimum:
   a. arrangement vertices with mis <= k,
   b. midpoint-curve vertices with mis <= k,
   c. the first valid point vertically above/below each other curve vertex,
-  d. crossings of curve edges with arrangement lines that are valid.
+  d. crossings of curve edges with arrangement lines that are valid,
+     found once at kmax by one integer pass over every curve piece that
+     sorts only the crossings in a piece's own x-range, and skips a piece
+     whose count bound already exceeds kmax (scans.segment_valid_crossings).
 
 The approximate solver runs the same enumeration per t-gon wedge,
 restricted to the wedge's slope slab (OrientationAnalysis's `slab`).
@@ -195,7 +198,6 @@ class OrientationAnalysis(VerticalError):
         self.columns: dict[RatT, ColumnProfile] = {}
         for v in self.curve_vertices:
             self.column(v.x)
-        self._d_cache: dict[int, list] = {}
 
     def in_slab(self, x: RatT) -> bool:
         return self.slab is None or self.slab[0] <= x <= self.slab[1]
@@ -236,8 +238,9 @@ class OrientationAnalysis(VerticalError):
         for v in self.curve_vertices:
             for y, mis in self.columns[v.x].valid_near(v.y, k, neighbours):
                 yield ("b" if y == v.y else "c"), v.x, y, mis
-        for x, y, mis in self._d_crossings(k):
-            yield "d", x, y, mis
+        for x, y, mis in self._d_crossings:
+            if mis <= k:
+                yield "d", x, y, mis
 
     def candidates(self, k: int) -> list[CandidatePoint]:
         return [
@@ -245,21 +248,22 @@ class OrientationAnalysis(VerticalError):
             for kind, x, y, mis in self.points(k)
         ]
 
-    def _d_crossings(self, k: int):
-        if k not in self._d_cache:
-            segments = []
-            for p in self.curve.pieces:
-                x1, x2 = p.x_lo, p.x_hi
-                if self.slab is not None:
-                    lo, hi = self.slab
-                    x1 = lo if x1 is None or x1 < lo else x1
-                    x2 = hi if x2 is None or x2 > hi else x2
-                    if x1 > x2:
-                        continue
-                segments.append((p.line.m, p.line.c, x1, x2))
-            self._d_cache[k] = segment_valid_crossings(
-                segments, self.below, self.above, k)
-        return self._d_cache[k]
+    @cached_property
+    def _d_crossings(self) -> list[tuple[RatT, RatT, int]]:
+        """Family d at kmax, computed when first read: every k <= kmax
+        takes the crossings with mis <= k."""
+        segments = []
+        for p in self.curve.pieces:
+            x1, x2 = p.x_lo, p.x_hi
+            if self.slab is not None:
+                lo, hi = self.slab
+                x1 = lo if x1 is None or x1 < lo else x1
+                x2 = hi if x2 is None or x2 > hi else x2
+                if x1 > x2:
+                    continue
+            segments.append((p.line.m, p.line.c, x1, x2))
+        return segment_valid_crossings(segments, self.below, self.above,
+                                       self.kmax, cols=self.cols)
 
     def far_limit_sq(self, k: int) -> Optional[RatT]:
         """Best squared limit of the error toward x -> +-infinity over the

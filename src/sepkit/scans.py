@@ -39,6 +39,17 @@ their mis from the integer far order and build a gap's limit only when it
 is read; column profiles keep sorted integer heights and build a rational
 only for a height they return.
 
+The walk along a line segment (`segment_valid_crossings`, the MinMax
+curve's pieces) crosses every piece with every line in the same 2-D blocks
+of rows.  A piece's count just left of its x1 is its count left of every
+crossing plus the +-1 steps of the crossings left of x1, a sum in any
+order, so nothing is sorted to find it.  Only the crossings in [x1, x2],
+decided on float keys with an exact check at a key equal to a wall's float,
+are sorted and counted.  Each of those lowers the count by at most one,
+and only if its line leaves the count there, so a piece whose count at x1
+less the number of such crossings exceeds k has no valid crossing and is
+skipped unsorted.
+
 The side of a line at a rational point (x, y) = (p/q, r/s) is the sign of
 A*r*q - (B*p + C*q)*s, that is of A*y - B*x - C times q*s > 0: positive
 strictly above the line, zero on it, negative strictly below.
@@ -190,28 +201,46 @@ class Crossings:
         return mis
 
 
+def _cross(A, B, C, a, b, c, isb: np.ndarray):
+    """Crossings of the lines (A, B, C) (scalars, or columns of shape
+    (r, 1)) with the lines (a, b, c) of line_columns, isb as in `crossings`:
+    (num, den, par, bb, start), with x = num/den and den > 0 (den = 1 at a
+    parallel line, par), bb where the crossed line is below left of the
+    crossing, and start the counted lines left of every crossing."""
+    num = c * A - C * a
+    den = B * a - b * A
+    par = den == 0
+    bb = den < 0
+    low = bb | (par & (num < 0))
+    high = ~bb & (~par | (num > 0))
+    start = (np.count_nonzero(isb & low, axis=-1)
+             + np.count_nonzero(~isb & high, axis=-1))
+    num = np.where(bb, -num, num)
+    den = np.abs(den)
+    den[par] = 1
+    return num, den, par, bb, start
+
+
 def crossings(e: tuple[int, int, int], a, b, c, isb: np.ndarray) -> Crossings:
     """Crossings of the line e = (A, B, C) with the lines (a, b, c) of
     line_columns, where isb marks "below" lines (counted when strictly
     below the point) and the rest are "above" lines (counted when strictly
     above).  Lines parallel to e, e itself included, only count."""
-    A, B, C = e
-    num = c * A - C * a
-    den = B * a - b * A
-    par = den == 0
-    bb = den < 0          # the crossed line is below e left of the crossing
-    low = bb | (par & (num < 0))
-    high = ~bb & (~par | (num > 0))
-    start = int(np.count_nonzero(isb & low) + np.count_nonzero(~isb & high))
+    num, den, par, bb, start = _cross(*e, a, b, c, isb)
     idx = np.flatnonzero(~par)
-    num = np.where(bb, -num, num)[idx]
-    den = np.where(bb, -den, den)[idx]
-    order, same = exact_order((num, den))
+    order, same = exact_order((num[idx], den[idx]))
     idx = idx[order]
-    adj = (isb[idx] == bb[idx]).astype(np.int64)
+    return _counted(int(start), idx, num[idx], den[idx], same,
+                    isb[idx] == bb[idx])
+
+
+def _counted(start: int, idx, num, den, same, adj) -> Crossings:
+    """The Crossings of the lines idx in x order, from the count left of
+    them all and adj (see Crossings)."""
+    adj = adj.astype(np.int64)
     delta = 1 - 2 * adj
     before = start + np.cumsum(delta) - delta
-    return Crossings(start, idx, num[order], den[order], same, before, adj)
+    return Crossings(start, idx, num, den, same, before, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +337,7 @@ def _block_crossings(rows: np.ndarray, a, b, c, isb: np.ndarray) -> _Block:
     `crossings`."""
     n = len(a)
     A, B, C = a[rows, None], b[rows, None], c[rows, None]
-    num = c * A - C * a
-    den = B * a - b * A
-    par = den == 0
-    bb = den < 0
-    low = bb | (par & (num < 0))
-    high = ~bb & (~par | (num > 0))
-    start = (np.count_nonzero(isb & low, axis=1)
-             + np.count_nonzero(~isb & high, axis=1))
-    np.negative(num, out=num, where=bb)
-    np.negative(den, out=den, where=bb)
-    den[par] = 1
+    num, den, par, bb, start = _cross(A, B, C, a, b, c, isb)
     ncross = n - np.count_nonzero(par, axis=1)
     key = _float_key(num, den)
     key[par] = np.inf              # parallel lines sort last
@@ -774,26 +793,76 @@ def segment_valid_crossings(
     below: Sequence[DLine],
     above: Sequence[DLine],
     k: int,
+    cols=None,
 ) -> list[tuple[RatT, RatT, int]]:
     """Crossing points of each segment (m_e, c_e, x1, x2), the line
     y = m_e*x + c_e restricted to [x1, x2] (None: unbounded), with any
     input line, whose exact on-point mis is <= k; the segments in order,
-    each in x order.  Returns (x, y, mis).  The line columns are built
-    once, with the dtype bound taken over every segment's line."""
+    each in x order.  Returns (x, y, mis).  `cols` is
+    line_columns(below + above), if the caller has it; they are recast to
+    Python ints if a segment's coefficients reach 2**25.
+
+    One 2-D pass crosses every segment with every line; only the crossings
+    in [x1, x2] are sorted, and a segment whose count at x1, less its
+    in-range crossings whose line leaves the count, exceeds k sorts
+    nothing (see the module docstring)."""
     lines = list(below) + list(above)
     if not lines:
         return []
     es = [homogeneous(m_e, c_e) for m_e, c_e, _, _ in segments]
-    a, b, c = line_columns(lines, list(chain.from_iterable(es)))
-    isb = np.arange(len(lines)) < len(below)
+    big = max(map(abs, chain.from_iterable(es)), default=0) >= INT64_BOUND
+    if cols is None:
+        cols = line_columns(lines, [INT64_BOUND] if big else ())
+    elif big:
+        cols = tuple(col.astype(object) for col in cols)
+    a, b, c = cols
+    isb = np.arange(len(a)) < len(below)
+    block = SCAN_BLOCK if a.dtype == np.int64 else SCAN_BLOCK // 8
+    step = max(1, block // len(a))
+    out: list[tuple[RatT, RatT, int]] = []
+    for s in range(0, len(segments), step):
+        out += _segment_block(segments[s:s + step], es[s:s + step],
+                              a, b, c, isb, k)
+    return out
+
+
+def _segment_block(segments, es, a, b, c, isb: np.ndarray, k: int):
+    """segment_valid_crossings of a block of segments, whose integer forms
+    are es."""
+    E = np.array(es, dtype=a.dtype)
+    num, den, par, bb, start = _cross(E[:, :1], E[:, 1:2], E[:, 2:], a, b,
+                                      c, isb)
+    key = _float_key(num, den)
+    x1 = np.array([-inf if s[2] is None else _rat_float(s[2])
+                   for s in segments])
+    x2 = np.array([inf if s[3] is None else _rat_float(s[3])
+                   for s in segments])
+    # a key on the far side of a wall's float decides; a key equal to it is
+    # compared exactly
+    left = ~par & (key < x1[:, None])
+    right = key > x2[:, None]
+    for i, t in zip(*np.nonzero(~par & ((key == x1[:, None])
+                                        | (key == x2[:, None])))):
+        p, q, (_, _, lo, hi) = int(num[i, t]), int(den[i, t]), segments[i]
+        left[i, t] = lo is not None and p * rat_den(lo) < rat_num(lo) * q
+        right[i, t] = hi is not None and p * rat_den(hi) > rat_num(hi) * q
+    inside = ~par & ~left & ~right
+    adj = isb == bb          # the crossed line leaves the count there
+    at_x1 = (start + np.count_nonzero(left, axis=1)
+             - 2 * np.count_nonzero(left & adj, axis=1))
+    # each in-range crossing lowers the count by at most one, and only if
+    # its line leaves the count: a bound on every in-range on-point mis
+    least = at_x1 - np.count_nonzero(inside & adj, axis=1)
     out = []
-    for (m_e, c_e, x1, x2), e in zip(segments, es):
-        # counts evolve along the full support line, from left of every
-        # crossing
-        cr = crossings(e, a, b, c, isb)
+    for i in np.flatnonzero((least <= k) & inside.any(axis=1)):
+        idx = np.flatnonzero(inside[i])
+        order, same = exact_order((num[i, idx], den[i, idx]))
+        idx = idx[order]
+        cr = _counted(int(at_x1[i]), idx, num[i, idx], den[i, idx], same,
+                      adj[i, idx])
         mis = cr.mis()
-        for t in np.flatnonzero(~cr.same & (mis <= k)):
-            x = cr.x(t)
-            if (x1 is None or x >= x1) and (x2 is None or x <= x2):
-                out.append((x, m_e * x + c_e, int(mis[t])))
+        A, B, C = es[i]
+        for t in np.flatnonzero(~same & (mis <= k)):
+            p, q = int(cr.num[t]), int(cr.den[t])
+            out.append((Rat(p, q), Rat(B * p + C * q, A * q), int(mis[t])))
     return out

@@ -1,8 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepkit import exactkmm
+from sepkit.approxkmm import ApproxSolver, Infeasible
 from sepkit.core import (
     Color,
     LabeledPoint,
@@ -19,7 +22,8 @@ from sepkit.exactkmm import (
 )
 from sepkit.oracle import KmmCandidateTable, oracle_minmis
 from sepkit.rat import Rat
-from tests.conftest import random_instance
+from tests.conftest import random_instance, random_separable_instance
+from tests.test_scans import whole_line_valid_crossings
 
 
 def test_minmax_curve_ds3(ds3):
@@ -285,3 +289,83 @@ def test_points_on_one_vertical_line():
     got = classify_mis(rep.best, pts)
     assert (got.mis, got.max_sq) == (rep.mis, rep.max_sq)
     assert rep.infinity_probe_wins and rep.probe_limit_sq == 0
+
+
+def _grid_points(rng, n, size=3):
+    """n distinct points of the grid {-size..size}^2 in both colours."""
+    cells = rng.sample([(x, y) for x in range(-size, size + 1)
+                        for y in range(-size, size + 1)], n)
+    colors = [Color.RED, Color.BLUE] + [rng.choice(list(Color)) for _ in cells[2:]]
+    return [LabeledPoint.of(x, y, col, i)
+            for i, ((x, y), col) in enumerate(zip(cells, colors))]
+
+
+def test_shared_solver_matches_fresh_solve_for_every_k():
+    """Family d is computed once at kmax and filtered per k: a solver
+    built for kmax answers every k <= kmax as a solver built for k does,
+    counts included."""
+    rng = random.Random(15)
+    instances = [random_instance(rng, rng.randint(6, 16), coord=30)
+                 for _ in range(10)]
+    instances += [_grid_points(rng, rng.randint(6, 16), size=2) for _ in range(10)]
+    for pts in instances:
+        kmax = rng.randint(2, 5)
+        solver = ExactSolver(pts, kmax)
+        for k in range(kmax + 1):
+            assert solver.solve(k) == solve_exact(pts, k)
+
+
+def _scaled(pts, f):
+    return [LabeledPoint.of(p.point.x * f, p.point.y * f, p.color, p.id)
+            for p in pts]
+
+
+def _identity_inputs():
+    """Nearly separable instances, 7x7 grids, points on a few shared x,
+    and each of these scaled by 10**12 and by 1/3."""
+    rng = random.Random(51)
+    base = []
+    for _ in range(3):
+        pts = random_separable_instance(rng, rng.randint(8, 14))
+        for i in rng.sample(range(len(pts)), 2):
+            p = pts[i]
+            other = Color.BLUE if p.color is Color.RED else Color.RED
+            pts[i] = LabeledPoint(p.point, other, p.id)
+        base.append(pts)
+    base += [_grid_points(rng, rng.randint(8, 16)) for _ in range(3)]
+    base += [[LabeledPoint.of(rng.choice((-2, 0, 1, 3)), rng.randint(-9, 9),
+                              Color.RED if i % 2 else Color.BLUE, i)
+              for i in range(10)] for _ in range(2)]
+    return base + [_scaled(pts, f) for pts in base for f in (10**12, Rat(1, 3))]
+
+
+def _all_reports(pts, kmax):
+    exact = ExactSolver(pts, kmax)
+    approx = ApproxSolver(pts, kmax, Rat(1, 10))
+    out = []
+    for k in range(kmax + 1):
+        out.append(exact.solve(k))
+        try:
+            out.append(approx.solve(k))
+        except Infeasible:
+            out.append(None)
+    return out
+
+
+def test_reports_unchanged_with_the_whole_line_walk():
+    """Every ExactSolveReport (its family counts included) and every
+    ApproxReport is the same when family d comes from the walk that
+    sweeps each curve piece's whole support line."""
+    calls = []
+
+    def reference(*args, **kw):
+        calls.append(1)
+        return whole_line_valid_crossings(*args, **kw)
+
+    found_d = 0
+    for pts in _identity_inputs():
+        got = _all_reports(pts, 3)
+        with mock.patch.object(exactkmm, "segment_valid_crossings", reference):
+            assert _all_reports(pts, 3) == got
+        found_d += sum(r.counts["d"] for r in got[::2])
+    assert calls and found_d

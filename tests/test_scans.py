@@ -3,7 +3,9 @@ references: float-tied distinct values, equal values written differently,
 and int64 as well as Python-int (dtype object) arrays.  The band-filtered
 vertex scan is checked against the unfiltered block scan and a
 one-line-at-a-time scan, in both role assignments, and the scan cut to a
-slab against the unfiltered scan's vertices in that slab."""
+slab against the unfiltered scan's vertices in that slab.  The walk along
+curve pieces, which sorts only each piece's own x-range, is checked
+against the walk that sweeps each piece's whole support line."""
 
 import random
 from fractions import Fraction
@@ -15,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from sepkit import scans
 from sepkit.chains import DLine, cross_x
-from sepkit.rat import Rat
+from sepkit.core import Color, LabeledPoint
+from sepkit.exactkmm import _analysis_for
+from sepkit.rat import Rat, homogeneous
 from sepkit.scans import (
     ColumnProfile,
     VertexRecord,
@@ -500,3 +504,152 @@ def test_block_scan_over_several_blocks(copied):
         assert exchanged == rowwise_scan(above, below, kmax)
         assert exchanged == unfiltered_scan(above, below, kmax)
     assert res.vertices and exchanged.vertices
+
+
+# -- the walk along curve pieces against the whole-line walk ---------------
+
+
+def whole_line_valid_crossings(segments, below, above, k, cols=None):
+    """segment_valid_crossings by sweeping each segment's whole support
+    line: every crossing is sorted and counted, then cut to [x1, x2].
+    `cols` is ignored; the columns are built with the dtype bound taken
+    over every segment's line."""
+    lines = list(below) + list(above)
+    if not lines:
+        return []
+    es = [homogeneous(m_e, c_e) for m_e, c_e, _, _ in segments]
+    a, b, c = line_columns(lines, [v for e in es for v in e])
+    isb = np.arange(len(lines)) < len(below)
+    out = []
+    for (m_e, c_e, x1, x2), e in zip(segments, es):
+        cr = crossings(e, a, b, c, isb)
+        mis = cr.mis()
+        for t in np.flatnonzero(~cr.same & (mis <= k)):
+            x = cr.x(t)
+            if (x1 is None or x >= x1) and (x2 is None or x <= x2):
+                out.append((x, m_e * x + c_e, int(mis[t])))
+    return out
+
+
+def _near(x):
+    """x and the floats one step either side of x's float, as rationals."""
+    f = float(x)
+    return [x] + [Fraction(float(np.nextafter(f, d))) for d in (-np.inf, np.inf)]
+
+
+@st.composite
+def walk_cases(draw):
+    """Grid lines and a few pieces on lines of the same grid (halved, as a
+    midpoint curve's are), some with a denominator beyond 2**25.  A piece's
+    ends are unbounded, on one of its crossings, one float step from one,
+    or arbitrary."""
+    below, above = draw(grid_lines())
+    lines = below + above
+    scale = Rat(10**30, 7) if any(abs(l.c) > 4 for l in lines) else Rat(1)
+    segments = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = Rat(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 4])))
+        c = Rat(draw(st.integers(-8, 8)), 2) * scale
+        if draw(st.integers(0, 4)) == 0:
+            c += Rat(1, 3 * 2**25)
+        e = DLine(-1, m, c)
+        xs = sorted({x for l in lines for x in [cross_x(e, l)] if x is not None})
+        ends = [st.none(), st.fractions(-6, 6, max_denominator=8)]
+        if xs:
+            ends.append(st.sampled_from(xs).flatmap(
+                lambda x: st.sampled_from(_near(x))))
+        x1, x2 = draw(st.one_of(ends)), draw(st.one_of(ends))
+        if x1 is not None and x2 is not None and x1 > x2:
+            x1, x2 = x2, x1
+        segments.append((m, c, x1, x2))
+    return below, above, segments
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=walk_cases(), data=st.data(), with_cols=st.booleans(),
+       block=st.sampled_from([1, 64, scans.SCAN_BLOCK]))
+def test_walk_matches_whole_line_walk(case, data, with_cols, block):
+    """Parallel, identical and concurrent lines, piece ends on and one
+    float step from crossings, unbounded ends, k from 0 to n, with and
+    without the analysis's columns, and blocks of one piece or several."""
+    below, above, segments = case
+    k = data.draw(st.integers(0, len(below) + len(above)))
+    cols = line_columns(below + above) if with_cols else None
+    with mock.patch.object(scans, "SCAN_BLOCK", block):
+        got = segment_valid_crossings(segments, below, above, k, cols=cols)
+    assert got == whole_line_valid_crossings(segments, below, above, k)
+
+
+def test_walk_recasts_int64_columns_for_large_pieces():
+    """The lines d*y = p*x + j, with d = 2**25 - 39 for the below-lines and
+    2**25 - 49 for the above-lines, have int64 columns, but the midpoint
+    of a below-line and an above-line has A = 2*d1*d2, about 2**51.  Its
+    products with the columns overflow int64, so the walk recasts the
+    columns to Python ints."""
+    rng = random.Random(3)
+    d1, d2 = 2**25 - 39, 2**25 - 49
+    lines = [DLine(i, Rat(rng.randint(1 - d, d - 1), d),
+                   Rat(rng.randint(-50, 50), d))
+             for i, d in enumerate([d1] * 11 + [d2] * 13)]
+    below, above = lines[:11], lines[11:]
+    cols = line_columns(lines)
+    assert cols[0].dtype == np.int64
+    segments = []
+    for l, h in zip(below, above):
+        m, c = (l.m + h.m) / 2, (l.c + h.c) / 2
+        assert max(map(abs, homogeneous(m, c))) >= scans.INT64_BOUND
+        segments.append((m, c, min(l.m, h.m), max(l.m, h.m) + 5))
+    segments.append((Rat(0), Rat(0), None, None))
+    found = 0
+    for k in range(len(lines) + 1):
+        want = whole_line_valid_crossings(segments, below, above, k)
+        assert segment_valid_crossings(segments, below, above, k, cols=cols) == want
+        assert segment_valid_crossings(segments, below, above, k) == want
+        found += len(want)
+    assert found
+
+
+def test_walk_on_python_int_columns():
+    """Coordinates times 10**12 put the columns on Python ints; the walk
+    along the analysis's own curve matches the whole-line walk for every
+    k."""
+    rng = random.Random(12)
+    pts = [LabeledPoint.of(rng.randint(-40, 40) * 10**12, rng.randint(-40, 40) * 10**12,
+                           Color.RED if i % 3 else Color.BLUE, i) for i in range(14)]
+    ana = _analysis_for(pts, len(pts))
+    assert ana.cols[0].dtype == object
+    segments = [(p.line.m, p.line.c, p.x_lo, p.x_hi) for p in ana.curve.pieces]
+    found = 0
+    for k in range(len(pts) + 1):
+        want = whole_line_valid_crossings(segments, ana.below, ana.above, k)
+        assert segment_valid_crossings(segments, ana.below, ana.above, k,
+                                       cols=ana.cols) == want
+        found += len(want)
+    assert found
+
+
+def test_walk_skips_pieces_over_the_count_bound():
+    """The piece y = x + 100 on [0, 1] lies above six horizontal
+    below-lines.  Two lines cross it in range: an above-line at x = 1/8,
+    which leaves the count, and a below-line at x = 1/4, which enters it.
+    Its count at x = 0 is 7 and only one crossing can lower it, so every
+    on-point mis is at least 6: for k = 5 the piece sorts nothing, and for
+    k = 6 it sorts its two crossings and both are valid."""
+    below = [DLine(j, Rat(0), Rat(j)) for j in range(6)]
+    below.append(DLine(6, Rat(-1), Rat(201, 2)))      # crosses at x = 1/4
+    above = [DLine(7, Rat(-1), Rat(401, 4))]           # crosses at x = 1/8
+    segments = [(Rat(1), Rat(100), Rat(0), Rat(1))]
+    sorts = []
+    real_order = scans.exact_order
+
+    def counted_order(*keys):
+        sorts.append(len(keys[0][0]))
+        return real_order(*keys)
+
+    with mock.patch.object(scans, "exact_order", counted_order):
+        assert segment_valid_crossings(segments, below, above, 5) == []
+        assert sorts == []
+        got = segment_valid_crossings(segments, below, above, 6)
+        assert sorts == [2]
+    assert got == whole_line_valid_crossings(segments, below, above, 6) \
+        == [(Rat(1, 8), Rat(801, 8), 6), (Rat(1, 4), Rat(401, 4), 6)]
