@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyInput, ValidationError
 from .rat import Rat, RatT, den, homogeneous, num
-from .scans import exact_order, far_order, line_columns
+from .scans import _far_index, exact_order, line_columns
 
 
 class Direction(enum.Enum):
@@ -188,14 +188,14 @@ def chain_decomposition(
                         Direction.UPPER, k)
     n = len(lines)
     m = min(k + 1, n)
+    a, b, c = line_columns(lines)
     # order at x = -infinity: bottom-to-top is decreasing slope, then
     # increasing intercept (parallel lines never swap)
-    order = [l for l, _ in far_order(lines, [], -1)]
+    order = [lines[j] for j in _far_index(a, b, c, -1).tolist()]
     pos = {l.id: r for r, l in enumerate(order)}
     at = {r: l for r, l in enumerate(order)}
     # every crossing of lines i < j as (x, y) = (xn, yn) / den, in (x, y)
     # order, cut into runs at one point
-    a, b, c = line_columns(lines)
     li, lj = np.triu_indices(n, 1)
     den = b[li] * a[lj] - b[lj] * a[li]
     cross = np.flatnonzero(den != 0)

@@ -9,27 +9,30 @@ When it is bounded, the leftmost valid point is a red-blue intersection
 of the concave and convex chain covers of the two <=k-levels.  The static
 path enumerates those intersections, counts the violations of all of them
 with violation_counts, and keeps the leftmost with at most k.
-violation_counts builds the integer line columns once per call and decides
-every side of line exactly in integers (`scans.line_sides`), a bounded
-chunk of candidates per numpy pass: O(n) per candidate, with no rational
-arithmetic.  Unboundedness to the left is decided symbolically from the
-line order at x -> -infinity.
+violation_counts builds the integer line and point columns once per call
+and decides every side of line exactly in integers (`scans.line_sides`), a
+bounded chunk of candidates per numpy pass: O(n) per candidate, with no
+rational arithmetic.  Unboundedness to the left is decided symbolically
+from the line order at x -> -infinity (`scans.FarGaps`).
 
 The dynamic path answers one fixed k.  It layers the lines with the
 logarithmic method keyed to the promised deletion times, keeps recent lines
 and every line due by the next expensive update (overdue ones included) as
 trivial chains in a leftover list, maintains the set I of bichromatic chain
 intersections with exact violation counts, and answers queries from a
-buffered partition-tree forest over I.  Static and dynamic paths collect
-the intersections with one routine over `chain_pair_intersections`, which
-decides signs on the lines' integer forms.  Each update counts its new
-candidates in one exact side pass and inserts them into the forest as one
-batch: one merge and one tree build per update.  The zero sides of that
-pass are the live lines through each candidate.  A candidate leaves the
-forest only when the last live red line or the last live blue line through
-it is deleted, so a point where three or more lines meet stays while a
-red-blue pair through it is live.  An expensive update drops the old
-forest before it builds the new one.
+flat table over I (`parttree`): an update adds +-1 to the counts on one
+side of its line in one exact sign pass over the table, and a query takes
+the leftmost alive row with a small enough count.  Static and dynamic
+paths collect the intersections with one routine over
+`chain_pair_intersections`, which decides signs on the lines' integer
+forms.  Each update builds the integer point columns of its new
+candidates once, counts them in one exact side pass and appends them to
+the table as one batch.  The zero sides of that pass are the live lines
+through each candidate.  A candidate leaves the table only when the last
+live red line or the last live blue line through it is deleted, so a point
+where three or more lines meet stays while a red-blue pair through it is
+live.  An expensive update drops the old table before it builds the new
+one.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .core import Color, PointR2
 from .errors import ScheduleViolation, UnknownId
 from .parttree import PartitionForest, PTPoint
 from .rat import Rat, RatT
-from .scans import far_order, gap_mis, line_columns, line_sides
+from .scans import FarGaps, line_columns, line_sides, point_columns
 
 
 @dataclass(frozen=True)
@@ -75,19 +78,16 @@ class LPResult:
 COUNT_CHUNK = 1 << 12
 
 
-def _sides_and_counts(
-    points: Sequence[tuple[RatT, RatT]],
-    red: Sequence[DLine],
-    blue: Sequence[DLine],
-):
-    """Per bounded chunk of the points, one numpy pass: the chunk's
-    `scans.line_sides` array against red + blue, and each of its points'
-    violations (red lines strictly below it, blue lines strictly above)."""
+def _sides_and_counts(pcols, red: Sequence[DLine], blue: Sequence[DLine]):
+    """Per bounded chunk of the points with `scans.point_columns` pcols,
+    one numpy pass: the chunk's `scans.line_sides` array against red +
+    blue, and each of its points' violations (red lines strictly below it,
+    blue lines strictly above)."""
     cols = line_columns(list(red) + list(blue))
     nr = len(red)
     step = max(1, COUNT_CHUNK // max(1, len(cols[0])))
-    for i in range(0, len(points), step):
-        sides = line_sides(cols, points[i:i + step])
+    for i in range(0, len(pcols[0]), step):
+        sides = line_sides(cols, tuple(h[i:i + step] for h in pcols))
         yield sides, (np.count_nonzero(sides[:, :nr] > 0, axis=1)
                       + np.count_nonzero(sides[:, nr:] < 0, axis=1)).tolist()
 
@@ -99,7 +99,8 @@ def violation_counts(
 ) -> list[int]:
     """Violations of each point (x, y): the red lines strictly below it
     plus the blue lines strictly above it."""
-    return [v for _, counts in _sides_and_counts(points, red, blue)
+    return [v for _, counts in
+            _sides_and_counts(point_columns(points), red, blue)
             for v in counts]
 
 
@@ -109,7 +110,7 @@ def violations_at(p: PointR2, red: Sequence[DLine], blue: Sequence[DLine]) -> in
 
 def far_left_min(red: Sequence[DLine], blue: Sequence[DLine]) -> int:
     """Minimum violation count over the far-left gaps."""
-    return min(gap_mis(far_order(red, blue, -1)))
+    return min(FarGaps(red, blue, -1).mis)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ class DynState:
     of a line inserted without a promised time, raises ScheduleViolation
     and leaves the state unchanged.
 
-    A candidate leaves the forest only when the last live red line or the
+    A candidate leaves the table only when the last live red line or the
     last live blue line through it is deleted: the lines through it are the
     zero sides of the exact pass that counts its violations.  So it stays
     while it is a red-blue vertex of live lines, also where three meet.
@@ -389,7 +390,7 @@ class DynState:
         for (color, idx), lines in buckets.items():
             self.layers[color][idx] = self._build_layer(lines, color)
 
-    # -- candidate set I and the forest ---------------------------------------
+    # -- candidate set I and its table -----------------------------------------
 
     def _all_chains(self, color: Color) -> list[Chain]:
         kind = ChainKind.CONCAVE if color is Color.RED else ChainKind.CONVEX
@@ -400,15 +401,17 @@ class DynState:
             out.extend(layer.chains)
         return out
 
-    def _candidates(self, found: list[tuple[RatT, RatT]]) -> list[PTPoint]:
-        """The points with their violation counts against the live lines.
-        A point's payload is [red, blue]: how many live red and blue lines
-        pass through it (the zero sides of the counting pass), and
-        points_by_line files it under each of those lines."""
+    def _candidates(self, found: list[tuple[RatT, RatT]]):
+        """The points with their violation counts against the live lines,
+        and their `scans.point_columns`.  A point's payload is [red, blue]:
+        how many live red and blue lines pass through it (the zero sides of
+        the counting pass), and points_by_line files it under each of those
+        lines."""
         red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
         lines = red + blue
+        pcols = point_columns(found)
         pts: list[PTPoint] = []
-        for sides, counts in _sides_and_counts(found, red, blue):
+        for sides, counts in _sides_and_counts(pcols, red, blue):
             base = len(pts)
             pts.extend(PTPoint(x, y, cnt, payload=[0, 0])
                        for (x, y), cnt in zip(found[base:], counts))
@@ -417,13 +420,13 @@ class DynState:
                 pt = pts[base + i]
                 pt.payload[j >= len(red)] += 1
                 self.points_by_line.setdefault(lines[j].id, []).append(pt)
-        return pts
+        return pts, pcols
 
     def _rebuild_candidates(self) -> None:
-        # free the old candidates first: the old and the new forest are
+        # free the old candidates first: the old and the new table are
         # never held at once
         self.forest, self.points_by_line = None, {}
-        self.forest = PartitionForest(self._candidates(_chain_candidates(
+        self.forest = PartitionForest(*self._candidates(_chain_candidates(
             self._all_chains(Color.RED), self._all_chains(Color.BLUE))))
 
     # -- updates ----------------------------------------------------------------
@@ -443,7 +446,8 @@ class DynState:
         opp = self._all_chains(color.other())
         found = (_chain_candidates(new, opp) if color is Color.RED
                  else _chain_candidates(opp, new))
-        self.forest.insert(*self._candidates(found))
+        pts, pcols = self._candidates(found)
+        self.forest.insert(*pts, cols=pcols)
         self._maybe_expensive()
 
     def delete(self, id_: int) -> None:
@@ -507,14 +511,29 @@ class DynState:
     # -- audits ---------------------------------------------------------------
 
     def audit(self) -> None:
-        """Verify layer survival promises, leftover membership and buffers.
+        """Verify the candidate table, layer survival promises and leftover
+        membership.
 
-        Every live line sits in exactly one place: the leftover list or one
-        layer of its colour.  A layer line is due strictly after that layer's
-        next flush, so every overdue line, and every line due at or before
-        its layer's next flush, is in the leftover list.
+        The table's rows agree with its points (`PartitionForest.audit`).
+        Every alive candidate lies on a live red and a live blue line, and
+        its count equals an exact recount against the live lines.  Every
+        live line sits in exactly one place: the leftover list or one layer
+        of its colour.  A layer line is due strictly after that layer's next
+        flush, so every overdue line, and every line due at or before its
+        layer's next flush, is in the leftover list.
         """
         self.forest.audit()
+        pts = self.forest.alive_points()
+        if any(min(p.payload) < 1 for p in pts):
+            raise AssertionError("an alive candidate lost its red or blue line")
+        want = violation_counts([(p.x, p.y) for p in pts],
+                                self._lines(Color.RED), self._lines(Color.BLUE))
+        for p, v in zip(pts, want):
+            if p.count != v:
+                raise AssertionError(
+                    f"candidate ({p.x}, {p.y}) has count {p.count}, "
+                    f"recount {v}"
+                )
         placed = []     # (id, colour) of every line in the leftover or a layer
         for color in (Color.RED, Color.BLUE):
             placed.extend((id_, color) for id_ in self.leftover[color])

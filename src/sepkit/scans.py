@@ -53,14 +53,14 @@ skipped unsorted.
 The side of a line at a rational point (x, y) = (p/q, r/s) is the sign of
 A*r*q - (B*p + C*q)*s, that is of A*y - B*x - C times q*s > 0: positive
 strictly above the line, zero on it, negative strictly below.
-`side_of_line` decides one point in Python ints; `line_sides` decides a
-batch of points against the `line_columns` arrays in one numpy pass.  It
-works on the homogeneous point (X, Y, W) = (p*s, r*q, q*s) and stays in
-int64 when the columns are int64 and max|A|*max|Y| + max|B|*max|X| +
-max|C|*max|W|, which bounds every partial sum, fits in int64 (always so
-for coefficients below 2**25 and coordinates below 2**36); otherwise it
-computes on Python ints (dtype object).  No float is involved, so there is
-nothing to filter.
+`point_columns` turns a batch of points into the homogeneous integer
+columns (X, Y, W) = (p*s, r*q, q*s), and `line_sides` decides them
+against the `line_columns` arrays in one numpy pass.  It stays in int64
+when both are int64 and max|A|*max|Y| + max|B|*max|X| + max|C|*max|W|,
+which bounds every partial sum, fits in int64 (always so for coefficients
+below 2**25 and coordinates below 2**36); otherwise it computes on Python
+ints (dtype object).  No float is involved, so there is nothing to
+filter.
 """
 
 from __future__ import annotations
@@ -250,32 +250,33 @@ def _counted(start: int, idx, num, den, same, adj) -> Crossings:
 INT64_MAX = (1 << 63) - 1
 
 
-def side_of_line(abc: tuple[int, int, int], x: RatT, y: RatT) -> int:
-    """Sign of A*y - B*x - C for the line (A, B, C) at the point (x, y)."""
-    A, B, C = abc
-    q, s = rat_den(x), rat_den(y)
-    v = A * rat_num(y) * q - (B * rat_num(x) + C * q) * s
-    return (v > 0) - (v < 0)
-
-
-def line_sides(cols, points: Sequence[tuple[RatT, RatT]]) -> np.ndarray:
-    """side_of_line of every point (row) against every line (column) of the
-    line_columns arrays cols, as a points-by-lines array of -1, 0 and 1."""
-    hom = []    # the points as (p*s, r*q, q*s), with q*s > 0
+def point_columns(points: Sequence[tuple[RatT, RatT]]):
+    """The points (x, y) = (p/q, r/s) as the homogeneous integer columns
+    (X, Y, W) = (p*s, r*q, q*s), with W > 0: int64 when every entry is at
+    most INT64_MAX in magnitude, else dtype object holding Python ints."""
+    hom = []
     for x, y in points:
         p, q, r, s = rat_num(x), rat_den(x), rat_num(y), rat_den(y)
         hom.append((p * s, r * q, q * s))
-    X, Y, W = list(zip(*hom)) or [(), (), ()]
+    big = max((abs(v) for h in hom for v in h), default=0) > INT64_MAX
+    flat = np.array(hom, dtype=object if big else np.int64).reshape(-1, 3)
+    return tuple(flat.T.copy())
+
+
+def line_sides(cols, pcols) -> np.ndarray:
+    """Sign of A*y - B*x - C of every point (row) of the point_columns
+    arrays pcols against every line (column) of the line_columns arrays
+    cols, as a points-by-lines array of -1, 0 and 1."""
     a, b, c = cols
     dtype = object
-    if a.dtype == np.int64:
-        # at least |A*Y - B*X - C*W|, each partial sum, and |X|, |Y|, |W|
+    if all(h.dtype == np.int64 for h in (a, *pcols)):
+        # at least |A*Y - B*X - C*W| and each partial sum
         bound = sum(max(int(abs(col).max(initial=0)), 1)
-                    * max(map(abs, h), default=0)
-                    for col, h in ((a, Y), (b, X), (c, W)))
+                    * int(abs(h).max(initial=0))
+                    for col, h in zip(cols, (pcols[1], pcols[0], pcols[2])))
         if bound <= INT64_MAX:
             dtype = np.int64
-    X, Y, W = (np.array(h, dtype=dtype).reshape(-1, 1) for h in (X, Y, W))
+    X, Y, W = (h.astype(dtype, copy=False).reshape(-1, 1) for h in pcols)
     a, b, c = (col.astype(dtype, copy=False) for col in cols)
     return np.sign(a * Y - b * X - c * W).astype(np.int8)
 
@@ -368,14 +369,15 @@ def _exact_extreme(num, den, key, lowest: bool) -> tuple[int, int]:
 
 def _far_index(a, b, c, side: int) -> np.ndarray:
     """The lines' indices bottom to top beyond every crossing on one side
-    (-1 left, +1 right), as in far_order."""
+    (-1 left, +1 right): by slope times side, then by intercept."""
     return exact_order((b * side, a), (c, a))[0]
 
 
 def _extreme_crossing(a, b, c, side: int) -> RatT:
-    """The x of the leftmost (side -1) or rightmost (side 1) vertex.  The lines through that vertex are contiguous in
-    the far order on that side, so two of them, not parallel, are adjacent
-    there: only adjacent pairs are crossed."""
+    """The x of the leftmost (side -1) or rightmost (side 1) vertex.  The
+    lines through that vertex are contiguous in the far order on that side,
+    so two of them, not parallel, are adjacent there: only adjacent pairs
+    are crossed."""
     order = _far_index(a, b, c, side)
     i, j = order[:-1], order[1:]
     num = c[j] * a[i] - c[i] * a[j]
@@ -579,36 +581,13 @@ class FarGap:
     limit: RatT                # lim of vertical-error/|x|, minimized over alpha
 
 
-def far_order(
-    below: Sequence[DLine], above: Sequence[DLine], side: int
-) -> list[tuple[DLine, bool]]:
-    """(line, is_below) pairs bottom to top beyond every crossing on one side
-    (-1 left, +1 right): by slope times side, then by intercept."""
-    tagged = [(l, True) for l in below] + [(l, False) for l in above]
-    if not tagged:
-        return tagged
-    a, b, c = line_columns([l for l, _ in tagged])
-    order, _ = exact_order((b * side, a), (c, a))
-    return [tagged[j] for j in order]
-
-
-def gap_mis(order: Sequence[tuple[DLine, bool]]) -> list[int]:
-    """mis of each gap of a bottom-to-top far order, the bottom gap first:
-    the below-lines under the gap plus the above-lines over it."""
-    mis = sum(1 for _, isb in order if not isb)
-    out = [mis]
-    for _, isb in order:
-        mis += 1 if isb else -1
-        out.append(mis)
-    return out
-
-
 class FarGaps:
-    """The gaps of a far order (see far_order) on one side, bottom to top.
-    `mis` holds every gap's mis, from the integer order; the order as
-    (line, is_below) pairs, and a gap's slope range and limit (its FarGap),
-    are built when first read.  `cols` is line_columns(below + above), if
-    the caller has it."""
+    """The gaps between the lines beyond every crossing on one side (-1
+    left, +1 right), bottom to top (`_far_index`).  `mis` holds every gap's
+    mis (the below-lines under it plus the above-lines over it), from the
+    integer order; the order as (line, is_below) pairs, and a gap's slope
+    range and limit (its FarGap), are built when first read.  `cols` is
+    line_columns(below + above), if the caller has it."""
 
     def __init__(self, below: Sequence[DLine], above: Sequence[DLine],
                  side: int, cols=None):

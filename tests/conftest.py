@@ -165,3 +165,13 @@ def locate(ov, x, y):
         else:
             break
     return ov.cells[s][idx]
+
+
+def side_of_line(abc, x, y) -> int:
+    """Sign of A*y - B*x - C for the line (A, B, C) at the rational point
+    (x, y), one point at a time in Python ints: the reference for
+    `scans.line_sides`."""
+    A, B, C = abc
+    q, s = den(x), den(y)
+    v = A * num(y) * q - (B * num(x) + C * q) * s
+    return (v > 0) - (v < 0)

@@ -86,7 +86,7 @@ def test_ply_equals_direct_count(rng):
                 assert ply.ply(x) == direct
 
 
-# -- partition trees ------------------------------------------------------------
+# -- candidate table -------------------------------------------------------------
 
 
 def _random_forest(rng, n):
@@ -113,7 +113,7 @@ def test_halfplane_updates_match_recount(rng):
             if hit:
                 shadow[id(p)] += delta
         forest.audit()
-    alive = [q for t in forest.trees for q in t.alive_points()]
+    alive = forest.alive_points()
     assert {id(p): p.count for p in alive} == shadow
 
 
@@ -121,7 +121,7 @@ def test_single_point_increment():
     p = PTPoint(Rat(0), Rat(0), 0)
     forest = PartitionForest([p])
     forest.halfplane_update(L(0, 0, -1), above=True, delta=+1)   # point above line
-    assert forest.trees[0].alive_points()[0].count == 1
+    assert forest.alive_points()[0].count == 1
 
 
 def test_sentinel_deletion():
@@ -141,7 +141,7 @@ def test_leftmost_query_with_inserts(rng):
         forest.audit()
         for kq in (0, 2, 5):
             got = forest.leftmost_valid(kq)
-            alive = [q for t in forest.trees for q in t.alive_points()]
+            alive = forest.alive_points()
             want = min(((q.x, q.y) for q in alive if q.count <= kq),
                        default=None)
             if want is None:
@@ -307,6 +307,34 @@ def test_dynamic_keeps_candidate_on_three_lines(gone):
     assert got.status is want.status is LPStatus.FEASIBLE
     assert (got.point.x, got.point.y, got.violations) == (0, 0, 0)
     assert (want.point.x, want.point.y, want.violations) == (0, 0, 0)
+
+
+def test_audit_catches_a_wrong_table(rng):
+    # each corruption of the candidate table, alone, fails the audit
+    cs, schedule, ops = make_sequence(rng, 12, 30)
+    st = DynState(cs, schedule, 2)
+    for op in ops:
+        _apply(st, op)
+    st.audit()
+    table = st.forest
+    row = table.alive_points()[0].row
+
+    def corrupt(apply, undo):
+        apply()
+        with pytest.raises(AssertionError):
+            st.audit()
+        undo()
+        st.audit()
+
+    corrupt(lambda: table.count.__setitem__(row, table.count[row] + 1),
+            lambda: table.count.__setitem__(row, table.count[row] - 1))
+    corrupt(lambda: table.alive.__setitem__(row, False),
+            lambda: table.alive.__setitem__(row, True))
+    corrupt(lambda: setattr(table, "deleted", table.deleted + 1),
+            lambda: setattr(table, "deleted", table.deleted - 1))
+    p, payload = table.pts[row], table.pts[row].payload
+    corrupt(lambda: setattr(p, "payload", [payload[0], 0]),
+            lambda: setattr(p, "payload", payload))
 
 
 def test_dynamic_spec_examples():

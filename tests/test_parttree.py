@@ -1,19 +1,22 @@
-"""Partition-forest halfplane updates on a grid whose cell corners and leaf
-points lie exactly on the update lines, against brute-force counts; and
-the forest's order keys on coordinates whose floats tie while their exact
-values differ, and on coordinates beyond the float range."""
+"""The candidate table's halfplane updates, leftmost queries, deletions and
+compactions against brute-force counts: on a grid whose points lie exactly
+on the update lines, on coordinates whose floats tie while their exact
+values differ, and on coordinates beyond the int64 and float ranges; and a
+dropped table is freed without the cycle collector."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepkit.chains import DLine
-from sepkit.parttree import PartitionForest, PTPoint, _above_halfplane, _filter_line, \
-    _side
+from sepkit.lpviol import DynState
+from sepkit.parttree import PartitionForest, PTPoint
 from sepkit.rat import Rat
-from sepkit.scans import side_of_line
+from tests.conftest import side_of_line
 
 GRID = range(-4, 5)
 # (slope, intercept) pairs through many grid points
@@ -26,95 +29,50 @@ def _height(line: DLine, x, y) -> Fraction:
     return Fraction(y) - (Fraction(line.m) * Fraction(x) + Fraction(line.c))
 
 
-def _corners(node) -> list[tuple]:
-    """The four corners of the node's cell: x from its least and greatest
-    order keys, y from the keys of its lowest and highest points."""
-    return [(x, y) for x in (node.lo[1], node.hi[1])
-            for y in (node.ylo[3], node.yhi[3])]
-
-
-def _reference_cell(node, line: DLine, above: bool) -> int:
-    """The cell against the open halfplane, from all four corners."""
-    vals = [_height(line, x, y) for x, y in _corners(node)]
-    if above:
-        return 1 if min(vals) > 0 else -1 if max(vals) <= 0 else 0
-    return 1 if max(vals) < 0 else -1 if min(vals) >= 0 else 0
-
-
-def _nodes(u):
-    yield u
-    for c in u.children:
-        yield from _nodes(c)
-
-
-def _counts(forest) -> dict[int, int]:
-    """True count of every alive point: its stored count plus the buffers
-    on its path, read without flushing them."""
-    out = {}
-
-    def walk(u, acc):
-        acc += u.buf
-        for p in u.pts:
-            if p.alive:
-                out[id(p)] = p.count + acc
-        for c in u.children:
-            walk(c, acc)
-
-    for t in forest.trees:
-        walk(t.root, 0)
-    return out
+def _counts(table) -> dict[int, int]:
+    """The count of every alive point, by id."""
+    return {id(p): p.count for p in table.alive_points()}
 
 
 def test_halfplane_updates_with_points_on_the_line():
     pts = [PTPoint(Rat(x), Rat(y), (7 * x + 3 * y) % 5, payload=(x, y))
            for x in GRID for y in GRID]
-    forest = PartitionForest(pts)
+    table = PartitionForest(pts)
     shadow = {id(p): p.count for p in pts}
     alive = {id(p): p for p in pts}
-    # cells outside the open halfplane with a corner on its line, which only
-    # the non-strict tests (max <= 0 above, min >= 0 below) decide
-    touching = {True: 0, False: 0}
+    on_line = 0     # points on an update line, which no update may move
     step = 0
     for m, c in LINES:
         for above in (True, False):
             for delta in (+1, -1, +1):
                 step += 1
                 line = DLine(0, m, c)
-                for t in forest.trees:
-                    for node in _nodes(t.root):
-                        want = _reference_cell(node, line, above)
-                        assert _above_halfplane(
-                            node, _filter_line(line.abc), above) == want
-                        corners = [_height(line, x, y)
-                                   for x, y in _corners(node)]
-                        if want == -1 and 0 in corners:
-                            touching[above] += 1
-                forest.halfplane_update(line, above, delta)
+                table.halfplane_update(line, above, delta)
                 for p in alive.values():
                     v = _height(line, p.x, p.y)
+                    on_line += v == 0
                     if (v > 0) if above else (v < 0):
                         shadow[id(p)] += delta
-                forest.audit()
-                assert _counts(forest) == shadow
-                assert forest.min_count() == min(shadow.values())
-                # more trees: insert a point on the last line, delete a grid point
+                table.audit()
+                assert _counts(table) == shadow
+                # insert a point on the last line, delete a grid point
                 j = step % 9 - 4
                 q = PTPoint(Rat(j, 2), m * Rat(j, 2) + c, step % 4)
-                forest.insert(q)
+                table.insert(q)
                 shadow[id(q)] = q.count
                 alive[id(q)] = q
                 gone = pts[(5 * step) % len(pts)]
                 if gone.alive:
-                    forest.delete(gone)
+                    table.delete(gone)
                     del shadow[id(gone)], alive[id(gone)]
-                forest.audit()
-                assert _counts(forest) == shadow
+                table.audit()
+                assert _counts(table) == shadow
                 for kq in (0, 2, 4):
-                    got = forest.leftmost_valid(kq)
+                    got = table.leftmost_valid(kq)
                     want = min(((p.x, p.y) for p in alive.values()
                                 if shadow[id(p)] <= kq), default=None)
                     assert ((got.x, got.y) if got else None) == want
-    assert touching[True] > 0 and touching[False] > 0
+    assert on_line > 0
 
 
 # x and y values in groups whose floats tie (or overflow to the same
@@ -142,17 +100,16 @@ def _tied_lines(rng, n):
 def test_order_keys_on_float_ties(seed):
     rng = random.Random(seed)
     lines = _tied_lines(rng, 12)
-    forest = PartitionForest()
+    table = PartitionForest()
     coords, shadow = {}, {}     # by id: the exact (x, y), the true count
     alive = []
 
     def check():
-        forest.audit()
-        assert _counts(forest) == shadow
-        assert len(forest) == len(alive)
-        assert forest.min_count() == min(shadow.values(), default=None)
+        table.audit()
+        assert _counts(table) == shadow
+        assert len(table) == len(alive)
         for kq in range(-2, 4):
-            got = forest.leftmost_valid(kq)
+            got = table.leftmost_valid(kq)
             want = min((coords[id(p)] for p in alive if shadow[id(p)] <= kq),
                        default=None)
             assert (coords[id(got)] if got else None) == want, kq
@@ -168,16 +125,16 @@ def test_order_keys_on_float_ties(seed):
                 p = PTPoint(x, y, rng.randint(-1, 3))
                 coords[id(p)], shadow[id(p)] = (x, y), p.count
                 batch.append(p)
-            forest.insert(*batch)
+            table.insert(*batch)
             alive.extend(batch)
         elif op < 0.6:
             p = alive.pop(rng.randrange(len(alive)))
-            forest.delete(p)
+            table.delete(p)
             del shadow[id(p)]
         else:
             line, above = rng.choice(lines), rng.random() < 0.5
             delta = rng.choice([-1, 1])
-            forest.halfplane_update(line, above, delta)
+            table.halfplane_update(line, above, delta)
             for p in alive:
                 x, y = coords[id(p)]
                 v = _height(line, x, y)
@@ -186,12 +143,93 @@ def test_order_keys_on_float_ties(seed):
         check()
 
 
-def test_len_after_insert_absorbs_dead_points():
-    # the batch of 4 absorbs the tree of 4 and drops its dead point
-    forest = PartitionForest([PTPoint(Rat(i), Rat(0), 0) for i in range(4)])
-    forest.delete(forest.trees[0].alive_points()[0])
-    forest.insert(*[PTPoint(Rat(10 + i), Rat(0), 0) for i in range(4)])
-    assert len(forest) == sum(len(t.alive_points()) for t in forest.trees) == 7
+# small values: the int64 path
+SMALL = [Rat(v) for v in (-2, -1, 0, 1, 2)] + [Rat(1, 2), Rat(-1, 3)]
+
+
+@st.composite
+def table_runs(draw):
+    """Lines through two points of the small or the tied values, and a run
+    of inserts of such points (some on a line), deletes, compactions and
+    halfplane updates."""
+    small = draw(st.booleans())
+    pool_x, pool_y = (SMALL, SMALL) if small else (TIED_X, TIED_Y)
+    lines = []
+    for i in range(draw(st.integers(1, 4))):
+        x1, x2 = draw(st.lists(st.sampled_from(pool_x), min_size=2,
+                               max_size=2, unique=True))
+        y1, y2 = draw(st.sampled_from(pool_y)), draw(st.sampled_from(pool_y))
+        m = (y2 - y1) / (x2 - x1)
+        lines.append(DLine(i, m, y1 - m * x1))
+    point = st.tuples(st.sampled_from(pool_x), st.sampled_from(pool_y),
+                      st.none() | st.integers(0, len(lines) - 1),
+                      st.integers(-1, 3))
+    op = st.one_of(
+        st.tuples(st.just("insert"), st.lists(point, min_size=1, max_size=5)),
+        st.tuples(st.just("delete"), st.integers(0, 10**6)),
+        st.tuples(st.just("rebuild")),
+        st.tuples(st.just("update"), st.integers(0, len(lines) - 1),
+                  st.booleans(), st.sampled_from([-1, 1])),
+    )
+    return lines, draw(st.lists(op, max_size=30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(run=table_runs())
+def test_table_matches_brute_force_recount(run):
+    lines, ops = run
+    table = PartitionForest()
+    alive, shadow = [], {}      # the alive points, their counts by id
+    for op in ops:
+        if op[0] == "insert":
+            batch = []
+            for x, y, on, count in op[1]:
+                p = PTPoint(x, y if on is None else lines[on].y_at(x), count)
+                shadow[id(p)] = count
+                batch.append(p)
+            table.insert(*batch)
+            alive.extend(batch)
+        elif op[0] == "delete" and alive:
+            p = alive.pop(op[1] % len(alive))
+            table.delete(p)
+            del shadow[id(p)]
+            with pytest.raises(KeyError):
+                table.delete(p)
+        elif op[0] == "rebuild":
+            table.rebuild()
+        elif op[0] == "update":
+            _, i, above, delta = op
+            table.halfplane_update(lines[i], above, delta)
+            for p in alive:
+                side = side_of_line(lines[i].abc, p.x, p.y)
+                if side == (1 if above else -1):
+                    shadow[id(p)] += delta
+        table.audit()
+        assert len(table) == len(alive)
+        assert _counts(table) == shadow
+        for kq in range(min(shadow.values(), default=0) - 1,
+                        max(shadow.values(), default=0) + 2):
+            got = table.leftmost_valid(kq)
+            want = min(((p.x, p.y) for p in alive if shadow[id(p)] <= kq),
+                       default=None)
+            assert ((got.x, got.y) if got else None) == want, kq
+            if got is not None:
+                assert got.count == shadow[id(got)]
+
+
+def test_len_after_deletes_and_compaction():
+    table = PartitionForest([PTPoint(Rat(i), Rat(0), 0) for i in range(4)])
+    pts = table.alive_points()
+    table.delete(pts[0])
+    table.insert(*[PTPoint(Rat(10 + i), Rat(0), 0) for i in range(4)])
+    assert len(table) == len(table.alive_points()) == 7
+    assert len(table.pts) == 8
+    # the fourth dead row of eight compacts the table
+    for p in pts[1:4]:
+        table.delete(p)
+    assert len(table) == len(table.pts) == 4 and table.deleted == 0
+    table.audit()
+    assert table.leftmost_valid(0).x == 10
 
 
 @st.composite
@@ -212,20 +250,50 @@ def near_line_points(draw):
     return line, x, y
 
 
+def _table_side(line: DLine, x, y) -> int:
+    """The side of (x, y) the table's halfplane updates see: +1 if an
+    update above the line counts it, -1 if one below does, else 0."""
+    p = PTPoint(x, y, 0)
+    table = PartitionForest([p])
+    table.halfplane_update(line, True, 1)
+    table.halfplane_update(line, False, -1)
+    return table.leftmost_valid(1).count
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=near_line_points())
-def test_filtered_side_matches_exact_side(case):
+def test_table_side_matches_exact_side(case):
     line, x, y = case
-    key = PTPoint(x, y, 0).key
-    assert _side(_filter_line(line.abc), key, key) == side_of_line(line.abc, x, y)
+    assert _table_side(line, x, y) == side_of_line(line.abc, x, y)
 
 
-def test_filtered_side_where_x_underflows():
+def test_table_side_where_x_underflows():
     # x rounds to 0.0 and y does not: on floats the point looks above the
     # line y = 2**60 * x, but it is below it by x
     line = DLine(0, Rat(2**60), Rat(0))
     x = Rat(1, 2**1080)
     y = (2**60 - 1) * x
-    key = PTPoint(x, y, 0).key
-    assert key[0] == 0.0 < key[2]
-    assert _side(_filter_line(line.abc), key, key) == -1
+    assert float(x) == 0.0 < float(y)
+    assert _table_side(line, x, y) == -1
+
+
+def test_dropped_table_is_freed_by_refcount():
+    from tests.test_lpviol import make_sequence
+
+    cs, schedule, ops = make_sequence(random.Random(5), 12, 60)
+    st_ = DynState(cs, schedule, 2)
+    rebuilds = 0
+    gc.disable()
+    try:
+        for op in ops:
+            old = weakref.ref(st_.forest)
+            if op[0] == "insert":
+                st_.insert(*op[1:])
+            else:
+                st_.delete(op[1])
+            if st_.forest is not old():
+                rebuilds += 1
+                assert old() is None
+    finally:
+        gc.enable()
+    assert rebuilds > 0

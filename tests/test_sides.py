@@ -13,7 +13,8 @@ from sepkit.chains import DLine, cross_x
 from sepkit.core import PointR2
 from sepkit.lpviol import violation_counts, violations_at
 from sepkit.rat import Rat
-from sepkit.scans import line_columns, line_sides, side_of_line
+from sepkit.scans import line_columns, line_sides, point_columns
+from tests.conftest import side_of_line
 
 ANCHORS = [0, 1, 2**25, 2**36, 10**30]
 DENS = [1, 1, 3, 7, 21]
@@ -67,7 +68,7 @@ def test_sides_match_fraction_definition(case):
     lines, pts = case
     want = [[reference_side(l, x, y) for l in lines] for x, y in pts]
     assert [[side_of_line(l.abc, x, y) for l in lines] for x, y in pts] == want
-    got = line_sides(line_columns(lines), pts)
+    got = line_sides(line_columns(lines), point_columns(pts))
     assert got.shape == (len(pts), len(lines))
     assert got.tolist() == want
 
@@ -118,7 +119,7 @@ def test_sides_at_dtype_boundaries():
             paths.append(_path(cols, x, y))
             want = reference_side(line, x, y)
             assert side_of_line(line.abc, x, y) == want
-            assert line_sides(cols, [(x, y)]).tolist() == [[want]]
+            assert line_sides(cols, point_columns([(x, y)])).tolist() == [[want]]
             assert violation_counts([(x, y)], [line], []) == [int(want > 0)]
             assert violation_counts([(x, y)], [], [line]) == [int(want < 0)]
     assert set(paths) == {"int64", "object"}
@@ -149,5 +150,5 @@ def test_sides_near_the_int64_product_bound():
             paths.append(_path(cols, x, y))
             want = [reference_side(line, x, y), reference_side(line.neg(), x, y)]
             assert [side_of_line(l.abc, x, y) for l in (line, line.neg())] == want
-            assert line_sides(cols, [(x, y)]).tolist() == [want]
+            assert line_sides(cols, point_columns([(x, y)])).tolist() == [want]
     assert set(paths) == {"int64", "object"}
