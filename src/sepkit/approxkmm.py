@@ -56,7 +56,6 @@ from .errors import EmptyColor, NonPositiveEps, SepkitError
 from .exactkmm import OrientationAnalysis, VerticalError
 from .lpviol import PlyStructure, check_schedule, violations_at
 from .rat import R0, Rat, RatLike, RatT, rat
-from .rat import den as rat_den, num as rat_num
 from .scans import ColumnProfile
 # unused here; imported only so perfbench/spans.py can wrap this name
 from .scans import segment_valid_crossings  # noqa: F401
@@ -206,16 +205,16 @@ def rotated_duals(
     (above).  With the corner (a, b)/d, the rotation that points it straight
     down maps (x, y) to (-b*x + a*y, -a*x - b*y)/d, whose dual line has
     m = (-b*x + a*y)/d and c = (a*x + b*y)/d: integer numerators over one
-    denominator, which give the integer form directly, and one rational
-    built per coefficient."""
+    denominator, which give the stored integer form directly; no rational
+    is built."""
     wx, wy = wedge.corner
-    d = math.lcm(rat_den(wx), rat_den(wy))
-    a, b = rat_num(wx) * (d // rat_den(wx)), rat_num(wy) * (d // rat_den(wy))
+    d = math.lcm(wx.denominator, wy.denominator)
+    a, b = (w.numerator * (d // w.denominator) for w in (wx, wy))
 
     def dual(p: LabeledPoint) -> DLine:
         x, y = p.point.x, p.point.y
-        qx, qy = rat_den(x), rat_den(y)
-        X, Y = rat_num(x) * qy, rat_num(y) * qx     # x = X/(qx*qy), y likewise
+        qx, qy = x.denominator, y.denominator
+        X, Y = x.numerator * qy, y.numerator * qx   # x = X/(qx*qy), y likewise
         w, m, c = d * qx * qy, a * Y - b * X, a * X + b * Y
         g = math.gcd(w, m, c)
         return DLine.of_abc(p.id, (w // g, m // g, c // g))
@@ -250,7 +249,8 @@ def _find_p_min(ctx: DeltaContext) -> Optional[tuple[RatT, RatT, int, RatT]]:
     best = None
     for i, cr in enumerate(ctx.red_chains):
         for j, cb in enumerate(ctx.blue_chains):
-            for x, y in chain_pair_intersections(cr, cb):
+            for X, Y, W in chain_pair_intersections(cr, cb):
+                x, y = Rat(X, W), Rat(Y, W)
                 if not ctx.in_slab(x):
                     continue
                 mis = ctx.red_ply[i].ply(x) + ctx.blue_ply[j].ply(x)
@@ -285,11 +285,11 @@ def decide_delta(ctx: DeltaContext, delta: RatT) -> Optional[PointR2]:
             cands.append((x, y))
     concave_d = _shifted(ctx.env_lo, delta, up=True)     # red envelope + delta
     convex_d = _shifted(ctx.env_hi, delta, up=False)     # blue envelope - delta
-    for cb in ctx.blue_chains:
-        cands.extend(chain_pair_intersections(concave_d, cb))
-    for cr in ctx.red_chains:
-        cands.extend(chain_pair_intersections(cr, convex_d))
-    cands.extend(chain_pair_intersections(concave_d, convex_d))
+    pairs = ([(concave_d, cb) for cb in ctx.blue_chains]
+             + [(cr, convex_d) for cr in ctx.red_chains]
+             + [(concave_d, convex_d)])
+    cands.extend((Rat(X, W), Rat(Y, W)) for cc, cv in pairs
+                 for X, Y, W in chain_pair_intersections(cc, cv))
     for wall in (ctx.wedge.m_lo, ctx.wedge.m_hi):
         col = ColumnProfile(ctx.below, ctx.above, wall)
         cy = (ctx.env_lo.value_at(wall) + ctx.env_hi.value_at(wall)) / 2
@@ -394,8 +394,8 @@ class ApproxSolver:
 
     def solve(self, k: int, tol: RatLike = Rat(1, 10**12)) -> ApproxReport:
         """Best wedge optimum.  Each optimum is exact, so `tol` has no
-        effect until a search over delta (ROADMAP, direction 3) gives it
-        one."""
+        effect until a search over delta (ROADMAP, direction 4, step A)
+        gives it one."""
         k = min(k, len(self.pts))
         if k > self.kmax:
             raise ValueError(f"k = {k} exceeds this solver's kmax = {self.kmax}")

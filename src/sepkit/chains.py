@@ -7,6 +7,9 @@ a line leaves the set of k+1 lowest lines (it is overtaken at the boundary),
 its chain transfers to the overtaking line.  Transfers always decrease the
 piece slope, so chains stay concave.  Upper levels are handled by negating
 all lines, which swaps above/below.
+
+A dual line (`DLine`) is stored as its primitive integer form; the sweeps
+decide on it, and chain crossings leave as integer triples.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
-from .rat import Rat, RatT, den, homogeneous, num
+from .rat import Rat, RatT, homogeneous
 from .scans import _far_index, exact_order, line_columns
 
 
@@ -33,33 +37,44 @@ class ChainKind(enum.Enum):
     CONVEX = "Convex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DLine:
-    """A dual line y = m*x + c carrying the id of its source point."""
+    """A dual line y = m*x + c carrying the id of its source point, stored
+    as its integer form `abc` = (A, B, C): A*y = B*x + C with A > 0 and
+    gcd 1, unique per line, so equality and hashing follow (id, abc).  `m`
+    and `c` are rationals built when first read."""
 
     id: int
-    m: RatT
-    c: RatT
+    abc: tuple[int, int, int]
 
-    @cached_property
-    def abc(self) -> tuple[int, int, int]:
-        """Integer form (A, B, C): A*y = B*x + C with A > 0."""
-        return homogeneous(self.m, self.c)
+    def __init__(self, id: int, m: RatT, c: RatT):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "abc", homogeneous(m, c))
 
     @staticmethod
     def of_abc(id_: int, abc: tuple[int, int, int]) -> "DLine":
-        """The line A*y = B*x + C, given with A > 0 and gcd(A, B, C) = 1,
-        which is then its integer form: it is stored, not recomputed."""
-        a, b, c = abc
-        line = DLine(id_, Rat(b, a), Rat(c, a))
-        line.__dict__["abc"] = abc      # where cached_property keeps it
+        """The line A*y = B*x + C, given with A > 0 and gcd(A, B, C) = 1."""
+        line = object.__new__(DLine)
+        object.__setattr__(line, "id", id_)
+        object.__setattr__(line, "abc", abc)
         return line
 
+    @cached_property
+    def m(self) -> RatT:
+        return Rat(self.abc[1], self.abc[0])
+
+    @cached_property
+    def c(self) -> RatT:
+        return Rat(self.abc[2], self.abc[0])
+
     def y_at(self, x: RatT) -> RatT:
-        return self.m * x + self.c
+        a, b, c = self.abc
+        p, q = x.numerator, x.denominator
+        return Rat(b * p + c * q, a * q)
 
     def neg(self) -> "DLine":
-        return DLine(self.id, -self.m, -self.c)
+        a, b, c = self.abc
+        return DLine.of_abc(self.id, (a, -b, -c))
 
 
 def cross_x(a: DLine, b: DLine) -> Optional[RatT]:
@@ -105,7 +120,7 @@ class Chain:
     @cached_property
     def bounds(self) -> list[tuple[int, int]]:
         """The breakpoints as integer (num, den) pairs, den > 0."""
-        return [(num(x), den(x)) for x in self.breakpoints()]
+        return [(x.numerator, x.denominator) for x in self.breakpoints()]
 
     def check_shape(self) -> None:
         """Verify monotone slope ordering and that pieces abut."""
@@ -248,9 +263,11 @@ def chain_decomposition(
     return ChainSet(chains, Direction.LOWER, k)
 
 
-def chain_pair_intersections(concave: Chain, convex: Chain) -> list[tuple[RatT, RatT]]:
+def chain_pair_intersections(concave: Chain, convex: Chain
+                             ) -> list[tuple[int, int, int]]:
     """Intersection points of a concave and a convex chain (at most 2), in
-    x order.
+    x order, each as its primitive homogeneous triple (X, Y, W): the point
+    (X/W, Y/W), with W > 0 and gcd(X, Y, W) = 1, unique per point.
 
     Walks the merged piece boundaries of f = concave - convex, a concave
     piecewise-linear function, with one index per chain, and reports its
@@ -259,13 +276,13 @@ def chain_pair_intersections(concave: Chain, convex: Chain) -> list[tuple[RatT, 
     each boundary, and at x -> -infinity and +infinity.  The chains are
     continuous, so f crosses zero strictly inside a stretch where both
     chains are single lines exactly when its signs at the two ends are
-    opposite and nonzero.  A rational is built only for a returned point.
+    opposite and nonzero.  No rational is built.
     """
     cc, cv = concave.pieces, convex.pieces
     bc, bv = concave.bounds, convex.bounds
     i = j = 0
     s_lo = _far_sign(cc[0].line.abc, cv[0].line.abc, -1)
-    out: list[tuple[RatT, RatT]] = []
+    out: list[tuple[int, int, int]] = []
     while True:
         la, lb = cc[i].line.abc, cv[j].line.abc
         # the stretch ends at the nearer of the two chains' next boundaries
@@ -284,9 +301,8 @@ def chain_pair_intersections(concave: Chain, convex: Chain) -> list[tuple[RatT, 
         s_hi = (v > 0) - (v < 0)
         if s_lo * s_hi < 0:
             out.append(_crossing(la, lb))
-        if s_hi == 0:
-            x = (cc[i] if ends_c else cv[j]).x_hi
-            out.append((x, Rat(B1 * p + C1 * q, A1 * q)))
+        if s_hi == 0:       # on line la at x = p/q
+            out.append(_primitive(p * A1, B1 * p + C1 * q, A1 * q))
         if ends_c:
             i += 1
         if ends_v:
@@ -305,12 +321,20 @@ def _far_sign(la: tuple[int, int, int], lb: tuple[int, int, int],
 
 
 def _crossing(la: tuple[int, int, int], lb: tuple[int, int, int]
-              ) -> tuple[RatT, RatT]:
-    """The crossing point of two non-parallel lines given in integer form."""
+              ) -> tuple[int, int, int]:
+    """The crossing point of two non-parallel lines given in integer form,
+    as its primitive homogeneous triple."""
     A1, B1, C1 = la
     A2, B2, C2 = lb
+    # x = xn/xd; on line la, y = (B1*xn + C1*xd) / (A1*xd)
     xn, xd = C2 * A1 - C1 * A2, B1 * A2 - B2 * A1
-    return Rat(xn, xd), Rat(B1 * xn + C1 * xd, A1 * xd)
+    return _primitive(xn * A1, B1 * xn + C1 * xd, A1 * xd)
+
+
+def _primitive(X: int, Y: int, W: int) -> tuple[int, int, int]:
+    """(X, Y, W) with W != 0, scaled to W > 0 and gcd 1."""
+    g = gcd(X, Y, W) * (1 if W > 0 else -1)
+    return X // g, Y // g, W // g
 
 
 def _interior_point(

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .chains import Chain, ChainKind, ChainPiece, Direction, DLine, \
-    _interior_point, envelope
+    _interior_point, _primitive, envelope
 from .core import (
     LabeledPoint,
     LineR2,
@@ -114,22 +114,21 @@ def midpoint_curve(env_lo: Chain, env_hi: Chain,
                  bisect_right(b, slab[1]) + 1] for b in bps]
     bounds = sorted(set(bps[0]) | set(bps[1]))
     pieces: list[ChainPiece] = []
-    verts: list[PointR2] = []
     prev: Optional[RatT] = None
-    for i in range(len(bounds) + 1):
-        hi = bounds[i] if i < len(bounds) else None
+    for hi in bounds + [None]:
         probe = _interior_point(prev, hi)
-        la = env_lo.piece_at(probe).line
-        lb = env_hi.piece_at(probe).line
-        mid = DLine(-1, (la.m + lb.m) / 2, (la.c + lb.c) / 2)
-        if pieces and pieces[-1].line.m == mid.m and pieces[-1].line.c == mid.c:
+        a1, b1, c1 = env_lo.piece_at(probe).line.abc
+        a2, b2, c2 = env_hi.piece_at(probe).line.abc
+        # the mean of y = b1/a1*x + c1/a1 and y = b2/a2*x + c2/a2
+        b, c, a = _primitive(b1 * a2 + b2 * a1, c1 * a2 + c2 * a1, 2 * a1 * a2)
+        mid = DLine.of_abc(-1, (a, b, c))
+        if pieces and pieces[-1].line.abc == mid.abc:
             pieces[-1] = ChainPiece(mid, pieces[-1].x_lo, hi)
         else:
             pieces.append(ChainPiece(mid, prev, hi))
         prev = hi
-    for p in pieces[:-1]:
-        verts.append(PointR2(p.x_hi, p.line.y_at(p.x_hi)))
-    return MinMaxCurve(pieces, verts)
+    return MinMaxCurve(pieces, [PointR2(p.x_hi, p.line.y_at(p.x_hi))
+                                for p in pieces[:-1]])
 
 
 def minmax_curve(pts: Sequence[LabeledPoint]) -> MinMaxCurve:
@@ -261,7 +260,7 @@ class OrientationAnalysis(VerticalError):
                 x2 = hi if x2 is None or x2 > hi else x2
                 if x1 > x2:
                     continue
-            segments.append((p.line.m, p.line.c, x1, x2))
+            segments.append((p.line, x1, x2))
         return segment_valid_crossings(segments, self.below, self.above,
                                        self.kmax, cols=self.cols)
 
@@ -287,7 +286,7 @@ class OrientationAnalysis(VerticalError):
                 xf = (scan.min_cross_x - 1) if scan.min_cross_x is not None else Rat(-1)
             else:
                 xf = (scan.max_cross_x + 1) if scan.max_cross_x is not None else Rat(1)
-            vals = [l.y_at(xf) for l, _ in gaps.order]
+            vals = [l.y_at(xf) for l in gaps.order]
             for i, gap in enumerate(gaps):
                 if i == 0:
                     y = vals[0] - 1

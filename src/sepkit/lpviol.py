@@ -6,33 +6,28 @@ halfplanes (violated strictly below).  The objective is fixed to the
 leftmost valid point; ties resolve to the smaller y.
 
 When it is bounded, the leftmost valid point is a red-blue intersection
-of the concave and convex chain covers of the two <=k-levels.  The static
-path enumerates those intersections, counts the violations of all of them
-with violation_counts, and keeps the leftmost with at most k.
-violation_counts builds the integer line and point columns once per call
-and decides every side of line exactly in integers (`scans.line_sides`), a
-bounded chunk of candidates per numpy pass: O(n) per candidate, with no
-rational arithmetic.  Unboundedness to the left is decided symbolically
-from the line order at x -> -infinity (`scans.FarGaps`).
+of the concave and convex chain covers of the two <=k-levels.  Both paths
+collect these with `chain_pair_intersections`, which gives each point as
+its primitive homogeneous integer triple (X, Y, W), and the candidates stay
+triples: they are deduplicated on them, counted on them in exact integer
+side passes (`violation_counts`, a bounded chunk per numpy pass), and
+compared on them by cross-multiplication.  A rational is built only for a
+reported point.  Unboundedness to the left is decided symbolically from the
+line order at x -> -infinity (`scans.FarGaps`).
 
 The dynamic path answers one fixed k.  It layers the lines with the
 logarithmic method keyed to the promised deletion times, keeps recent lines
 and every line due by the next expensive update (overdue ones included) as
-trivial chains in a leftover list, maintains the set I of bichromatic chain
-intersections with exact violation counts, and answers queries from a
-flat table over I (`parttree`): an update adds +-1 to the counts on one
-side of its line in one exact sign pass over the table, and a query takes
-the leftmost alive row with a small enough count.  Static and dynamic
-paths collect the intersections with one routine over
-`chain_pair_intersections`, which decides signs on the lines' integer
-forms.  Each update builds the integer point columns of its new
-candidates once, counts them in one exact side pass and appends them to
-the table as one batch.  The zero sides of that pass are the live lines
-through each candidate.  A candidate leaves the table only when the last
-live red line or the last live blue line through it is deleted, so a point
-where three or more lines meet stays while a red-blue pair through it is
-live.  An expensive update drops the old table before it builds the new
-one.
+trivial chains in a leftover list, and keeps the candidates with exact
+violation counts in a flat table (`parttree`): an update adds +-1 to the
+counts on one side of its line in one exact sign pass, appends the
+candidates its line makes as one counted batch, and a query takes the
+leftmost alive row with a small enough count.  The zero sides of a
+counting pass are the live lines through each candidate; a candidate leaves
+the table only when the last live red line or the last live blue line
+through it is deleted.  The far-left minimum is built at the first query
+after an update.  An expensive update drops the old table before it builds
+the new one.
 """
 
 from __future__ import annotations
@@ -93,19 +88,22 @@ def _sides_and_counts(pcols, red: Sequence[DLine], blue: Sequence[DLine]):
 
 
 def violation_counts(
-    points: Sequence[tuple[RatT, RatT]],
+    points: Sequence[tuple[int, int, int]],
     red: Sequence[DLine],
     blue: Sequence[DLine],
 ) -> list[int]:
-    """Violations of each point (x, y): the red lines strictly below it
-    plus the blue lines strictly above it."""
+    """Violations of each homogeneous integer point (X, Y, W), W > 0: the
+    red lines strictly below it plus the blue lines strictly above it."""
     return [v for _, counts in
             _sides_and_counts(point_columns(points), red, blue)
             for v in counts]
 
 
 def violations_at(p: PointR2, red: Sequence[DLine], blue: Sequence[DLine]) -> int:
-    return violation_counts([(p.x, p.y)], red, blue)[0]
+    """The violations of p = (r/q, t/s), counted at (r*s, t*q, q*s)."""
+    q, s = p.x.denominator, p.y.denominator
+    return violation_counts([(p.x.numerator * s, p.y.numerator * q, q * s)],
+                            red, blue)[0]
 
 
 def far_left_min(red: Sequence[DLine], blue: Sequence[DLine]) -> int:
@@ -163,16 +161,12 @@ def _safe_interval(host: Chain, opp: Chain, host_concave: bool):
     def g(x: RatT) -> RatT:
         return g_concave.value_at(x) - g_convex.value_at(x)
 
-    xs = [x for x, _ in roots]
-    probes: list[tuple[Optional[RatT], RatT]] = []
+    xs = [Rat(X, W) for X, _, W in roots]
     if not xs:
-        sign = g(Rat(0))
-        return (None, None) if sign >= 0 else None
-    probes.append((None, xs[0] - 1))
-    for a, b in zip(xs, xs[1:]):
-        probes.append((None, (a + b) / 2))
-    probes.append((None, xs[-1] + 1))
-    signs = [g(p[1]) > 0 for p in probes]
+        return (None, None) if g(Rat(0)) >= 0 else None
+    probes = [xs[0] - 1] + [(a + b) / 2 for a, b in zip(xs, xs[1:])] \
+        + [xs[-1] + 1]
+    signs = [g(x) > 0 for x in probes]
     # concave g: the nonnegative region is one interval
     if not any(signs):
         # only touching roots; interval degenerates to a point (choose first)
@@ -191,21 +185,18 @@ def _safe_interval(host: Chain, opp: Chain, host_concave: bool):
 
 def _chain_candidates(
     red_chains: Sequence[Chain], blue_chains: Sequence[Chain]
-) -> list[tuple[RatT, RatT]]:
-    """The distinct intersections of the red with the blue chains, in
-    order of first appearance.  They are told apart by their integer
-    numerators and denominators: hashing a Fraction takes a modular
-    inverse."""
-    pts = []
-    seen = set()
-    for cr in red_chains:
-        for cb in blue_chains:
-            for x, y in chain_pair_intersections(cr, cb):
-                key = x.numerator, x.denominator, y.numerator, y.denominator
-                if key not in seen:
-                    seen.add(key)
-                    pts.append((x, y))
-    return pts
+) -> list[tuple[int, int, int]]:
+    """The distinct intersections of the red with the blue chains, as
+    primitive homogeneous triples (one per point), in order of first
+    appearance."""
+    return list(dict.fromkeys(p for cr in red_chains for cb in blue_chains
+                              for p in chain_pair_intersections(cr, cb)))
+
+
+def _xy_before(p: tuple[int, int, int], q: tuple[int, int, int]) -> bool:
+    """The point p = (X, Y, W) comes strictly before q in (x, y) order:
+    both scaled by W_p*W_q > 0, so compared on integers."""
+    return (p[0] * q[2], p[1] * q[2]) < (q[0] * p[2], q[1] * p[2])
 
 
 def static_leftmost_valid(cs: ConstraintSet, k: int) -> LPResult:
@@ -222,12 +213,12 @@ def static_leftmost_valid(cs: ConstraintSet, k: int) -> LPResult:
     pts = _chain_candidates(red_chains, blue_chains)
     best = None
     for p, v in zip(pts, violation_counts(pts, cs.red, cs.blue)):
-        if v <= k and (best is None or p < best[0]):
+        if v <= k and (best is None or _xy_before(p, best[0])):
             best = (p, v)
     if best is None:
         return LPResult(LPStatus.INFEASIBLE)
-    (x, y), v = best
-    return LPResult(LPStatus.FEASIBLE, PointR2(x, y), v)
+    (X, Y, W), v = best
+    return LPResult(LPStatus.FEASIBLE, PointR2(Rat(X, W), Rat(Y, W)), v)
 
 
 def static_min_violations(cs: ConstraintSet) -> tuple[int, LPResult]:
@@ -323,6 +314,7 @@ class DynState:
         self.u = 0
         self.updates_since_init = 0
         self.stats = {"expensive_updates": 0, "full_rebuilds": 0}
+        self._far: Optional[tuple[bool, int]] = None
         for color, lines in ((Color.RED, cs.red), (Color.BLUE, cs.blue)):
             for l in lines:
                 self.live[l.id] = (l, color)
@@ -401,9 +393,10 @@ class DynState:
             out.extend(layer.chains)
         return out
 
-    def _candidates(self, found: list[tuple[RatT, RatT]]):
-        """The points with their violation counts against the live lines,
-        and their `scans.point_columns`.  A point's payload is [red, blue]:
+    def _candidates(self, found: list[tuple[int, int, int]]):
+        """The points, given as homogeneous triples, with their violation
+        counts against the live lines, and their `scans.point_columns`.  A
+        point's payload is [red, blue]:
         how many live red and blue lines pass through it (the zero sides of
         the counting pass), and points_by_line files it under each of those
         lines."""
@@ -413,8 +406,8 @@ class DynState:
         pts: list[PTPoint] = []
         for sides, counts in _sides_and_counts(pcols, red, blue):
             base = len(pts)
-            pts.extend(PTPoint(x, y, cnt, payload=[0, 0])
-                       for (x, y), cnt in zip(found[base:], counts))
+            pts.extend(PTPoint(xyw, cnt, payload=[0, 0])
+                       for xyw, cnt in zip(found[base:], counts))
             rows, cols = np.nonzero(sides == 0)
             for i, j in zip(rows.tolist(), cols.tolist()):
                 pt = pts[base + i]
@@ -436,6 +429,7 @@ class DynState:
                        due=delete_at)
         self.u += 1
         self.updates_since_init += 1
+        self._far = None
         self.live[line.id] = (line, color)
         self.delete_at[line.id] = delete_at
         self.leftover[color][line.id] = line
@@ -456,6 +450,7 @@ class DynState:
         da = self.delete_at[id_]
         self.u += 1
         self.updates_since_init += 1
+        self._far = None
         # the leftover list holds every line due by the next expensive update
         if id_ not in self.leftover[color]:
             raise AssertionError(
@@ -498,10 +493,14 @@ class DynState:
         kq = self.k if kq is None else kq
         if kq > self.k:
             raise ValueError(f"query k'={kq} exceeds structure k={self.k}")
-        red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
-        if not red or not blue:
+        if self._far is None:     # the live lines changed since it was built
+            red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
+            both = bool(red and blue)
+            self._far = both, far_left_min(red, blue) if both else 0
+        both, far_min = self._far
+        if not both:
             return LPResult(LPStatus.UNBOUNDED, reason="empty-side")
-        if far_left_min(red, blue) <= kq:
+        if far_min <= kq:
             return LPResult(LPStatus.UNBOUNDED)
         pt = self.forest.leftmost_valid(kq)
         if pt is None:
@@ -526,7 +525,7 @@ class DynState:
         pts = self.forest.alive_points()
         if any(min(p.payload) < 1 for p in pts):
             raise AssertionError("an alive candidate lost its red or blue line")
-        want = violation_counts([(p.x, p.y) for p in pts],
+        want = violation_counts([p.xyw for p in pts],
                                 self._lines(Color.RED), self._lines(Color.BLUE))
         for p, v in zip(pts, want):
             if p.count != v:

@@ -8,7 +8,7 @@ solvers beyond the basic geometric types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,30 +117,11 @@ def _far_gap_counts(
     return counts
 
 
-def _arrangement_vertices(
-    red: Sequence[LineR2], blue: Sequence[LineR2]
-) -> list[PointR2]:
-    lines = list(red) + list(blue)
-    verts = []
-    seen = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a, b = lines[i], lines[j]
-            if a.m == b.m:
-                continue
-            x = (b.c - a.c) / (a.m - b.m)
-            y = a.y_at(x)
-            key = (x, y)
-            if key not in seen:
-                seen.add(key)
-                verts.append(PointR2(x, y))
-    return verts
-
-
 def oracle_leftmost_valid(
     red: Sequence[LineR2], blue: Sequence[LineR2], k: int
 ) -> OracleReport:
-    """Brute-force leftmost point violating at most k constraints.
+    """Brute-force leftmost point violating at most k constraints, read
+    from `LpOracleTable`.
 
     Result value encodes the status: witness {"status": "unbounded" |
     "infeasible" | "feasible", ...}.
@@ -149,25 +130,18 @@ def oracle_leftmost_valid(
         return OracleReport(
             "lp", None, {"status": "unbounded", "reason": "empty-side"}, {}
         )
-    gaps = _far_gap_counts(red, blue, -1)
-    if min(gaps) <= k:
-        return OracleReport("lp", None, {"status": "unbounded"}, {"gaps": len(gaps)})
-    verts = _arrangement_vertices(red, blue)
-    best = None
-    for v in verts:
-        m = _violations(v, red, blue)
-        if m <= k:
-            key = (v.x, v.y)
-            if best is None or key < best[0]:
-                best = (key, v, m)
-    if best is None:
-        return OracleReport("lp", None, {"status": "infeasible"},
-                            {"vertices": len(verts)})
-    _, v, m = best
+    table = LpOracleTable(red, blue)
+    status, row = table.leftmost_valid(k)
+    if status == "unbounded":
+        return OracleReport("lp", None, {"status": "unbounded"},
+                            {"gaps": len(red) + len(blue) + 1})
+    stats = {"vertices": len(table.rows)}
+    if row is None:
+        return OracleReport("lp", None, {"status": "infeasible"}, stats)
+    x, y, m = row
     return OracleReport(
         "lp", None,
-        {"status": "feasible", "point": v, "violations": m},
-        {"vertices": len(verts)},
+        {"status": "feasible", "point": PointR2(x, y), "violations": m}, stats,
     )
 
 
@@ -183,22 +157,19 @@ def oracle_min_violations(
         return OracleReport("minmis", 0, {"status": "unbounded",
                                           "reason": "empty-side"}, {})
     best = min(min(_far_gap_counts(red, blue, side)) for side in (-1, 1))
-    verts = _arrangement_vertices(red, blue)
-    for v in verts:
-        best = min(best, _violations(v, red, blue))
+    table = LpOracleTable(red, blue)
+    best = min([best] + [count for _, _, count in table.rows])
     # edge midpoints between consecutive crossings along every line
-    lines = [(l, Color.RED) for l in red] + [(l, Color.BLUE) for l in blue]
-    for l, _ in lines:
-        xs = sorted(
-            (o.c - l.c) / (l.m - o.m)
-            for o, _ in lines
-            if o is not l and o.m != l.m
-        )
+    lines = list(red) + list(blue)
+    for l in lines:
+        xs = sorted((o.c - l.c) / (l.m - o.m)
+                    for o in lines if o is not l and o.m != l.m)
         for a, b in zip(xs, xs[1:]):
             x = (a + b) / 2
             best = min(best, _violations(PointR2(x, l.y_at(x)), red, blue))
     res = oracle_leftmost_valid(red, blue, best)
-    return OracleReport("minmis", best, res.witness, {"vertices": len(verts)})
+    return OracleReport("minmis", best, res.witness,
+                        {"vertices": len(table.rows)})
 
 
 def oracle_minmis(pts: Sequence[LabeledPoint]) -> OracleReport:
@@ -451,14 +422,47 @@ def oracle_1d_multi(pts: Sequence[Point1D], ks) -> dict:
 
 
 class LpOracleTable:
-    """Per-instance violation counts at every dual vertex, for many k."""
+    """Per-instance violation counts at every dual vertex, for many k.
+
+    Brute force on integers: each line y = m*x + c is scaled to A*y = B*x +
+    C with A the least common denominator of m and c, and every
+    non-parallel pair is crossed in homogeneous coordinates (X, Y, W), W >
+    0, reduced by their gcd so that each vertex appears once.  One numpy
+    pass takes the sign of A*Y - B*X - C*W of every vertex against every
+    line: the red lines count where it is positive, the blue ones where it
+    is negative.  It runs on int64 when 3 * e**2, e the largest entry of a
+    line or vertex, bounds every partial sum below 2**63, else on Python
+    ints.  `rows` holds every vertex as (x, y, count) on rationals,
+    sorted."""
 
     def __init__(self, red: Sequence[LineR2], blue: Sequence[LineR2]):
         self.gap_min = min(_far_gap_counts(red, blue, -1))
+        lines = []
+        for l in list(red) + list(blue):
+            m, c = rat(l.m), rat(l.c)
+            a = lcm(m.denominator, c.denominator)
+            lines.append((a, m.numerator * (a // m.denominator),
+                          c.numerator * (a // c.denominator)))
+        verts = set()
+        for i, (a1, b1, c1) in enumerate(lines):
+            for a2, b2, c2 in lines[i + 1:]:
+                w = a1 * b2 - a2 * b1
+                if w:
+                    x, y = a2 * c1 - a1 * c2, c1 * b2 - b1 * c2
+                    g = gcd(x, y, w) * (1 if w > 0 else -1)
+                    verts.add((x // g, y // g, w // g))
         self.rows = []
-        for v in _arrangement_vertices(red, blue):
-            self.rows.append((v.x, v.y, _violations(v, red, blue)))
-        self.rows.sort()
+        if verts:
+            verts = list(verts)
+            bound = 3 * max(map(abs, (v for t in lines + verts for v in t))) ** 2
+            dtype = np.int64 if bound < 2**63 else object
+            a, b, c = (np.array(col, dtype=dtype) for col in zip(*lines))
+            x, y, w = (np.array(col, dtype=dtype)[:, None] for col in zip(*verts))
+            side = a * y - b * x - c * w
+            counts = (np.count_nonzero(side[:, :len(red)] > 0, axis=1)
+                      + np.count_nonzero(side[:, len(red):] < 0, axis=1))
+            self.rows = sorted((Rat(x, w), Rat(y, w), count) for (x, y, w), count
+                               in zip(verts, counts.tolist()))
 
     def leftmost_valid(self, k: int):
         """('unbounded', None) / ('feasible', (x, y, count)) / ('infeasible', None)."""

@@ -1,9 +1,10 @@
 """The candidate set I of the semi-online LP as one flat table.
 
-Each candidate is one row: its homogeneous integer point (X, Y, W) =
-(p*s, r*q, q*s) for (x, y) = (p/q, r/s) (`scans.point_columns`), its x
+Each candidate is one row: its primitive homogeneous integer point (X, Y,
+W), W > 0, as `chains.chain_pair_intersections` gives it, its x = X/W
 correctly rounded to a float (`scans.fdiv`, which also takes values beyond
-the float range), its violation count and an alive flag.
+the float range), its violation count and an alive flag.  No rational is
+built: a point's x and y are built only when read.
 
 A halfplane update adds +-1 to every row strictly on one side of a line:
 one exact sign pass of A*Y - B*X - C*W over the rows (`scans.line_sides`,
@@ -25,22 +26,30 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chains import DLine
-from .rat import RatT
-from .scans import _rat_float, line_columns, line_sides, point_columns
+from .rat import Rat, RatT
+from .scans import fdiv, line_columns, line_sides, point_columns
 
 
 class PTPoint:
-    """A candidate point (x, y) with its violation count; `row` is its
-    index in the table that holds it."""
+    """A candidate point with its violation count: `xyw` is its primitive
+    homogeneous triple (X, Y, W), W > 0, and `row` its index in the table
+    that holds it."""
 
-    __slots__ = ("x", "y", "count", "alive", "row", "payload")
+    __slots__ = ("xyw", "count", "alive", "row", "payload")
 
-    def __init__(self, x: RatT, y: RatT, count: int, payload: object = None):
-        self.x, self.y = x, y
-        self.count = count
+    def __init__(self, xyw: tuple[int, int, int], count: int,
+                 payload: object = None):
+        self.xyw, self.count, self.payload = xyw, count, payload
         self.alive = True
         self.row: Optional[int] = None
-        self.payload = payload
+
+    @property
+    def x(self) -> RatT:
+        return Rat(self.xyw[0], self.xyw[2])
+
+    @property
+    def y(self) -> RatT:
+        return Rat(self.xyw[1], self.xyw[2])
 
 
 class PartitionForest:
@@ -63,20 +72,20 @@ class PartitionForest:
         return len(self.pts) - self.deleted
 
     def insert(self, *pts: PTPoint, cols=None) -> None:
-        """Append a batch of points; `cols` is their point_columns, if the
-        caller has it."""
+        """Append a batch of points; `cols` is the point_columns of their
+        triples, if the caller has it."""
         self._append(pts, cols)
 
     def _append(self, pts: Sequence[PTPoint], cols) -> None:
         if not pts:
             return
         if cols is None:
-            cols = point_columns([(p.x, p.y) for p in pts])
+            cols = point_columns([p.xyw for p in pts])
         for row, p in enumerate(pts, len(self.pts)):
             p.row = row
         self.pts.extend(pts)
         self.cols = tuple(np.concatenate(h) for h in zip(self.cols, cols))
-        self.fx = np.append(self.fx, [_rat_float(p.x) for p in pts])
+        self.fx = np.append(self.fx, [fdiv(p.xyw[0], p.xyw[2]) for p in pts])
         self.count = np.append(self.count,
                                np.array([p.count for p in pts], np.int64))
         self.alive = np.append(self.alive, np.ones(len(pts), bool))
@@ -147,9 +156,10 @@ class PartitionForest:
         if self.deleted != n - np.count_nonzero(self.alive) or (
                 self.deleted and self.deleted * 2 >= n):
             raise AssertionError(f"deleted count {self.deleted} is off")
-        want = point_columns([(p.x, p.y) for p in self.pts])
+        want = point_columns([p.xyw for p in self.pts])
         if ([h.tolist() for h in want] != [h.tolist() for h in self.cols]
-                or self.fx.tolist() != [_rat_float(p.x) for p in self.pts]):
+                or self.fx.tolist() != [fdiv(p.xyw[0], p.xyw[2])
+                                        for p in self.pts]):
             raise AssertionError("a row's point differs from its point")
 
 

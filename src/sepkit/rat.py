@@ -39,28 +39,20 @@ def rat(value: RatLike) -> RatT:
     raise TypeError(f"cannot convert {type(value).__name__} to rational")
 
 
-def num(x: RatT) -> int:
-    return int(x.numerator)
-
-
-def den(x: RatT) -> int:
-    return int(x.denominator)
-
-
 def homogeneous(m: RatT, c: RatT) -> tuple[int, int, int]:
     """The line y = m*x + c as integers (A, B, C) with A*y = B*x + C and
     A > 0 the least common denominator of m and c."""
-    dm, dc = den(m), den(c)
+    dm, dc = m.denominator, c.denominator
     a = lcm(dm, dc)
-    return a, num(m) * (a // dm), num(c) * (a // dc)
+    return a, m.numerator * (a // dm), c.numerator * (a // dc)
 
 
 def rat_str(x: RatT) -> str:
     """Render exactly: integer as '3', otherwise 'n/d'."""
     x = rat(x)
-    if den(x) == 1:
-        return str(num(x))
-    return f"{num(x)}/{den(x)}"
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def sqrt_decimal_str(x: RatT, sig: int = 12) -> str:
@@ -73,7 +65,7 @@ def sqrt_decimal_str(x: RatT, sig: int = 12) -> str:
         raise ValueError("sqrt of negative rational")
     if x == 0:
         return "0"
-    n, d = num(x), den(x)
+    n, d = x.numerator, x.denominator
     # exponent e with 10^(e-1) <= sqrt(n/d) < 10^e
     e = 0
     while n < d * 10 ** (2 * e):

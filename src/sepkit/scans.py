@@ -50,17 +50,16 @@ and only if its line leaves the count there, so a piece whose count at x1
 less the number of such crossings exceeds k has no valid crossing and is
 skipped unsorted.
 
-The side of a line at a rational point (x, y) = (p/q, r/s) is the sign of
-A*r*q - (B*p + C*q)*s, that is of A*y - B*x - C times q*s > 0: positive
-strictly above the line, zero on it, negative strictly below.
-`point_columns` turns a batch of points into the homogeneous integer
-columns (X, Y, W) = (p*s, r*q, q*s), and `line_sides` decides them
-against the `line_columns` arrays in one numpy pass.  It stays in int64
-when both are int64 and max|A|*max|Y| + max|B|*max|X| + max|C|*max|W|,
-which bounds every partial sum, fits in int64 (always so for coefficients
-below 2**25 and coordinates below 2**36); otherwise it computes on Python
-ints (dtype object).  No float is involved, so there is nothing to
-filter.
+The side of a line at a point is decided on the point's homogeneous integer
+form (X, Y, W), W > 0, the point (X/W, Y/W): the sign of A*Y - B*X - C*W,
+that is of A*y - B*x - C times W, is positive strictly above the line, zero
+on it, negative strictly below.  `point_columns` turns a batch of such
+triples into three columns, and `line_sides` decides them against the
+`line_columns` arrays in one numpy pass.  It stays in int64 when both are
+int64 and max|A|*max|Y| + max|B|*max|X| + max|C|*max|W|, which bounds every
+partial sum, fits in int64 (always so for coefficients below 2**25 and
+coordinates below 2**36); otherwise it computes on Python ints (dtype
+object).  No float is involved, so there is nothing to filter.
 """
 
 from __future__ import annotations
@@ -74,8 +73,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .rat import Rat, RatT, homogeneous
-from .rat import den as rat_den, num as rat_num
+from .rat import Rat, RatT
 
 if TYPE_CHECKING:
     from .chains import DLine
@@ -250,16 +248,16 @@ def _counted(start: int, idx, num, den, same, adj) -> Crossings:
 INT64_MAX = (1 << 63) - 1
 
 
-def point_columns(points: Sequence[tuple[RatT, RatT]]):
-    """The points (x, y) = (p/q, r/s) as the homogeneous integer columns
-    (X, Y, W) = (p*s, r*q, q*s), with W > 0: int64 when every entry is at
-    most INT64_MAX in magnitude, else dtype object holding Python ints."""
-    hom = []
-    for x, y in points:
-        p, q, r, s = rat_num(x), rat_den(x), rat_num(y), rat_den(y)
-        hom.append((p * s, r * q, q * s))
-    big = max((abs(v) for h in hom for v in h), default=0) > INT64_MAX
-    flat = np.array(hom, dtype=object if big else np.int64).reshape(-1, 3)
+def point_columns(points: Sequence[tuple[int, int, int]]):
+    """The homogeneous integer points (X, Y, W), W > 0, the point (X/W,
+    Y/W), as three numpy columns: int64 when every entry is at most
+    INT64_MAX in magnitude, else dtype object holding Python ints."""
+    try:
+        flat = np.array(points, dtype=np.int64).reshape(-1, 3)
+        if flat.size and int(flat.min()) < -INT64_MAX:
+            raise OverflowError
+    except OverflowError:
+        flat = np.array(points, dtype=object).reshape(-1, 3)
     return tuple(flat.T.copy())
 
 
@@ -425,7 +423,7 @@ def _wall_values(af, bf, cf, walls: np.ndarray
 
 
 def _rat_float(x: RatT) -> float:
-    return fdiv(rat_num(x), rat_den(x))
+    return fdiv(x.numerator, x.denominator)
 
 
 def _band_rows(a, b, c, nb: int, k: int, lo: RatT, hi: RatT) -> np.ndarray:
@@ -585,8 +583,8 @@ class FarGaps:
     """The gaps between the lines beyond every crossing on one side (-1
     left, +1 right), bottom to top (`_far_index`).  `mis` holds every gap's
     mis (the below-lines under it plus the above-lines over it), from the
-    integer order; the order as (line, is_below) pairs, and a gap's slope
-    range and limit (its FarGap), are built when first read.  `cols` is
+    integer order; the lines in that order, and a gap's slope range and
+    limit (its FarGap), are built when first read.  `cols` is
     line_columns(below + above), if the caller has it."""
 
     def __init__(self, below: Sequence[DLine], above: Sequence[DLine],
@@ -605,9 +603,8 @@ class FarGaps:
         return list(self.below) + list(self.above)
 
     @cached_property
-    def order(self) -> list[tuple[DLine, bool]]:
-        nb = len(self.below)
-        return [(self._lines[j], j < nb) for j in self._index.tolist()]
+    def order(self) -> list[DLine]:
+        return [self._lines[j] for j in self._index.tolist()]
 
     def __getitem__(self, i: int) -> FarGap:
         gap = self._read.get(i)
@@ -620,10 +617,13 @@ class FarGaps:
 
     @cached_property
     def _slopes(self) -> tuple[RatT, RatT]:
-        """The below-slope and above-slope that bound the limits."""
-        if self.side < 0:
-            return max(l.m for l in self.below), min(l.m for l in self.above)
-        return min(l.m for l in self.below), max(l.m for l in self.above)
+        """The below-slope and above-slope that bound the limits: those of
+        the lowest below-line and the highest above-line in the far order
+        (left: the greatest and the least slope; right: the reverse)."""
+        nb, idx = len(self.below), self._index.tolist()
+        lo = next(j for j in idx if j < nb)
+        hi = next(j for j in reversed(idx) if j >= nb)
+        return self._lines[lo].m, self._lines[hi].m
 
     def _gap(self, i: int) -> FarGap:
         m_red, m_blue = self._slopes
@@ -674,7 +674,7 @@ class ColumnProfile:
                  cols=None):
         self.x = x
         lines = list(below) + list(above)
-        p, q = rat_num(x), rat_den(x)
+        p, q = x.numerator, x.denominator
         # line j at x = p/q has height (B_j*p + C_j*q) / (A_j*q)
         if cols is None:
             a, b, c = line_columns(lines, (p, q))
@@ -710,7 +710,7 @@ class ColumnProfile:
 
     def _find(self, y: RatT) -> tuple[int, bool]:
         """(number of heights below y, whether y is a height)."""
-        r, s = rat_num(y), rat_den(y)
+        r, s = y.numerator, y.denominator
         f = fdiv(r, s)
         lo = int(np.searchsorted(self._key, f, "left"))
         hi = int(np.searchsorted(self._key, f, "right"))
@@ -768,18 +768,18 @@ class ColumnProfile:
 
 
 def segment_valid_crossings(
-    segments: Sequence[tuple[RatT, RatT, Optional[RatT], Optional[RatT]]],
+    segments: Sequence[tuple[DLine, Optional[RatT], Optional[RatT]]],
     below: Sequence[DLine],
     above: Sequence[DLine],
     k: int,
     cols=None,
 ) -> list[tuple[RatT, RatT, int]]:
-    """Crossing points of each segment (m_e, c_e, x1, x2), the line
-    y = m_e*x + c_e restricted to [x1, x2] (None: unbounded), with any
-    input line, whose exact on-point mis is <= k; the segments in order,
-    each in x order.  Returns (x, y, mis).  `cols` is
-    line_columns(below + above), if the caller has it; they are recast to
-    Python ints if a segment's coefficients reach 2**25.
+    """Crossing points of each segment (e, x1, x2), the line e restricted
+    to [x1, x2] (None: unbounded), with any input line, whose exact
+    on-point mis is <= k; the segments in order, each in x order.  Returns
+    (x, y, mis).  `cols` is line_columns(below + above), if the caller has
+    it; they are recast to Python ints if a segment's coefficients reach
+    2**25.
 
     One 2-D pass crosses every segment with every line; only the crossings
     in [x1, x2] are sorted, and a segment whose count at x1, less its
@@ -788,7 +788,7 @@ def segment_valid_crossings(
     lines = list(below) + list(above)
     if not lines:
         return []
-    es = [homogeneous(m_e, c_e) for m_e, c_e, _, _ in segments]
+    es = [e.abc for e, _, _ in segments]
     big = max(map(abs, chain.from_iterable(es)), default=0) >= INT64_BOUND
     if cols is None:
         cols = line_columns(lines, [INT64_BOUND] if big else ())
@@ -812,9 +812,9 @@ def _segment_block(segments, es, a, b, c, isb: np.ndarray, k: int):
     num, den, par, bb, start = _cross(E[:, :1], E[:, 1:2], E[:, 2:], a, b,
                                       c, isb)
     key = _float_key(num, den)
-    x1 = np.array([-inf if s[2] is None else _rat_float(s[2])
+    x1 = np.array([-inf if s[1] is None else _rat_float(s[1])
                    for s in segments])
-    x2 = np.array([inf if s[3] is None else _rat_float(s[3])
+    x2 = np.array([inf if s[2] is None else _rat_float(s[2])
                    for s in segments])
     # a key on the far side of a wall's float decides; a key equal to it is
     # compared exactly
@@ -822,9 +822,9 @@ def _segment_block(segments, es, a, b, c, isb: np.ndarray, k: int):
     right = key > x2[:, None]
     for i, t in zip(*np.nonzero(~par & ((key == x1[:, None])
                                         | (key == x2[:, None])))):
-        p, q, (_, _, lo, hi) = int(num[i, t]), int(den[i, t]), segments[i]
-        left[i, t] = lo is not None and p * rat_den(lo) < rat_num(lo) * q
-        right[i, t] = hi is not None and p * rat_den(hi) > rat_num(hi) * q
+        p, q, (_, lo, hi) = int(num[i, t]), int(den[i, t]), segments[i]
+        left[i, t] = lo is not None and p * lo.denominator < lo.numerator * q
+        right[i, t] = hi is not None and p * hi.denominator > hi.numerator * q
     inside = ~par & ~left & ~right
     adj = isb == bb          # the crossed line leaves the count there
     at_x1 = (start + np.count_nonzero(left, axis=1)

@@ -1,11 +1,14 @@
 import bisect
 import random
+from math import gcd
 
 import pytest
 
 from sepkit.chains import DLine
 from sepkit.core import Color, LabeledPoint
-from sepkit.rat import Rat, den, num, rat
+from sepkit.parttree import PTPoint
+from sepkit.rat import Rat, rat
+from sepkit.scans import point_columns
 
 
 def random_instance(rng, n, coord=50, ensure_both=True):
@@ -121,6 +124,14 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+def num(x) -> int:
+    return x.numerator
+
+
+def den(x) -> int:
+    return x.denominator
+
+
 def rat_decimal_str(x):
     """Render exactly as a decimal when the denominator is 2^a*5^b, else 'n/d'."""
     x = rat(x)
@@ -175,3 +186,38 @@ def side_of_line(abc, x, y) -> int:
     q, s = den(x), den(y)
     v = A * num(y) * q - (B * num(x) + C * q) * s
     return (v > 0) - (v < 0)
+
+
+# x and y values in groups whose floats tie (or overflow to the same
+# infinity) while the exact values differ
+TIED_X = [Rat(1, 3), Rat(1, 3) + Rat(1, 2**80), Rat(1, 3) - Rat(1, 2**80),
+          Rat(2**60), Rat(2**60 + 1), Rat(-(2**60 + 1)), Rat(0),
+          Rat(10**400), Rat(10**400 + 1), Rat(-(10**400))]
+TIED_Y = [Rat(2**60), Rat(2**60 + 1), Rat(2**60 - 1), Rat(1, 3),
+          Rat(1, 3) + Rat(1, 2**80), Rat(0), Rat(10**400), Rat(-(10**400))]
+
+
+def hom(x, y) -> tuple[int, int, int]:
+    """The rational point (x, y) = (p/q, r/s) as its primitive homogeneous
+    triple: (p*s, r*q, q*s) over its gcd."""
+    p, q, r, s = num(x), den(x), num(y), den(y)
+    g = gcd(p * s, r * q, q * s)
+    return p * s // g, r * q // g, q * s // g
+
+
+def xy(xyw) -> tuple:
+    """The homogeneous point (X, Y, W) as rationals (X/W, Y/W)."""
+    X, Y, W = xyw
+    return Rat(X, W), Rat(Y, W)
+
+
+def fraction_point_columns(points):
+    """`scans.point_columns` of the rational points (x, y) = (p/q, r/s), at
+    (p*s, r*q, q*s), not reduced."""
+    return point_columns([(num(x) * den(y), num(y) * den(x), den(x) * den(y))
+                          for x, y in points])
+
+
+def ptpoint(x, y, count: int, payload: object = None) -> PTPoint:
+    """A table point at the rational point (x, y)."""
+    return PTPoint(hom(x, y), count, payload)

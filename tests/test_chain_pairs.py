@@ -1,8 +1,10 @@
 """chain_pair_intersections against a Fraction reference walk, on chains
 from chain_decomposition: small integer lines with shared crossings,
 parallel pieces and touching points, non-dyadic rationals, and
-coefficients near 2**60."""
+coefficients near 2**60.  The walk reports each point as its primitive
+homogeneous triple, which is compared with the reference's rationals."""
 
+from math import gcd
 from typing import Optional
 
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +21,7 @@ from sepkit.chains import (
 )
 from sepkit.errors import ValidationError
 from sepkit.rat import Rat, RatT
+from tests.conftest import hom
 
 
 def reference_chain_pair_intersections(concave: Chain, convex: Chain):
@@ -101,8 +104,10 @@ def test_chain_pairs_match_fraction_walk(lines, k):
     blues += [_trivial(l, ChainKind.CONVEX) for l in blue]
     for cr in reds:
         for cb in blues:
-            assert chain_pair_intersections(cr, cb) == \
-                reference_chain_pair_intersections(cr, cb)
+            got = chain_pair_intersections(cr, cb)
+            assert all(W > 0 and gcd(X, Y, W) == 1 for X, Y, W in got)
+            assert got == [hom(x, y) for x, y in
+                           reference_chain_pair_intersections(cr, cb)]
 
 
 def test_chain_pairs_touching_and_identical_pieces():
@@ -110,11 +115,10 @@ def test_chain_pairs_touching_and_identical_pieces():
     # lower cover of |x|-like lines, and an upper chain touching its vertex
     red = chain_decomposition([L(0, 1, 0), L(1, -1, 0)], 0, Direction.LOWER).chains[0]
     touch = _trivial(L(2, 0, 0), ChainKind.CONVEX)
-    assert chain_pair_intersections(red, touch) == [(Rat(0), Rat(0))]
+    assert chain_pair_intersections(red, touch) == [(0, 0, 1)]
     # a convex chain sharing the red chain's right piece: f = 0 on [0, 1]
     blue = chain_decomposition([L(3, -1, 0), L(4, 0, -1)], 0, Direction.UPPER).chains[0]
-    assert chain_pair_intersections(red, blue) == [(Rat(0), Rat(0)),
-                                                   (Rat(1), Rat(-1))]
+    assert chain_pair_intersections(red, blue) == [(0, 0, 1), (1, -1, 1)]
     # parallel single pieces never meet
     assert chain_pair_intersections(_trivial(L(5, 1, 0), ChainKind.CONCAVE),
                                     _trivial(L(6, 1, 1), ChainKind.CONVEX)) == []

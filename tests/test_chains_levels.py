@@ -18,7 +18,7 @@ from sepkit.errors import EmptyInput
 from sepkit.levels import build_leq_k, overlay_and_label
 from sepkit.rat import Rat
 from sepkit.scans import line_columns
-from tests.conftest import all_cells, locate, random_lines
+from tests.conftest import all_cells, locate, random_lines, xy
 
 L = lambda i, m, c: DLine(i, Rat(m), Rat(c))
 
@@ -270,7 +270,7 @@ def test_bichromatic_intersection_completeness(rng):
         found = set()
         for cr in rcs:
             for cb in bcs:
-                found |= set(chain_pair_intersections(cr, cb))
+                found |= {xy(t) for t in chain_pair_intersections(cr, cb)}
         for r in red:
             for b in blue:
                 if r.m == b.m:

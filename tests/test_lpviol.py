@@ -16,9 +16,9 @@ from sepkit.lpviol import (
     violations_at,
 )
 from sepkit.oracle import oracle_leftmost_valid, oracle_min_violations
-from sepkit.parttree import PartitionForest, PTPoint
+from sepkit.parttree import PartitionForest
 from sepkit.rat import Rat
-from tests.conftest import random_lines
+from tests.conftest import ptpoint, random_lines
 
 L = lambda i, m, c: DLine(i, Rat(m), Rat(c))
 
@@ -92,7 +92,7 @@ def test_ply_equals_direct_count(rng):
 def _random_forest(rng, n):
     pts = []
     for i in range(n):
-        pts.append(PTPoint(Rat(rng.randint(-50, 50), rng.randint(1, 3)),
+        pts.append(ptpoint(Rat(rng.randint(-50, 50), rng.randint(1, 3)),
                            Rat(rng.randint(-50, 50), rng.randint(1, 3)),
                            rng.randint(0, 5), payload=i))
     return PartitionForest(pts), pts
@@ -118,14 +118,14 @@ def test_halfplane_updates_match_recount(rng):
 
 
 def test_single_point_increment():
-    p = PTPoint(Rat(0), Rat(0), 0)
+    p = ptpoint(Rat(0), Rat(0), 0)
     forest = PartitionForest([p])
     forest.halfplane_update(L(0, 0, -1), above=True, delta=+1)   # point above line
     assert forest.alive_points()[0].count == 1
 
 
 def test_sentinel_deletion():
-    p = PTPoint(Rat(0), Rat(0), 0)
+    p = ptpoint(Rat(0), Rat(0), 0)
     forest = PartitionForest([p])
     assert forest.leftmost_valid(5) is not None
     forest.delete(p)
@@ -135,7 +135,7 @@ def test_sentinel_deletion():
 def test_leftmost_query_with_inserts(rng):
     forest, pts = _random_forest(rng, 30)
     for i in range(20):
-        forest.insert(PTPoint(Rat(rng.randint(-50, 50), 7),
+        forest.insert(ptpoint(Rat(rng.randint(-50, 50), 7),
                               Rat(rng.randint(-50, 50)), rng.randint(0, 5),
                               payload=100 + i))
         forest.audit()
@@ -452,3 +452,47 @@ def test_dynamic_late_deletions_match_oracle(seed, k):
             wp = want.witness["point"]
             assert (got.point.x, got.point.y) == (wp.x, wp.y), (step, op)
             assert got.violations == want.witness["violations"], (step, op)
+
+
+def test_far_left_minimum_is_built_once_per_update(monkeypatch):
+    """Queries between two updates share one far-gap build; the answers
+    are those of a fresh structure."""
+    import sepkit.lpviol as lpviol
+
+    builds = []
+    real = lpviol.FarGaps
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    cs, schedule, ops = make_sequence(random.Random(8), 10, 40)
+    st_ = DynState(cs, schedule, 3)
+    monkeypatch.setattr(lpviol, "FarGaps", counted)
+    live = {l.id: (l, Color.RED) for l in cs.red}
+    live.update({l.id: (l, Color.BLUE) for l in cs.blue})
+    for op in ops:
+        if op[0] == "insert":
+            st_.insert(*op[1:])
+            live[op[1].id] = (op[1], op[2])
+        else:
+            st_.delete(op[1])
+            del live[op[1]]
+        del builds[:]
+        got = [st_.query(kq) for kq in (3, 1, 0)]
+        red = [l for l, c in live.values() if c is Color.RED]
+        blue = [l for l, c in live.values() if c is Color.BLUE]
+        assert builds == ([1] if red and blue else [])
+        fresh = DynState(ConstraintSet(red, blue), {}, 3)
+        assert got == [fresh.query(kq) for kq in (3, 1, 0)]
+
+
+def test_static_leftmost_breaks_x_ties_by_least_y():
+    """Two valid candidates share the least x = 1, at y = -1 and y = 2: the
+    candidates are compared as integer triples, y after x."""
+    red = [L(0, 0, -1), L(1, -1, 1), L(2, 1, 1)]
+    blue = [L(3, -2, 2), L(4, -1, 0), L(5, 0, 2)]
+    got = static_leftmost_valid(ConstraintSet(red, blue), 2)
+    assert (got.point, got.violations) == (PointR2(Rat(1), Rat(-1)), 2)
+    want = oracle_leftmost_valid(red, blue, 2).witness
+    assert (want["point"], want["violations"]) == (got.point, 2)

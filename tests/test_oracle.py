@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepkit.core import Color, LabeledPoint, LineR2, PointR2, split_colors
 from sepkit.errors import CapExceeded
@@ -8,6 +9,9 @@ from sepkit.exactkmm import ExactSolver, duals, minmax_curve
 from sepkit.lpviol import ConstraintSet, static_min_violations
 from sepkit.oracle import (
     KmmCandidateTable,
+    LpOracleTable,
+    _far_gap_counts,
+    _violations,
     oracle_1d,
     oracle_1d_multi,
     oracle_kmm,
@@ -129,3 +133,52 @@ def test_oracle_self_check_via_classify(rng):
 
         rep = classify_mis(res.witness["separator"], pts)
         assert rep.max_sq == res.value and rep.mis <= 2
+
+
+class FractionLpOracleTable:
+    """The reference for `LpOracleTable`: every distinct vertex as Fraction
+    (x, y), its violations counted with `LineR2.y_at`."""
+
+    def __init__(self, red, blue):
+        self.gap_min = min(_far_gap_counts(red, blue, -1))
+        lines = list(red) + list(blue)
+        verts = set()
+        for i, a in enumerate(lines):
+            for b in lines[i + 1:]:
+                if a.m != b.m:
+                    x = (b.c - a.c) / (a.m - b.m)
+                    verts.add(PointR2(x, a.y_at(x)))
+        self.rows = sorted((v.x, v.y, _violations(v, red, blue)) for v in verts)
+
+
+@st.composite
+def lp_lines(draw):
+    """Red and blue lines on a small grid of slopes and intercepts: many
+    parallel, concurrent and repeated lines; then scaled by 1, by a
+    non-dyadic rational, or to near 2**62 and beyond."""
+    scale = draw(st.sampled_from(["int", "thirds", "huge"]))
+    lines = []
+    for _ in range(draw(st.integers(2, 12))):
+        m = Rat(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2])))
+        c = Rat(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 3])))
+        if scale == "thirds":
+            m, c = m / 3 + Rat(1, 7), c / 21
+        elif scale == "huge":
+            m, c = m * (2**62 + draw(st.integers(-2, 2))), c * 10**20 + 1
+        lines.append(LineR2(m, c))
+    nr = draw(st.integers(1, len(lines) - 1))
+    return lines[:nr], lines[nr:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=lp_lines())
+def test_lp_oracle_table_matches_fraction_reference(lines):
+    red, blue = lines
+    got, want = LpOracleTable(red, blue), FractionLpOracleTable(red, blue)
+    assert got.gap_min == want.gap_min
+    assert got.rows == want.rows
+    for k in range(len(red) + len(blue) + 1):
+        assert got.leftmost_valid(k) == (
+            ("unbounded", None) if want.gap_min <= k else
+            next((("feasible", row) for row in want.rows if row[2] <= k),
+                 ("infeasible", None)))

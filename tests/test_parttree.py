@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from sepkit.chains import DLine
 from sepkit.lpviol import DynState
-from sepkit.parttree import PartitionForest, PTPoint
+from sepkit.parttree import PartitionForest
 from sepkit.rat import Rat
-from tests.conftest import side_of_line
+from tests.conftest import TIED_X, TIED_Y, ptpoint, side_of_line
 
 GRID = range(-4, 5)
 # (slope, intercept) pairs through many grid points
@@ -35,7 +35,7 @@ def _counts(table) -> dict[int, int]:
 
 
 def test_halfplane_updates_with_points_on_the_line():
-    pts = [PTPoint(Rat(x), Rat(y), (7 * x + 3 * y) % 5, payload=(x, y))
+    pts = [ptpoint(Rat(x), Rat(y), (7 * x + 3 * y) % 5, payload=(x, y))
            for x in GRID for y in GRID]
     table = PartitionForest(pts)
     shadow = {id(p): p.count for p in pts}
@@ -57,7 +57,7 @@ def test_halfplane_updates_with_points_on_the_line():
                 assert _counts(table) == shadow
                 # insert a point on the last line, delete a grid point
                 j = step % 9 - 4
-                q = PTPoint(Rat(j, 2), m * Rat(j, 2) + c, step % 4)
+                q = ptpoint(Rat(j, 2), m * Rat(j, 2) + c, step % 4)
                 table.insert(q)
                 shadow[id(q)] = q.count
                 alive[id(q)] = q
@@ -73,15 +73,6 @@ def test_halfplane_updates_with_points_on_the_line():
                                 if shadow[id(p)] <= kq), default=None)
                     assert ((got.x, got.y) if got else None) == want
     assert on_line > 0
-
-
-# x and y values in groups whose floats tie (or overflow to the same
-# infinity) while the exact values differ
-TIED_X = [Rat(1, 3), Rat(1, 3) + Rat(1, 2**80), Rat(1, 3) - Rat(1, 2**80),
-          Rat(2**60), Rat(2**60 + 1), Rat(-(2**60 + 1)), Rat(0),
-          Rat(10**400), Rat(10**400 + 1), Rat(-(10**400))]
-TIED_Y = [Rat(2**60), Rat(2**60 + 1), Rat(2**60 - 1), Rat(1, 3),
-          Rat(1, 3) + Rat(1, 2**80), Rat(0), Rat(10**400), Rat(-(10**400))]
 
 
 def _tied_lines(rng, n):
@@ -122,7 +113,7 @@ def test_order_keys_on_float_ties(seed):
                 x, y = rng.choice(TIED_X), rng.choice(TIED_Y)
                 if rng.random() < 0.3:      # a point on one of the lines
                     y = rng.choice(lines).y_at(x)
-                p = PTPoint(x, y, rng.randint(-1, 3))
+                p = ptpoint(x, y, rng.randint(-1, 3))
                 coords[id(p)], shadow[id(p)] = (x, y), p.count
                 batch.append(p)
             table.insert(*batch)
@@ -184,7 +175,7 @@ def test_table_matches_brute_force_recount(run):
         if op[0] == "insert":
             batch = []
             for x, y, on, count in op[1]:
-                p = PTPoint(x, y if on is None else lines[on].y_at(x), count)
+                p = ptpoint(x, y if on is None else lines[on].y_at(x), count)
                 shadow[id(p)] = count
                 batch.append(p)
             table.insert(*batch)
@@ -218,10 +209,10 @@ def test_table_matches_brute_force_recount(run):
 
 
 def test_len_after_deletes_and_compaction():
-    table = PartitionForest([PTPoint(Rat(i), Rat(0), 0) for i in range(4)])
+    table = PartitionForest([ptpoint(Rat(i), Rat(0), 0) for i in range(4)])
     pts = table.alive_points()
     table.delete(pts[0])
-    table.insert(*[PTPoint(Rat(10 + i), Rat(0), 0) for i in range(4)])
+    table.insert(*[ptpoint(Rat(10 + i), Rat(0), 0) for i in range(4)])
     assert len(table) == len(table.alive_points()) == 7
     assert len(table.pts) == 8
     # the fourth dead row of eight compacts the table
@@ -253,7 +244,7 @@ def near_line_points(draw):
 def _table_side(line: DLine, x, y) -> int:
     """The side of (x, y) the table's halfplane updates see: +1 if an
     update above the line counts it, -1 if one below does, else 0."""
-    p = PTPoint(x, y, 0)
+    p = ptpoint(x, y, 0)
     table = PartitionForest([p])
     table.halfplane_update(line, True, 1)
     table.halfplane_update(line, False, -1)

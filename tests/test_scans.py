@@ -22,6 +22,7 @@ from sepkit.exactkmm import _analysis_for
 from sepkit.rat import Rat, homogeneous
 from sepkit.scans import (
     ColumnProfile,
+    FarGaps,
     VertexRecord,
     VertexScanResult,
     crossings,
@@ -189,7 +190,7 @@ def test_scans_at_near_ties_match_reference():
         for e in below + above:
             for k in range(len(below) + len(above) + 1):
                 assert segment_valid_crossings(
-                    [(e.m, e.c, None, None)], below, above, k) == \
+                    [(e, None, None)], below, above, k) == \
                     reference_segment(e.m, e.c, below, above, k)
         lines = below + above
         col = ColumnProfile(below, above, x_col)
@@ -224,7 +225,7 @@ def test_scans_match_reference_on_degenerate_lines(lines, k):
     below, above = lines
     assert scan_vertices(below, above, k) == reference_scan(below, above, k)
     e = (below + above)[0]
-    assert segment_valid_crossings([(e.m, e.c, None, None)], below, above, k) == \
+    assert segment_valid_crossings([(e, None, None)], below, above, k) == \
         reference_segment(e.m, e.c, below, above, k)
 
 
@@ -517,11 +518,12 @@ def whole_line_valid_crossings(segments, below, above, k, cols=None):
     lines = list(below) + list(above)
     if not lines:
         return []
-    es = [homogeneous(m_e, c_e) for m_e, c_e, _, _ in segments]
+    es = [e.abc for e, _, _ in segments]
     a, b, c = line_columns(lines, [v for e in es for v in e])
     isb = np.arange(len(lines)) < len(below)
     out = []
-    for (m_e, c_e, x1, x2), e in zip(segments, es):
+    for (line, x1, x2), e in zip(segments, es):
+        m_e, c_e = line.m, line.c
         cr = crossings(e, a, b, c, isb)
         mis = cr.mis()
         for t in np.flatnonzero(~cr.same & (mis <= k)):
@@ -561,7 +563,7 @@ def walk_cases(draw):
         x1, x2 = draw(st.one_of(ends)), draw(st.one_of(ends))
         if x1 is not None and x2 is not None and x1 > x2:
             x1, x2 = x2, x1
-        segments.append((m, c, x1, x2))
+        segments.append((e, x1, x2))
     return below, above, segments
 
 
@@ -598,8 +600,8 @@ def test_walk_recasts_int64_columns_for_large_pieces():
     for l, h in zip(below, above):
         m, c = (l.m + h.m) / 2, (l.c + h.c) / 2
         assert max(map(abs, homogeneous(m, c))) >= scans.INT64_BOUND
-        segments.append((m, c, min(l.m, h.m), max(l.m, h.m) + 5))
-    segments.append((Rat(0), Rat(0), None, None))
+        segments.append((DLine(-1, m, c), min(l.m, h.m), max(l.m, h.m) + 5))
+    segments.append((DLine(-1, Rat(0), Rat(0)), None, None))
     found = 0
     for k in range(len(lines) + 1):
         want = whole_line_valid_crossings(segments, below, above, k)
@@ -618,7 +620,7 @@ def test_walk_on_python_int_columns():
                            Color.RED if i % 3 else Color.BLUE, i) for i in range(14)]
     ana = _analysis_for(pts, len(pts))
     assert ana.cols[0].dtype == object
-    segments = [(p.line.m, p.line.c, p.x_lo, p.x_hi) for p in ana.curve.pieces]
+    segments = [(p.line, p.x_lo, p.x_hi) for p in ana.curve.pieces]
     found = 0
     for k in range(len(pts) + 1):
         want = whole_line_valid_crossings(segments, ana.below, ana.above, k)
@@ -638,7 +640,7 @@ def test_walk_skips_pieces_over_the_count_bound():
     below = [DLine(j, Rat(0), Rat(j)) for j in range(6)]
     below.append(DLine(6, Rat(-1), Rat(201, 2)))      # crosses at x = 1/4
     above = [DLine(7, Rat(-1), Rat(401, 4))]           # crosses at x = 1/8
-    segments = [(Rat(1), Rat(100), Rat(0), Rat(1))]
+    segments = [(DLine(-1, Rat(1), Rat(100)), Rat(0), Rat(1))]
     sorts = []
     real_order = scans.exact_order
 
@@ -653,3 +655,18 @@ def test_walk_skips_pieces_over_the_count_bound():
         assert sorts == [2]
     assert got == whole_line_valid_crossings(segments, below, above, 6) \
         == [(Rat(1, 8), Rat(801, 8), 6), (Rat(1, 4), Rat(401, 4), 6)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lines=scaled_lines(), side=st.sampled_from([-1, 1]))
+def test_far_gap_slopes_are_the_extreme_slopes(lines, side):
+    """The slopes that bound the far-gap limits, picked from the integer
+    far order, are the extreme slopes of each role: on the left the
+    greatest below-slope and the least above-slope, on the right the
+    reverse."""
+    below, above = lines
+    if not below or not above:
+        return
+    pick = (max, min) if side < 0 else (min, max)
+    assert FarGaps(below, above, side)._slopes == (
+        pick[0](l.m for l in below), pick[1](l.m for l in above))

@@ -13,8 +13,8 @@ from sepkit.chains import DLine, cross_x
 from sepkit.core import PointR2
 from sepkit.lpviol import violation_counts, violations_at
 from sepkit.rat import Rat
-from sepkit.scans import line_columns, line_sides, point_columns
-from tests.conftest import side_of_line
+from sepkit.scans import line_columns, line_sides
+from tests.conftest import fraction_point_columns, hom, side_of_line
 
 ANCHORS = [0, 1, 2**25, 2**36, 10**30]
 DENS = [1, 1, 3, 7, 21]
@@ -68,7 +68,7 @@ def test_sides_match_fraction_definition(case):
     lines, pts = case
     want = [[reference_side(l, x, y) for l in lines] for x, y in pts]
     assert [[side_of_line(l.abc, x, y) for l in lines] for x, y in pts] == want
-    got = line_sides(line_columns(lines), point_columns(pts))
+    got = line_sides(line_columns(lines), fraction_point_columns(pts))
     assert got.shape == (len(pts), len(lines))
     assert got.tolist() == want
 
@@ -79,7 +79,7 @@ def test_violation_counts_match_fraction_definition(case, split):
     lines, pts = case
     red, blue = lines[:split], lines[split:]
     want = [reference_violations(x, y, red, blue) for x, y in pts]
-    assert violation_counts(pts, red, blue) == want
+    assert violation_counts([hom(x, y) for x, y in pts], red, blue) == want
     assert [violations_at(PointR2(x, y), red, blue) for x, y in pts] == want
 
 
@@ -119,9 +119,9 @@ def test_sides_at_dtype_boundaries():
             paths.append(_path(cols, x, y))
             want = reference_side(line, x, y)
             assert side_of_line(line.abc, x, y) == want
-            assert line_sides(cols, point_columns([(x, y)])).tolist() == [[want]]
-            assert violation_counts([(x, y)], [line], []) == [int(want > 0)]
-            assert violation_counts([(x, y)], [], [line]) == [int(want < 0)]
+            assert line_sides(cols, fraction_point_columns([(x, y)])).tolist() == [[want]]
+            assert violation_counts([hom(x, y)], [line], []) == [int(want > 0)]
+            assert violation_counts([hom(x, y)], [], [line]) == [int(want < 0)]
     assert set(paths) == {"int64", "object"}
 
 
@@ -130,7 +130,8 @@ def test_violation_counts_in_chunks():
     lines = [DLine(i, Rat(i - 3, 2), Rat(5 - i, 3)) for i in range(7)]
     pts = [(Rat(j % 23 - 11, 3), Rat(j % 17 - 8, 2)) for j in range(20000)]
     want = [reference_violations(x, y, lines[:3], lines[3:]) for x, y in pts]
-    assert violation_counts(pts, lines[:3], lines[3:]) == want
+    assert violation_counts([hom(x, y) for x, y in pts], lines[:3],
+                            lines[3:]) == want
 
 
 def test_sides_near_the_int64_product_bound():
@@ -150,5 +151,5 @@ def test_sides_near_the_int64_product_bound():
             paths.append(_path(cols, x, y))
             want = [reference_side(line, x, y), reference_side(line.neg(), x, y)]
             assert [side_of_line(l.abc, x, y) for l in (line, line.neg())] == want
-            assert line_sides(cols, point_columns([(x, y)])).tolist() == [want]
+            assert line_sides(cols, fraction_point_columns([(x, y)])).tolist() == [want]
     assert set(paths) == {"int64", "object"}
