@@ -229,9 +229,8 @@ def build_delta_context(
     below, above = rotated_duals(pts, wedge)
     if not below or not above:
         raise EmptyColor("both colors required")
-    kk = min(k, len(below) + len(above))
-    red_chains = chain_decomposition(below, kk, Direction.LOWER).chains
-    blue_chains = chain_decomposition(above, kk, Direction.UPPER).chains
+    red_chains = chain_decomposition(below, k, Direction.LOWER).chains
+    blue_chains = chain_decomposition(above, k, Direction.UPPER).chains
     red_ply = [PlyStructure(c, blue_chains) for c in red_chains]
     blue_ply = [PlyStructure(c, red_chains) for c in blue_chains]
     env_lo = envelope(below, Direction.LOWER)

@@ -1,12 +1,13 @@
 """Envelopes and concave/convex chain decompositions of <=k-levels.
 
 A chain is an x-monotone polyline whose pieces live on input lines.  The
-lower <=k-level of a line set is covered by k+1 concave chains produced by a
-sweep: chain j starts on the j-th lowest line at x = -infinity, and whenever
-a line leaves the set of k+1 lowest lines (it is overtaken at the boundary),
-its chain transfers to the overtaking line.  Transfers always decrease the
-piece slope, so chains stay concave.  Upper levels are handled by negating
-all lines, which swaps above/below.
+lower <=k-level of a line set is covered by k+1 concave chains: chain j
+starts on the j-th lowest line at x = -infinity, and at each vertex where a
+line leaves the k+1 lowest, its chain transfers to a line entering there.
+Those vertices come from the vertex scan's band-filtered blocks
+(`scans.level_swaps`); no other crossing is built or visited.  Transfers
+always decrease the piece slope, so chains stay concave.  Upper levels are
+handled by negating all lines, which swaps above/below.
 
 A dual line (`DLine`) is stored as its primitive integer form; the sweeps
 decide on it, and chain crossings leave as integer triples.
@@ -22,9 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, ValidationError
+from .errors import EmptyInput
 from .rat import Rat, RatT, homogeneous
-from .scans import _far_index, exact_order, line_columns
+from .scans import _far_index, exact_order, level_swaps, line_columns
 
 
 class Direction(enum.Enum):
@@ -201,58 +202,26 @@ def chain_decomposition(
         low = chain_decomposition([l.neg() for l in lines], k, Direction.LOWER)
         return ChainSet([c.negated(ChainKind.CONVEX) for c in low.chains],
                         Direction.UPPER, k)
-    n = len(lines)
-    m = min(k + 1, n)
+    m = min(k + 1, len(lines))
     a, b, c = line_columns(lines)
-    # order at x = -infinity: bottom-to-top is decreasing slope, then
-    # increasing intercept (parallel lines never swap)
-    order = [lines[j] for j in _far_index(a, b, c, -1).tolist()]
-    pos = {l.id: r for r, l in enumerate(order)}
-    at = {r: l for r, l in enumerate(order)}
-    # every crossing of lines i < j as (x, y) = (xn, yn) / den, in (x, y)
-    # order, cut into runs at one point
-    li, lj = np.triu_indices(n, 1)
-    den = b[li] * a[lj] - b[lj] * a[li]
-    cross = np.flatnonzero(den != 0)
-    li, lj, den = li[cross], lj[cross], den[cross]
-    sign = np.where(den < 0, -1, 1)
-    xn = (c[lj] * a[li] - c[li] * a[lj]) * sign
-    yn = (b[li] * c[lj] - b[lj] * c[li]) * sign
-    den = den * sign
-    ev, same = exact_order((xn, den), (yn, den))
-    ids = [l.id for l in lines]
-    ei, ej = li[ev].tolist(), lj[ev].tolist()
-    bounds = np.flatnonzero(~same).tolist() + [len(ev)]
-    # chain r rides the line currently at rank r while r < m; record the
-    # (line, start_x) history per chain
-    history: list[list[tuple[DLine, Optional[RatT]]]] = [
-        [(at[r], None)] for r in range(m)
-    ]
-    chain_of: dict[int, int] = {at[r].id: r for r in range(m)}
-    # process crossings grouped by point: 3+ concurrent lines reverse their
-    # contiguous rank block in one step
-    for s, e in zip(bounds, bounds[1:]):
-        grp = {ids[i] for i in ei[s:e]} | {ids[j] for j in ej[s:e]}
-        ranks = sorted(pos[i] for i in grp)
-        lo, hi = ranks[0], ranks[-1]
-        if hi - lo != len(ranks) - 1:
-            raise ValidationError(
-                "non-contiguous concurrent crossing block (degenerate input)"
-            )
-        block = [at[r] for r in ranks]            # bottom to top before x
-        for r, l in zip(ranks, reversed(block)):
-            pos[l.id] = r
-            at[r] = l
-        if not lo < m <= hi:
-            continue
-        leaving = [l for r, l in zip(ranks, block) if r < m <= lo + hi - r]
-        entering = [l for r, l in zip(ranks, block) if r >= m > lo + hi - r]
-        entering.sort(key=lambda l: pos[l.id])
-        x = Rat(int(xn[ev[s]]), int(den[ev[s]]))
-        for la, lb in zip(leaving, entering):
-            idx = chain_of.pop(la.id)
-            chain_of[lb.id] = idx
-            history[idx].append((lb, x))
+    # bottom to top at x = -infinity (by decreasing slope, then intercept,
+    # then index), as the lines through a vertex are just left of it; just
+    # right of it, they are as at x = +infinity
+    left, right = _far_index(a, b, c, -1), _far_index(a, b, c, 1)
+    rank_left = np.argsort(left).tolist()
+    rank_right = np.argsort(right).tolist()
+    # chain r starts on the line of rank r: its (line, start x) history
+    history = [[(lines[j], None)] for j in left[:m].tolist()]
+    chain_of = {j: r for r, j in enumerate(left[:m].tolist())}
+    for x, below, through in level_swaps(a, b, c, k, left, right):
+        # the lines through x among the m lowest, bottom to top, left and
+        # right of it: each leaving line passes its chain to an entering one
+        before = sorted(through, key=rank_left.__getitem__)[:m - below]
+        after = sorted(through, key=rank_right.__getitem__)[:m - below]
+        for la, lb in zip([j for j in before if j not in after],
+                          [j for j in after if j not in before]):
+            chain_of[lb] = r = chain_of.pop(la)
+            history[r].append((lines[lb], x))
     chains = []
     for hist in history:
         pieces = []

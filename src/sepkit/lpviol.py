@@ -23,11 +23,12 @@ violation counts in a flat table (`parttree`): an update adds +-1 to the
 counts on one side of its line in one exact sign pass, appends the
 candidates its line makes as one counted batch, and a query takes the
 leftmost alive row with a small enough count.  The zero sides of a
-counting pass are the live lines through each candidate; a candidate leaves
-the table only when the last live red line or the last live blue line
-through it is deleted.  The far-left minimum is built at the first query
-after an update.  An expensive update drops the old table before it builds
-the new one.
+counting pass are the live lines through each candidate, and a new line
+through an alive candidate replaces its row with one that counts every
+line through it; a candidate leaves the table only when the last live red
+line or the last live blue line through it goes.  The far-left minimum is
+built at the first query after an update.  An expensive update drops the
+old table before it builds the new one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .core import Color, PointR2
 from .errors import ScheduleViolation, UnknownId
 from .parttree import PartitionForest, PTPoint
 from .rat import Rat, RatT
-from .scans import FarGaps, line_columns, line_sides, point_columns
+from .scans import FarGaps, least_vertex_mis, line_columns, line_sides, \
+    point_columns
 
 
 @dataclass(frozen=True)
@@ -75,16 +77,16 @@ COUNT_CHUNK = 1 << 12
 
 def _sides_and_counts(pcols, red: Sequence[DLine], blue: Sequence[DLine]):
     """Per bounded chunk of the points with `scans.point_columns` pcols,
-    one numpy pass: the chunk's `scans.line_sides` array against red +
-    blue, and each of its points' violations (red lines strictly below it,
-    blue lines strictly above)."""
+    one numpy pass: the chunk's first index, its `scans.line_sides` array
+    against red + blue, and each of its points' violations (red lines
+    strictly below it, blue lines strictly above)."""
     cols = line_columns(list(red) + list(blue))
     nr = len(red)
     step = max(1, COUNT_CHUNK // max(1, len(cols[0])))
     for i in range(0, len(pcols[0]), step):
         sides = line_sides(cols, tuple(h[i:i + step] for h in pcols))
-        yield sides, (np.count_nonzero(sides[:, :nr] > 0, axis=1)
-                      + np.count_nonzero(sides[:, nr:] < 0, axis=1)).tolist()
+        yield i, sides, (np.count_nonzero(sides[:, :nr] > 0, axis=1)
+                         + np.count_nonzero(sides[:, nr:] < 0, axis=1)).tolist()
 
 
 def violation_counts(
@@ -94,7 +96,7 @@ def violation_counts(
 ) -> list[int]:
     """Violations of each homogeneous integer point (X, Y, W), W > 0: the
     red lines strictly below it plus the blue lines strictly above it."""
-    return [v for _, counts in
+    return [v for _, _, counts in
             _sides_and_counts(point_columns(points), red, blue)
             for v in counts]
 
@@ -207,9 +209,8 @@ def static_leftmost_valid(cs: ConstraintSet, k: int) -> LPResult:
         return LPResult(LPStatus.UNBOUNDED, reason="empty-side")
     if far_left_min(cs.red, cs.blue) <= k:
         return LPResult(LPStatus.UNBOUNDED)
-    kk = min(k, len(cs.red) + len(cs.blue))
-    red_chains = chain_decomposition(cs.red, kk, Direction.LOWER).chains
-    blue_chains = chain_decomposition(cs.blue, kk, Direction.UPPER).chains
+    red_chains = chain_decomposition(cs.red, k, Direction.LOWER).chains
+    blue_chains = chain_decomposition(cs.blue, k, Direction.UPPER).chains
     pts = _chain_candidates(red_chains, blue_chains)
     best = None
     for p, v in zip(pts, violation_counts(pts, cs.red, cs.blue)):
@@ -222,27 +223,17 @@ def static_leftmost_valid(cs: ConstraintSet, k: int) -> LPResult:
 
 
 def static_min_violations(cs: ConstraintSet) -> tuple[int, LPResult]:
-    """Smallest k with a non-infeasible answer, plus that answer."""
+    """Smallest k with a non-infeasible answer, plus that answer.  Below
+    the far-left minimum it is the least violation count of a vertex (the
+    leftmost valid point is then a red-blue vertex), found by vertex scans
+    whose cap doubles up to that minimum."""
     if not cs.red or not cs.blue:
         return 0, LPResult(LPStatus.UNBOUNDED, reason="empty-side")
-    gap_min = far_left_min(cs.red, cs.blue)
-    n = len(cs.red) + len(cs.blue)
-    k_guess = 1
-    vertex_min = None
-    while True:
-        kk = min(k_guess, n)
-        red_chains = chain_decomposition(cs.red, kk, Direction.LOWER).chains
-        blue_chains = chain_decomposition(cs.blue, kk, Direction.UPPER).chains
-        vals = violation_counts(_chain_candidates(red_chains, blue_chains),
-                                cs.red, cs.blue)
-        vals = [v for v in vals if v <= kk]
-        if vals:
-            vertex_min = min(vals)
-            break
-        if kk >= n:
-            break
-        k_guess *= 2
-    k_min = gap_min if vertex_min is None else min(gap_min, vertex_min)
+    k_min, cap, found = far_left_min(cs.red, cs.blue), -1, None
+    while found is None and cap < k_min - 1:
+        cap = min(2 * cap + 2, k_min - 1)
+        found = least_vertex_mis(cs.red, cs.blue, cap)
+    k_min = k_min if found is None else found
     return k_min, static_leftmost_valid(cs, k_min)
 
 
@@ -343,7 +334,7 @@ class DynState:
 
     def _build_layer(self, lines: list[DLine], color: Color) -> _Layer:
         direction = Direction.LOWER if color is Color.RED else Direction.UPPER
-        cover = chain_decomposition(lines, min(self.k, len(lines)), direction)
+        cover = chain_decomposition(lines, self.k, direction)
         return _Layer(lines, cover.chains)
 
     def _distribute(self, ids: list[int], upto: Optional[int]) -> None:
@@ -393,22 +384,31 @@ class DynState:
             out.extend(layer.chains)
         return out
 
-    def _candidates(self, found: list[tuple[int, int, int]]):
-        """The points, given as homogeneous triples, with their violation
-        counts against the live lines, and their `scans.point_columns`.  A
-        point's payload is [red, blue]:
-        how many live red and blue lines pass through it (the zero sides of
-        the counting pass), and points_by_line files it under each of those
-        lines."""
+    def _candidates(self, found: list[tuple[int, int, int]],
+                    replace: bool = False):
+        """The table rows for the points, given as homogeneous triples, with
+        their violation counts against the live lines, and their
+        `scans.point_columns`.  A row's payload is [red, blue]: how many
+        live red and blue lines pass through it (the zero sides of the
+        counting pass), and points_by_line files it under each of those
+        lines.  With `replace` (an insert), a point with a third live line
+        through it may be an alive row already, filed under one of those
+        lines: that row is deleted, as the new row holds all of its lines."""
         red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
         lines = red + blue
         pcols = point_columns(found)
         pts: list[PTPoint] = []
-        for sides, counts in _sides_and_counts(pcols, red, blue):
-            base = len(pts)
+        for base, sides, counts in _sides_and_counts(pcols, red, blue):
+            on = sides == 0
+            for i in np.flatnonzero((on.sum(axis=1) > 2) & replace):
+                old = next((p for j in np.flatnonzero(on[i]) for p in
+                            self.points_by_line.get(lines[j].id, ())
+                            if p.alive and p.xyw == found[base + i]), None)
+                if old is not None:
+                    self.forest.delete(old)
             pts.extend(PTPoint(xyw, cnt, payload=[0, 0])
                        for xyw, cnt in zip(found[base:], counts))
-            rows, cols = np.nonzero(sides == 0)
+            rows, cols = np.nonzero(on)
             for i, j in zip(rows.tolist(), cols.tolist()):
                 pt = pts[base + i]
                 pt.payload[j >= len(red)] += 1
@@ -440,7 +440,7 @@ class DynState:
         opp = self._all_chains(color.other())
         found = (_chain_candidates(new, opp) if color is Color.RED
                  else _chain_candidates(opp, new))
-        pts, pcols = self._candidates(found)
+        pts, pcols = self._candidates(found, replace=True)
         self.forest.insert(*pts, cols=pcols)
         self._maybe_expensive()
 

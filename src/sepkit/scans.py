@@ -34,7 +34,9 @@ Python ints), whatever n is.  A row with two equal float keys (concurrent
 lines, or distinct values that round alike) is redone exactly by the
 per-line `crossings`.  Given a slab of x (a t-gon wedge's slopes), the
 filter cuts only the slab and the scan records only the vertices in it,
-decided on float keys with an exact fallback at the walls.  Far gaps keep
+decided on float keys with an exact fallback at the walls.  With every
+line a below-line (nb = n), the same blocks give the chain covers the
+vertices where a line leaves the k+1 lowest (`level_swaps`).  Far gaps keep
 their mis from the integer far order and build a gap's limit only when it
 is read; column profiles keep sorted integer heights and build a rational
 only for a height they return.
@@ -319,13 +321,14 @@ class VertexScanResult:
 class _Block:
     """The crossings of a block of rows with every line, each row in x
     order: position t of row i is its t-th crossing, with the line
-    `order[i, t]` and the on-point count `mis` (see `crossings`).
-    Positions t >= ncross[i] are parallel lines; num and den are indexed by
-    line, not by position."""
+    `order[i, t]` and the on-point count `mis` (see `crossings`); same[i,
+    t] says it is at the x of position t - 1.  Positions t >= ncross[i] are
+    parallel lines; num and den are indexed by line, not by position."""
 
     ncross: np.ndarray
     order: np.ndarray
     mis: np.ndarray
+    same: np.ndarray
     num: np.ndarray
     den: np.ndarray
 
@@ -349,11 +352,13 @@ def _block_crossings(rows: np.ndarray, a, b, c, isb: np.ndarray) -> _Block:
     adj = (isb[order] == np.take_along_axis(bb, order, axis=1)).astype(np.int64)
     delta = 1 - 2 * adj
     mis = start[:, None] + np.cumsum(delta, axis=1) - delta - adj
+    same = np.zeros(order.shape, dtype=bool)    # distinct float keys elsewhere
     for i in np.flatnonzero(tied):
         cr = crossings((A[i, 0], B[i, 0], C[i, 0]), a, b, c, isb)
         order[i, :len(cr.idx)] = cr.idx
         mis[i, :len(cr.idx)] = cr.mis()
-    return _Block(ncross, order, mis, num, den)
+        same[i, :len(cr.idx)] = cr.same
+    return _Block(ncross, order, mis, same, num, den)
 
 
 def _exact_extreme(num, den, key, lowest: bool) -> tuple[int, int]:
@@ -371,17 +376,20 @@ def _far_index(a, b, c, side: int) -> np.ndarray:
     return exact_order((b * side, a), (c, a))[0]
 
 
-def _extreme_crossing(a, b, c, side: int) -> RatT:
-    """The x of the leftmost (side -1) or rightmost (side 1) vertex.  The
-    lines through that vertex are contiguous in the far order on that side,
-    so two of them, not parallel, are adjacent there: only adjacent pairs
-    are crossed."""
-    order = _far_index(a, b, c, side)
+def _extreme_crossing(a, b, c, side: int, order=None) -> Optional[RatT]:
+    """The x of the leftmost (side -1) or rightmost (side 1) vertex, None if
+    every pair is parallel.  The lines through that vertex are contiguous
+    in the far order on that side (`order`, found if not given), so two of
+    them, not parallel, are adjacent there: only adjacent pairs are
+    crossed."""
+    order = _far_index(a, b, c, side) if order is None else order
     i, j = order[:-1], order[1:]
     num = c[j] * a[i] - c[i] * a[j]
     den = b[i] * a[j] - b[j] * a[i]
     num, den = np.where(den < 0, -num, num), np.abs(den)
     cross = np.flatnonzero(den != 0)
+    if not cross.size:
+        return None
     num, den = num[cross], den[cross]
     return Rat(*_exact_extreme(num, den, _float_key(num, den), side < 0))
 
@@ -487,14 +495,18 @@ def _within(num: np.ndarray, den: np.ndarray, lo: RatT, hi: RatT
     return inside
 
 
-def _kept_blocks(a, b, c, nb: int, kmax: int, lo: RatT, hi: RatT,
-                 slab: Optional[tuple[RatT, RatT]] = None):
+def _kept_blocks(a, b, c, nb: int, kmax: int,
+                 slab: Optional[tuple[RatT, RatT]] = None, lo=None, hi=None):
     """The vertices with mis <= kmax (and, with a slab, x in it), by blocks
     of rows (r, blk, keep): blk is `_block_crossings` of the rows r, run
-    only on the lines `_band_rows` keeps between lo and hi (the extreme
-    crossings, cut to the slab), and keep marks each such vertex once, on
-    the row of the first line through it."""
+    only on the lines `_band_rows` keeps between the extreme crossings lo
+    and hi (found if not given), cut to the slab, and keep marks each such
+    vertex once, on the row of the first line through it."""
     n = len(a)
+    if lo is None:
+        lo, hi = _extreme_crossing(a, b, c, -1), _extreme_crossing(a, b, c, 1)
+        if lo is None:
+            return
     if slab is not None:
         lo, hi = max(lo, slab[0]), min(hi, slab[1])
         if lo > hi:
@@ -540,8 +552,7 @@ def scan_vertices(
         return VertexScanResult([], None, None, None, 0)
     lo, hi = _extreme_crossing(a, b, c, -1), _extreme_crossing(a, b, c, 1)
     out: list[VertexRecord] = []
-    for r, blk, keep in _kept_blocks(a, b, c, len(below), kmax, lo, hi,
-                                     slab):
+    for r, blk, keep in _kept_blocks(a, b, c, len(below), kmax, slab, lo, hi):
         for i, t in zip(*np.nonzero(keep)):
             j = blk.order[i, t]
             p, q = int(blk.num[i, j]), int(blk.den[i, j])
@@ -558,12 +569,44 @@ def least_vertex_mis(below: Sequence[DLine], above: Sequence[DLine],
     """scan_vertices(below, above, kmax, cols).min_vertex_mis, without
     building the vertex records."""
     a, b, c = line_columns(list(below) + list(above)) if cols is None else cols
-    if not _crossing_pairs(a, b):
-        return None
-    lo, hi = _extreme_crossing(a, b, c, -1), _extreme_crossing(a, b, c, 1)
     return min((int(blk.mis[keep].min()) for _, blk, keep in
-                _kept_blocks(a, b, c, len(below), kmax, lo, hi) if keep.any()),
+                _kept_blocks(a, b, c, len(below), kmax) if keep.any()),
                default=None)
+
+
+def level_swaps(a, b, c, k: int, left: np.ndarray, right: np.ndarray
+                ) -> list[tuple[RatT, int, list[int]]]:
+    """The vertices of the lines (a, b, c) of line_columns where a line
+    leaves the k+1 lowest, in x order, as (x, below, the lines through it):
+    `below` lie strictly under it and g pass through it, below <= k < below
+    + g - 1, so no two share an x.  `left` and `right` are the lines' far
+    orders (`_far_index`) on each side.  Each vertex is read on the row of
+    its least line e in the scan with every line a below-line: the others
+    through it are a run at one x there, in index order, save e's identical
+    copies."""
+    lo = _extreme_crossing(a, b, c, -1, left)
+    if k >= len(a) - 1 or lo is None:
+        return []
+    keys = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    twins: dict[tuple[int, int, int], list[int]] = {}
+    for j, abc in enumerate(keys):
+        twins.setdefault(abc, []).append(j)
+    first, size = np.array([(twins[abc][0], len(twins[abc])) for abc in keys]).T
+    out = []
+    hi = _extreme_crossing(a, b, c, 1, right)
+    for r, blk, keep in _kept_blocks(a, b, c, len(a), k, None, lo, hi):
+        starts = np.flatnonzero(~blk.same)
+        run = np.diff(np.append(starts, keep.size))[np.cumsum(~blk.same) - 1]
+        run = run.reshape(keep.shape)       # the length of each position's run
+        # keep at a run's first position: its least line is after e
+        swap = (keep & ~blk.same & (first[r] == r)[:, None]
+                & (k < blk.mis + run + size[r, None] - 1))
+        for i, t in zip(*np.nonzero(swap)):
+            j = blk.order[i, t]
+            out.append((Rat(int(blk.num[i, j]), int(blk.den[i, j])),
+                        int(blk.mis[i, t]), twins[keys[r[i]]]
+                        + blk.order[i, t:t + run[i, t]].tolist()))
+    return sorted(out, key=lambda v: v[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 import bisect
 import random
 from math import gcd
+from typing import Optional, Sequence
 
+import numpy as np
 import pytest
 
-from sepkit.chains import DLine
+from sepkit.chains import Chain, ChainKind, ChainPiece, ChainSet, \
+    Direction, DLine
 from sepkit.core import Color, LabeledPoint
+from sepkit.errors import EmptyInput, ValidationError
 from sepkit.parttree import PTPoint
-from sepkit.rat import Rat, rat
-from sepkit.scans import point_columns
+from sepkit.rat import Rat, RatT, rat
+from sepkit.scans import _far_index, exact_order, line_columns, point_columns
 
 
 def random_instance(rng, n, coord=50, ensure_both=True):
@@ -221,3 +225,81 @@ def fraction_point_columns(points):
 def ptpoint(x, y, count: int, payload: object = None) -> PTPoint:
     """A table point at the rational point (x, y)."""
     return PTPoint(hom(x, y), count, payload)
+
+
+def reference_chain_decomposition(
+    lines: Sequence[DLine], k: int, direction: Direction
+) -> ChainSet:
+    """min(k+1, n) chains covering all edges of the <=k-level, by the
+    all-pairs sweep: every crossing of two lines, sorted exactly and
+    replayed one point at a time on the ranks of the lines.  The reference
+    for `chains.chain_decomposition`."""
+    if not lines:
+        raise EmptyInput("chain decomposition of empty line set")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if direction is Direction.UPPER:
+        low = reference_chain_decomposition([l.neg() for l in lines], k,
+                                            Direction.LOWER)
+        return ChainSet([c.negated(ChainKind.CONVEX) for c in low.chains],
+                        Direction.UPPER, k)
+    n = len(lines)
+    m = min(k + 1, n)
+    a, b, c = line_columns(lines)
+    # order at x = -infinity: bottom-to-top is decreasing slope, then
+    # increasing intercept (parallel lines never swap)
+    order = [lines[j] for j in _far_index(a, b, c, -1).tolist()]
+    pos = {l.id: r for r, l in enumerate(order)}
+    at = {r: l for r, l in enumerate(order)}
+    # every crossing of lines i < j as (x, y) = (xn, yn) / den, in (x, y)
+    # order, cut into runs at one point
+    li, lj = np.triu_indices(n, 1)
+    den = b[li] * a[lj] - b[lj] * a[li]
+    cross = np.flatnonzero(den != 0)
+    li, lj, den = li[cross], lj[cross], den[cross]
+    sign = np.where(den < 0, -1, 1)
+    xn = (c[lj] * a[li] - c[li] * a[lj]) * sign
+    yn = (b[li] * c[lj] - b[lj] * c[li]) * sign
+    den = den * sign
+    ev, same = exact_order((xn, den), (yn, den))
+    ids = [l.id for l in lines]
+    ei, ej = li[ev].tolist(), lj[ev].tolist()
+    bounds = np.flatnonzero(~same).tolist() + [len(ev)]
+    # chain r rides the line currently at rank r while r < m; record the
+    # (line, start_x) history per chain
+    history: list[list[tuple[DLine, Optional[RatT]]]] = [
+        [(at[r], None)] for r in range(m)
+    ]
+    chain_of: dict[int, int] = {at[r].id: r for r in range(m)}
+    # process crossings grouped by point: 3+ concurrent lines reverse their
+    # contiguous rank block in one step
+    for s, e in zip(bounds, bounds[1:]):
+        grp = {ids[i] for i in ei[s:e]} | {ids[j] for j in ej[s:e]}
+        ranks = sorted(pos[i] for i in grp)
+        lo, hi = ranks[0], ranks[-1]
+        if hi - lo != len(ranks) - 1:
+            raise ValidationError(
+                "non-contiguous concurrent crossing block (degenerate input)"
+            )
+        block = [at[r] for r in ranks]            # bottom to top before x
+        for r, l in zip(ranks, reversed(block)):
+            pos[l.id] = r
+            at[r] = l
+        if not lo < m <= hi:
+            continue
+        leaving = [l for r, l in zip(ranks, block) if r < m <= lo + hi - r]
+        entering = [l for r, l in zip(ranks, block) if r >= m > lo + hi - r]
+        entering.sort(key=lambda l: pos[l.id])
+        x = Rat(int(xn[ev[s]]), int(den[ev[s]]))
+        for la, lb in zip(leaving, entering):
+            idx = chain_of.pop(la.id)
+            chain_of[lb.id] = idx
+            history[idx].append((lb, x))
+    chains = []
+    for hist in history:
+        pieces = []
+        for i, (line, x0) in enumerate(hist):
+            x1 = hist[i + 1][1] if i + 1 < len(hist) else None
+            pieces.append(ChainPiece(line, x0, x1))
+        chains.append(Chain(ChainKind.CONCAVE, pieces))
+    return ChainSet(chains, Direction.LOWER, k)

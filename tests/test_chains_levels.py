@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepkit import scans
 from sepkit.chains import (
     Chain,
     ChainKind,
@@ -18,7 +20,8 @@ from sepkit.errors import EmptyInput
 from sepkit.levels import build_leq_k, overlay_and_label
 from sepkit.rat import Rat
 from sepkit.scans import line_columns
-from tests.conftest import all_cells, locate, random_lines, xy
+from tests.conftest import all_cells, locate, random_lines, \
+    reference_chain_decomposition, xy
 
 L = lambda i, m, c: DLine(i, Rat(m), Rat(c))
 
@@ -174,6 +177,55 @@ def test_chain_cover_and_shape(rng):
                     c.piece_at(xm).line.id == e.line.id
                     for c in cs.chains
                 ), "level edge not covered by any chain"
+
+
+@st.composite
+def grid_lines(draw):
+    """Up to 30 lines on a small grid of slopes and integer intercepts, as
+    in test_scans.py: parallel and identical lines, pencils of concurrent
+    lines, and vertices at dyadic x that a float wall can hit exactly.  The
+    intercepts may be scaled by a huge non-dyadic amount (Python-int
+    columns) or by 1/3."""
+    scale = draw(st.sampled_from([Rat(1), Rat(10**30, 7), Rat(1, 3)]))
+    n = draw(st.integers(1, 30))
+    return [DLine(i, Rat(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2]))),
+                  draw(st.integers(-4, 4)) * scale) for i in range(n)]
+
+
+def _midpoint(lo, hi):
+    lo = lo if lo is not None else (hi - 1 if hi is not None else Rat(0))
+    return (lo + (hi if hi is not None else lo + 2)) / 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=grid_lines(), data=st.data(),
+       direction=st.sampled_from(list(Direction)),
+       slab=st.sampled_from([1, 2, scans.SLAB_LINES]))
+def test_chain_cover_matches_reference_on_grids(lines, data, direction, slab):
+    """The cover read from the vertex scan's blocks equals the all-pairs
+    sweep, pieces and breakpoints included; one slab per line or two puts
+    the band filter's walls on vertices.  With identical lines the two
+    sweeps may ride different copies, so the cover is checked by shape and
+    by covering every edge of the <=k-level with a piece on the same line."""
+    n = len(lines)
+    k = data.draw(st.integers(0, n + 1))
+    with mock.patch.object(scans, "SLAB_LINES", slab):
+        got = chain_decomposition(lines, k, direction)
+    if len({l.abc for l in lines}) == n:
+        want = reference_chain_decomposition(lines, k, direction)
+        assert [[(p.line, p.line.id, p.x_lo, p.x_hi) for p in c.pieces]
+                for c in got] == \
+            [[(p.line, p.line.id, p.x_lo, p.x_hi) for p in c.pieces]
+             for c in want]
+        return
+    assert len(got) == min(k + 1, n)
+    kind = ChainKind.CONCAVE if direction is Direction.LOWER else ChainKind.CONVEX
+    for c in got:
+        assert c.kind is kind
+        c.check_shape()
+    for e in build_leq_k(lines, k, direction).edges:
+        xm = _midpoint(e.x_lo, e.x_hi)
+        assert any(c.piece_at(xm).line.abc == e.line.abc for c in got)
 
 
 # -- level subdivisions --------------------------------------------------------
