@@ -52,11 +52,11 @@ from .core import (
     classify_mis,
     split_colors,
 )
-from .errors import EmptyColor, NonPositiveEps, SepkitError
+from .errors import EmptyColor, NonPositiveEps, SepkitError, check_k
 from .exactkmm import OrientationAnalysis, VerticalError
 from .lpviol import PlyStructure, check_schedule, violations_at
 from .rat import R0, Rat, RatLike, RatT, rat
-from .scans import ColumnProfile
+from .scans import ColumnProfile, LineSet
 # unused here; imported only so perfbench/spans.py can wrap this name
 from .scans import segment_valid_crossings  # noqa: F401
 
@@ -289,8 +289,9 @@ def decide_delta(ctx: DeltaContext, delta: RatT) -> Optional[PointR2]:
              + [(concave_d, convex_d)])
     cands.extend((Rat(X, W), Rat(Y, W)) for cc, cv in pairs
                  for X, Y, W in chain_pair_intersections(cc, cv))
+    lines = LineSet(ctx.below, ctx.above)
     for wall in (ctx.wedge.m_lo, ctx.wedge.m_hi):
-        col = ColumnProfile(ctx.below, ctx.above, wall)
+        col = ColumnProfile(lines, wall)
         cy = (ctx.env_lo.value_at(wall) + ctx.env_hi.value_at(wall)) / 2
         for y in (cy, col.nearest_valid_above(cy, ctx.k),
                   col.nearest_valid_below(cy, ctx.k)):
@@ -374,6 +375,7 @@ class ApproxSolver:
     (ValueError) rather than answered from a partial candidate set."""
 
     def __init__(self, pts: Sequence[LabeledPoint], kmax: int, eps: RatLike):
+        check_k(kmax)
         reds, blues = split_colors(pts)
         if not reds or not blues:
             raise EmptyColor("both colors required")
@@ -395,6 +397,7 @@ class ApproxSolver:
         """Best wedge optimum.  Each optimum is exact, so `tol` has no
         effect until a search over delta (ROADMAP, direction 4, step A)
         gives it one."""
+        check_k(k)
         k = min(k, len(self.pts))
         if k > self.kmax:
             raise ValueError(f"k = {k} exceeds this solver's kmax = {self.kmax}")
@@ -441,8 +444,6 @@ def solve_approx(
     tol: RatLike = Rat(1, 10**12),
 ) -> ApproxReport:
     """`ApproxSolver(pts, k, eps).solve(k, tol)`; `tol` has no effect."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     return ApproxSolver(pts, k, eps).solve(k, tol)
 
 

@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, check_k
 from .rat import Rat, RatT, homogeneous
-from .scans import _far_index, exact_order, level_swaps, line_columns
+from .scans import LineSet, exact_order, level_swaps
 
 
 class Direction(enum.Enum):
@@ -152,9 +152,11 @@ class ChainSet:
         return len(self.chains)
 
 
-def envelope(lines: Sequence[DLine], direction: Direction, cols=None) -> Chain:
-    """Lower or upper envelope as a single chain.  `cols` is
-    line_columns(lines), if the caller has it.
+def envelope(lines: Sequence[DLine] | LineSet, direction: Direction
+             ) -> Chain:
+    """Lower or upper envelope of the lines as a single chain; of a
+    LineSet, the lower envelope of its below-lines or the upper envelope
+    of its above-lines, on its columns.
 
     Lines are added by decreasing slope, the lowest of each slope first, to
     a stack of pieces; a new line pops the top piece while it crosses the
@@ -162,10 +164,15 @@ def envelope(lines: Sequence[DLine], direction: Direction, cols=None) -> Chain:
     envelope is the same walk over the negated integer forms.  Crossings
     stay integer pairs, compared by cross-multiplication; a rational is
     built only for a returned breakpoint."""
-    if not lines:
+    upper = direction is Direction.UPPER
+    if not isinstance(lines, LineSet):
+        lines = LineSet([], lines) if upper else LineSet(lines)
+    part = slice(lines.nb, None) if upper else slice(lines.nb)
+    chosen = lines.lines[part]
+    if not chosen:
         raise EmptyInput("envelope of empty line set")
-    a, b, c = line_columns(lines) if cols is None else cols
-    if direction is Direction.UPPER:
+    a, b, c = (col[part] for col in lines.cols)
+    if upper:
         b, c = -b, -c
     order, _ = exact_order((-b, a), (c, a))
     A, B, C = a.tolist(), b.tolist(), c.tolist()
@@ -185,8 +192,8 @@ def envelope(lines: Sequence[DLine], direction: Direction, cols=None) -> Chain:
             xs.pop()
         stack.append(j)
     bounds = [None] + [Rat(num, den) for num, den in xs] + [None]
-    kind = ChainKind.CONCAVE if direction is Direction.LOWER else ChainKind.CONVEX
-    return Chain(kind, [ChainPiece(lines[i], bounds[t], bounds[t + 1])
+    kind = ChainKind.CONVEX if upper else ChainKind.CONCAVE
+    return Chain(kind, [ChainPiece(chosen[i], bounds[t], bounds[t + 1])
                         for t, i in enumerate(stack)])
 
 
@@ -196,24 +203,23 @@ def chain_decomposition(
     """min(k+1, n) chains covering all edges of the <=k-level."""
     if not lines:
         raise EmptyInput("chain decomposition of empty line set")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_k(k)
     if direction is Direction.UPPER:
         low = chain_decomposition([l.neg() for l in lines], k, Direction.LOWER)
         return ChainSet([c.negated(ChainKind.CONVEX) for c in low.chains],
                         Direction.UPPER, k)
     m = min(k + 1, len(lines))
-    a, b, c = line_columns(lines)
+    ls = LineSet(lines)
     # bottom to top at x = -infinity (by decreasing slope, then intercept,
     # then index), as the lines through a vertex are just left of it; just
     # right of it, they are as at x = +infinity
-    left, right = _far_index(a, b, c, -1), _far_index(a, b, c, 1)
+    left, right = ls.far(-1), ls.far(1)
     rank_left = np.argsort(left).tolist()
     rank_right = np.argsort(right).tolist()
     # chain r starts on the line of rank r: its (line, start x) history
     history = [[(lines[j], None)] for j in left[:m].tolist()]
     chain_of = {j: r for r, j in enumerate(left[:m].tolist())}
-    for x, below, through in level_swaps(a, b, c, k, left, right):
+    for x, below, through in level_swaps(ls, k):
         # the lines through x among the m lowest, bottom to top, left and
         # right of it: each leaving line passes its chain to an entering one
         before = sorted(through, key=rank_left.__getitem__)[:m - below]

@@ -53,3 +53,9 @@ class CapExceeded(SepkitError):
 
 class VerticalSeparator(SepkitError):
     """The geometrically required separator is vertical and unrepresentable."""
+
+
+def check_k(k: int) -> None:
+    """Refuse a negative outlier budget k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")

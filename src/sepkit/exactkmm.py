@@ -38,15 +38,15 @@ from .core import (
     Separator,
     split_colors,
 )
-from .errors import EmptyColor
+from .errors import EmptyColor, check_k
 from .rat import R0, R1, Rat, RatT
 from .scans import (
     ColumnProfile,
     FarGap,
     FarGaps,
+    LineSet,
     far_gaps,
-    least_vertex_mis,
-    line_columns,
+    least_mis,
     scan_vertices,
     segment_valid_crossings,
 )
@@ -172,8 +172,8 @@ class OrientationAnalysis(VerticalError):
     The envelopes cover the whole line, and the curve is merged only around
     the slab; columns are built for the curve vertices in the slab, and the
     far gaps when first read (a gap's limit is built when `far_limit_sq` or
-    the probes read that gap).  The integer line columns are built once
-    and shared by the scan, the envelopes, the columns and the far gaps.
+    the probes read that gap).  One LineSet, `lines`, is shared by the
+    scan, the envelopes, the columns, the curve walk and the far gaps.
     """
 
     def __init__(self, below: list[DLine], above: list[DLine], kmax: int,
@@ -182,14 +182,10 @@ class OrientationAnalysis(VerticalError):
         self.above = above
         self.kmax = kmax
         self.slab = slab
-        self.cols = line_columns(list(below) + list(above))
-        nb = len(below)
-        self.scan = scan_vertices(below, above, kmax, cols=self.cols,
-                                  slab=slab)
-        self.env_lo = envelope(below, Direction.LOWER,
-                               cols=tuple(col[:nb] for col in self.cols))
-        self.env_hi = envelope(above, Direction.UPPER,
-                               cols=tuple(col[nb:] for col in self.cols))
+        self.lines = LineSet(below, above)
+        self.scan = scan_vertices(self.lines, kmax, slab)
+        self.env_lo = envelope(self.lines, Direction.LOWER)
+        self.env_hi = envelope(self.lines, Direction.UPPER)
         self.curve = midpoint_curve(self.env_lo, self.env_hi, slab)
         self.curve_vertices = [
             v for v in self.curve.vertices if self.in_slab(v.x)
@@ -205,17 +201,16 @@ class OrientationAnalysis(VerticalError):
         """The column profile at x, built once per x."""
         col = self.columns.get(x)
         if col is None:
-            col = self.columns[x] = ColumnProfile(self.below, self.above, x,
-                                                  cols=self.cols)
+            col = self.columns[x] = ColumnProfile(self.lines, x)
         return col
 
     @cached_property
     def gaps_left(self) -> FarGaps:
-        return far_gaps(self.below, self.above, -1, cols=self.cols)
+        return far_gaps(self.lines, -1)
 
     @cached_property
     def gaps_right(self) -> FarGaps:
-        return far_gaps(self.below, self.above, +1, cols=self.cols)
+        return far_gaps(self.lines, +1)
 
     # -- error evaluation --------------------------------------------------
 
@@ -261,8 +256,7 @@ class OrientationAnalysis(VerticalError):
                 if x1 > x2:
                     continue
             segments.append((p.line, x1, x2))
-        return segment_valid_crossings(segments, self.below, self.above,
-                                       self.kmax, cols=self.cols)
+        return segment_valid_crossings(segments, self.lines, self.kmax)
 
     def far_limit_sq(self, k: int) -> Optional[RatT]:
         """Best squared limit of the error toward x -> +-infinity over the
@@ -280,12 +274,9 @@ class OrientationAnalysis(VerticalError):
         """Each far gap with a probe point strictly inside it, at an x beyond
         every crossing on its side; left gaps first, each side bottom to
         top."""
-        scan = self.scan
         for side, gaps in ((-1, self.gaps_left), (1, self.gaps_right)):
-            if side < 0:
-                xf = (scan.min_cross_x - 1) if scan.min_cross_x is not None else Rat(-1)
-            else:
-                xf = (scan.max_cross_x + 1) if scan.max_cross_x is not None else Rat(1)
+            x = self.lines.extreme(side)
+            xf = Rat(side) if x is None else x + side
             vals = [l.y_at(xf) for l in gaps.order]
             for i, gap in enumerate(gaps):
                 if i == 0:
@@ -322,12 +313,13 @@ class ExactSolver:
 
     `k_min` is exact: the least mis over every far gap and every vertex of
     both orientations.  Each analysis's scan keeps the vertices with mis <=
-    kmax.  When neither has one, the scans are redone with a doubled cap
-    until a vertex turns up or the cap reaches the least far-gap mis, below
-    which a vertex would have to lie to matter.
+    kmax.  When neither has one, `scans.least_mis` redoes the scans on the
+    analyses' line sets with a doubling cap, up to the least far-gap mis,
+    below which a vertex would have to lie to matter.
     """
 
     def __init__(self, pts: Sequence[LabeledPoint], kmax: int):
+        check_k(kmax)
         reds, blues = split_colors(pts)
         if not reds or not blues:
             raise EmptyColor("both colors required")
@@ -340,20 +332,20 @@ class ExactSolver:
             Orientation.RED_ABOVE: OrientationAnalysis(
                 blue_above.above, blue_above.below, kmax),
         }
-        self.k_min = self._k_min(kmax)
+        self.k_min = self._k_min()
 
-    def _k_min(self, cap: int) -> int:
+    def _k_min(self) -> int:
         anas = list(self.analyses.values())
         gap_min = min(min(gaps.mis) for a in anas
                       for gaps in (a.gaps_left, a.gaps_right))
-        found = [a.scan.min_vertex_mis for a in anas]
-        while found == [None, None] and cap < gap_min - 1:
-            cap = min(2 * cap + 1, gap_min - 1)
-            found = [least_vertex_mis(a.below, a.above, cap, cols=a.cols)
-                     for a in anas]
-        return min([m for m in found if m is not None] + [gap_min])
+        found = [a.scan.min_vertex_mis for a in anas
+                 if a.scan.min_vertex_mis is not None]
+        if found:
+            return min(found + [gap_min])
+        return least_mis([a.lines for a in anas], gap_min, self.kmax)
 
     def solve(self, k: int) -> ExactSolveReport:
+        check_k(k)
         k = min(k, self.n)
         if k > self.kmax:
             raise ValueError(f"k = {k} exceeds this solver's kmax = {self.kmax}")
@@ -424,7 +416,5 @@ class ExactSolver:
 def solve_exact(pts: Sequence[LabeledPoint], k: int) -> ExactSolveReport:
     """Optimal separator misclassifying at most k points, minimizing the
     squared Euclidean distance to the farthest misclassified point."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     return ExactSolver(pts, k).solve(k)
 

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chains import Direction, DLine, cross_x
-from .errors import EmptyInput
+from .errors import EmptyInput, check_k
 from .rat import R0, Rat, RatT
-from .scans import crossings, line_columns
+from .scans import LineSet, crossings
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def build_leq_k(
     """Exact <=k-level subdivision of a line set."""
     if not lines:
         raise EmptyInput("level of empty line set")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_k(k)
     if direction is Direction.UPPER:
         low = build_leq_k([l.neg() for l in lines], k, Direction.LOWER)
         return LevelSubdivision(
@@ -72,7 +71,7 @@ def build_leq_k(
     n = len(lines)
     edges: list[LevelEdge] = []
     verts: list[LevelVertex] = []
-    a, b, c = line_columns(lines)
+    a, b, c = LineSet(lines).cols
     counted = np.ones(n, dtype=bool)      # a level counts the lines below
     for i, li in enumerate(lines):
         cr = crossings((a[i], b[i], c[i]), a, b, c, counted)

@@ -37,6 +37,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,17 +45,22 @@ import numpy as np
 from .chains import Chain, ChainKind, ChainPiece, DLine, Direction, \
     chain_decomposition, chain_pair_intersections
 from .core import Color, PointR2
-from .errors import ScheduleViolation, UnknownId
+from .errors import ScheduleViolation, UnknownId, check_k
 from .parttree import PartitionForest, PTPoint
 from .rat import Rat, RatT
-from .scans import FarGaps, least_vertex_mis, line_columns, line_sides, \
-    point_columns
+from .scans import FarGaps, LineSet, least_mis, line_sides, point_columns
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
     red: list[DLine]    # lower-halfplane boundaries
     blue: list[DLine]   # upper-halfplane boundaries
+
+    @cached_property
+    def lines(self) -> LineSet:
+        """red + blue, the red lines counted below: shared by every sweep
+        of the static solvers."""
+        return LineSet(self.red, self.blue)
 
 
 class LPStatus(enum.Enum):
@@ -75,13 +81,12 @@ class LPResult:
 COUNT_CHUNK = 1 << 12
 
 
-def _sides_and_counts(pcols, red: Sequence[DLine], blue: Sequence[DLine]):
+def _sides_and_counts(pcols, lines: LineSet):
     """Per bounded chunk of the points with `scans.point_columns` pcols,
     one numpy pass: the chunk's first index, its `scans.line_sides` array
-    against red + blue, and each of its points' violations (red lines
-    strictly below it, blue lines strictly above)."""
-    cols = line_columns(list(red) + list(blue))
-    nr = len(red)
+    against red + blue (the lines, red first), and each of its points'
+    violations (red lines strictly below it, blue lines strictly above)."""
+    cols, nr = lines.cols, lines.nb
     step = max(1, COUNT_CHUNK // max(1, len(cols[0])))
     for i in range(0, len(pcols[0]), step):
         sides = line_sides(cols, tuple(h[i:i + step] for h in pcols))
@@ -89,28 +94,25 @@ def _sides_and_counts(pcols, red: Sequence[DLine], blue: Sequence[DLine]):
                          + np.count_nonzero(sides[:, nr:] < 0, axis=1)).tolist()
 
 
-def violation_counts(
-    points: Sequence[tuple[int, int, int]],
-    red: Sequence[DLine],
-    blue: Sequence[DLine],
-) -> list[int]:
+def violation_counts(points: Sequence[tuple[int, int, int]], lines: LineSet
+                     ) -> list[int]:
     """Violations of each homogeneous integer point (X, Y, W), W > 0: the
-    red lines strictly below it plus the blue lines strictly above it."""
+    red lines (the lines' below-lines) strictly below it plus the blue
+    lines strictly above it."""
     return [v for _, _, counts in
-            _sides_and_counts(point_columns(points), red, blue)
-            for v in counts]
+            _sides_and_counts(point_columns(points), lines) for v in counts]
 
 
 def violations_at(p: PointR2, red: Sequence[DLine], blue: Sequence[DLine]) -> int:
     """The violations of p = (r/q, t/s), counted at (r*s, t*q, q*s)."""
     q, s = p.x.denominator, p.y.denominator
     return violation_counts([(p.x.numerator * s, p.y.numerator * q, q * s)],
-                            red, blue)[0]
+                            LineSet(red, blue))[0]
 
 
-def far_left_min(red: Sequence[DLine], blue: Sequence[DLine]) -> int:
-    """Minimum violation count over the far-left gaps."""
-    return min(FarGaps(red, blue, -1).mis)
+def far_left_min(lines: LineSet) -> int:
+    """Minimum violation count over the far-left gaps of red + blue."""
+    return min(FarGaps(lines, -1).mis)
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +205,16 @@ def _xy_before(p: tuple[int, int, int], q: tuple[int, int, int]) -> bool:
 
 def static_leftmost_valid(cs: ConstraintSet, k: int) -> LPResult:
     """Leftmost point violating at most k constraints."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_k(k)
     if not cs.red or not cs.blue:
         return LPResult(LPStatus.UNBOUNDED, reason="empty-side")
-    if far_left_min(cs.red, cs.blue) <= k:
+    if far_left_min(cs.lines) <= k:
         return LPResult(LPStatus.UNBOUNDED)
     red_chains = chain_decomposition(cs.red, k, Direction.LOWER).chains
     blue_chains = chain_decomposition(cs.blue, k, Direction.UPPER).chains
     pts = _chain_candidates(red_chains, blue_chains)
     best = None
-    for p, v in zip(pts, violation_counts(pts, cs.red, cs.blue)):
+    for p, v in zip(pts, violation_counts(pts, cs.lines)):
         if v <= k and (best is None or _xy_before(p, best[0])):
             best = (p, v)
     if best is None:
@@ -226,14 +227,10 @@ def static_min_violations(cs: ConstraintSet) -> tuple[int, LPResult]:
     """Smallest k with a non-infeasible answer, plus that answer.  Below
     the far-left minimum it is the least violation count of a vertex (the
     leftmost valid point is then a red-blue vertex), found by vertex scans
-    whose cap doubles up to that minimum."""
+    whose cap doubles up to that minimum (`scans.least_mis`)."""
     if not cs.red or not cs.blue:
         return 0, LPResult(LPStatus.UNBOUNDED, reason="empty-side")
-    k_min, cap, found = far_left_min(cs.red, cs.blue), -1, None
-    while found is None and cap < k_min - 1:
-        cap = min(2 * cap + 2, k_min - 1)
-        found = least_vertex_mis(cs.red, cs.blue, cap)
-    k_min = k_min if found is None else found
+    k_min = least_mis([cs.lines], far_left_min(cs.lines))
     return k_min, static_leftmost_valid(cs, k_min)
 
 
@@ -299,6 +296,7 @@ class DynState:
 
     def __init__(self, cs: ConstraintSet, schedule: dict[int, Optional[int]],
                  k: int):
+        check_k(k)
         self.k = k
         self.live: dict[int, tuple[DLine, Color]] = {}
         self.delete_at: dict[int, Optional[int]] = {}
@@ -394,11 +392,11 @@ class DynState:
         lines.  With `replace` (an insert), a point with a third live line
         through it may be an alive row already, filed under one of those
         lines: that row is deleted, as the new row holds all of its lines."""
-        red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
-        lines = red + blue
+        ls = LineSet(self._lines(Color.RED), self._lines(Color.BLUE))
+        lines = ls.lines
         pcols = point_columns(found)
         pts: list[PTPoint] = []
-        for base, sides, counts in _sides_and_counts(pcols, red, blue):
+        for base, sides, counts in _sides_and_counts(pcols, ls):
             on = sides == 0
             for i in np.flatnonzero((on.sum(axis=1) > 2) & replace):
                 old = next((p for j in np.flatnonzero(on[i]) for p in
@@ -411,7 +409,7 @@ class DynState:
             rows, cols = np.nonzero(on)
             for i, j in zip(rows.tolist(), cols.tolist()):
                 pt = pts[base + i]
-                pt.payload[j >= len(red)] += 1
+                pt.payload[j >= ls.nb] += 1
                 self.points_by_line.setdefault(lines[j].id, []).append(pt)
         return pts, pcols
 
@@ -491,12 +489,13 @@ class DynState:
 
     def query(self, kq: Optional[int] = None) -> LPResult:
         kq = self.k if kq is None else kq
+        check_k(kq)
         if kq > self.k:
             raise ValueError(f"query k'={kq} exceeds structure k={self.k}")
         if self._far is None:     # the live lines changed since it was built
             red, blue = self._lines(Color.RED), self._lines(Color.BLUE)
             both = bool(red and blue)
-            self._far = both, far_left_min(red, blue) if both else 0
+            self._far = both, far_left_min(LineSet(red, blue)) if both else 0
         both, far_min = self._far
         if not both:
             return LPResult(LPStatus.UNBOUNDED, reason="empty-side")
@@ -525,8 +524,8 @@ class DynState:
         pts = self.forest.alive_points()
         if any(min(p.payload) < 1 for p in pts):
             raise AssertionError("an alive candidate lost its red or blue line")
-        want = violation_counts([p.xyw for p in pts],
-                                self._lines(Color.RED), self._lines(Color.BLUE))
+        want = violation_counts([p.xyw for p in pts], LineSet(
+            self._lines(Color.RED), self._lines(Color.BLUE)))
         for p, v in zip(pts, want):
             if p.count != v:
                 raise AssertionError(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .chains import DLine
 from .rat import Rat, RatT
-from .scans import fdiv, line_columns, line_sides, point_columns
+from .scans import LineSet, fdiv, line_sides, point_columns
 
 
 class PTPoint:
@@ -95,7 +95,7 @@ class PartitionForest:
         the line."""
         self.crossings += len(self.pts)
         if self.pts:
-            side = line_sides(line_columns([line]), self.cols)[:, 0]
+            side = line_sides(LineSet([line]).cols, self.cols)[:, 0]
             self.count[side > 0 if above else side < 0] += delta
 
     def leftmost_valid(self, kq: int) -> Optional[PTPoint]:

@@ -23,6 +23,12 @@ whose int / int division is correctly rounded too.  Both run the same
 code.  A rational is built only for a value that leaves the sweep, or to
 sort a float-tied run of distinct values.
 
+Every sweep takes a `LineSet`: the dual lines of one analysis (an
+orientation, a t-gon wedge, a chain cover, an LP's constraints), the
+below-lines first, with what the sweeps share: the integer columns, under
+the one int64 rule (`LineSet.columns`), and each side's far order and
+extreme crossing, built once when first read.
+
 The vertex scan (`scan_vertices`) keeps the vertices with mis <= kmax.  A
 band filter (`_band_rows`) first drops the lines that cannot pass through
 such a vertex; floats only pick its bounds, and every drop holds exactly.
@@ -56,8 +62,8 @@ The side of a line at a point is decided on the point's homogeneous integer
 form (X, Y, W), W > 0, the point (X/W, Y/W): the sign of A*Y - B*X - C*W,
 that is of A*y - B*x - C times W, is positive strictly above the line, zero
 on it, negative strictly below.  `point_columns` turns a batch of such
-triples into three columns, and `line_sides` decides them against the
-`line_columns` arrays in one numpy pass.  It stays in int64 when both are
+triples into three columns, and `line_sides` decides them against a
+`LineSet`'s columns in one numpy pass.  It stays in int64 when both are
 int64 and max|A|*max|Y| + max|B|*max|X| + max|C|*max|W|, which bounds every
 partial sum, fits in int64 (always so for coefficients below 2**25 and
 coordinates below 2**36); otherwise it computes on Python ints (dtype
@@ -88,22 +94,58 @@ if TYPE_CHECKING:
 INT64_BOUND = 1 << 25
 
 
-def line_columns(lines: Sequence[DLine], extra: Sequence[int] = ()):
-    """The integer forms (A, B, C) of the lines as three numpy arrays:
-    int64 when every coefficient and every entry of `extra` is below 2**25
-    in magnitude (so products of two entries, and sums of two such
-    products, are exact in float64), else dtype object holding Python
-    ints."""
-    abc = [l.abc for l in lines]
-    try:
-        flat = np.fromiter(chain.from_iterable(abc), np.int64, 3 * len(abc))
-        small = (-INT64_BOUND < int(flat.min(initial=0))
-                 and int(flat.max(initial=0)) < INT64_BOUND)
-    except OverflowError:   # beyond int64
-        small = False
-    if not (small and max(map(abs, extra), default=0) < INT64_BOUND):
-        flat = np.array(abc, dtype=object)
-    return tuple(flat.reshape(-1, 3).T.copy())
+class LineSet:
+    """Dual lines, below + above (the below-lines first), with their integer
+    columns `cols` (see `columns`), and each side's far order and extreme
+    crossing, built when first read."""
+
+    def __init__(self, below: Sequence[DLine], above: Sequence[DLine] = ()):
+        self.below, self.above = list(below), list(above)
+        self.lines, self.nb = self.below + self.above, len(self.below)
+        abc = [l.abc for l in self.lines]
+        try:
+            flat = np.fromiter(chain.from_iterable(abc), np.int64, 3 * len(abc))
+            self._mag = max(-int(flat.min(initial=0)), int(flat.max(initial=0)))
+        except OverflowError:   # beyond int64
+            flat, self._mag = np.array(abc, dtype=object), inf
+        self.cols = tuple(flat.reshape(-1, 3).T.copy())
+        self.cols = self.columns()      # the int64 rule
+        self._far: dict[int, np.ndarray] = {}
+        self._extreme: dict[int, Optional[RatT]] = {}
+
+    def columns(self, *values: int):
+        """The integer forms (A, B, C) as three numpy arrays: int64 when
+        every coefficient, and every one of `values` (which the caller
+        multiplies them by), is below 2**25 in magnitude, so products of two
+        entries, and sums of two such products, are exact in float64; else
+        dtype object holding Python ints."""
+        if max((self._mag, *map(abs, values))) < INT64_BOUND:
+            return self.cols
+        return tuple(col.astype(object, copy=False) for col in self.cols)
+
+    def far(self, side: int) -> np.ndarray:
+        """The lines' indices bottom to top beyond every crossing on one side
+        (-1 left, +1 right), built once."""
+        if side not in self._far:
+            self._far[side] = _far_index(*self.cols, side)
+        return self._far[side]
+
+    def extreme(self, side: int) -> Optional[RatT]:
+        """The x of the leftmost (side -1) or rightmost (side 1) vertex, None
+        if every pair is parallel, built once.  The lines through it are
+        contiguous in the far order on that side, so two of them, not
+        parallel, are adjacent there: only adjacent pairs are crossed."""
+        if side not in self._extreme:
+            a, b, c = self.cols
+            i, j = self.far(side)[:-1], self.far(side)[1:]
+            num = c[j] * a[i] - c[i] * a[j]
+            den = b[i] * a[j] - b[j] * a[i]
+            num, den = np.where(den < 0, -num, num), np.abs(den)
+            cross = np.flatnonzero(den != 0)
+            num, den = num[cross], den[cross]
+            self._extreme[side] = None if not cross.size else Rat(
+                *_exact_extreme(num, den, _float_key(num, den), side < 0))
+        return self._extreme[side]
 
 
 def _float_key(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -203,10 +245,11 @@ class Crossings:
 
 def _cross(A, B, C, a, b, c, isb: np.ndarray):
     """Crossings of the lines (A, B, C) (scalars, or columns of shape
-    (r, 1)) with the lines (a, b, c) of line_columns, isb as in `crossings`:
-    (num, den, par, bb, start), with x = num/den and den > 0 (den = 1 at a
-    parallel line, par), bb where the crossed line is below left of the
-    crossing, and start the counted lines left of every crossing."""
+    (r, 1)) with the lines (a, b, c) of LineSet columns, isb as in
+    `crossings`: (num, den, par, bb, start), with x = num/den and den > 0
+    (den = 1 at a parallel line, par), bb where the crossed line is below
+    left of the crossing, and start the counted lines left of every
+    crossing."""
     num = c * A - C * a
     den = B * a - b * A
     par = den == 0
@@ -223,7 +266,7 @@ def _cross(A, B, C, a, b, c, isb: np.ndarray):
 
 def crossings(e: tuple[int, int, int], a, b, c, isb: np.ndarray) -> Crossings:
     """Crossings of the line e = (A, B, C) with the lines (a, b, c) of
-    line_columns, where isb marks "below" lines (counted when strictly
+    LineSet columns, where isb marks "below" lines (counted when strictly
     below the point) and the rest are "above" lines (counted when strictly
     above).  Lines parallel to e, e itself included, only count."""
     num, den, par, bb, start = _cross(*e, a, b, c, isb)
@@ -265,8 +308,8 @@ def point_columns(points: Sequence[tuple[int, int, int]]):
 
 def line_sides(cols, pcols) -> np.ndarray:
     """Sign of A*y - B*x - C of every point (row) of the point_columns
-    arrays pcols against every line (column) of the line_columns arrays
-    cols, as a points-by-lines array of -1, 0 and 1."""
+    arrays pcols against every line (column) of the LineSet columns cols,
+    as a points-by-lines array of -1, 0 and 1."""
     a, b, c = cols
     dtype = object
     if all(h.dtype == np.int64 for h in (a, *pcols)):
@@ -371,27 +414,9 @@ def _exact_extreme(num, den, key, lowest: bool) -> tuple[int, int]:
 
 
 def _far_index(a, b, c, side: int) -> np.ndarray:
-    """The lines' indices bottom to top beyond every crossing on one side
-    (-1 left, +1 right): by slope times side, then by intercept."""
+    """The far order of the lines (a, b, c) on one side (see LineSet.far):
+    by slope times side, then by intercept."""
     return exact_order((b * side, a), (c, a))[0]
-
-
-def _extreme_crossing(a, b, c, side: int, order=None) -> Optional[RatT]:
-    """The x of the leftmost (side -1) or rightmost (side 1) vertex, None if
-    every pair is parallel.  The lines through that vertex are contiguous
-    in the far order on that side (`order`, found if not given), so two of
-    them, not parallel, are adjacent there: only adjacent pairs are
-    crossed."""
-    order = _far_index(a, b, c, side) if order is None else order
-    i, j = order[:-1], order[1:]
-    num = c[j] * a[i] - c[i] * a[j]
-    den = b[i] * a[j] - b[j] * a[i]
-    num, den = np.where(den < 0, -num, num), np.abs(den)
-    cross = np.flatnonzero(den != 0)
-    if not cross.size:
-        return None
-    num, den = num[cross], den[cross]
-    return Rat(*_exact_extreme(num, den, _float_key(num, den), side < 0))
 
 
 def _slab_walls(a, b, c, lo: float, hi: float) -> np.ndarray:
@@ -434,10 +459,10 @@ def _rat_float(x: RatT) -> float:
     return fdiv(x.numerator, x.denominator)
 
 
-def _band_rows(a, b, c, nb: int, k: int, lo: RatT, hi: RatT) -> np.ndarray:
+def _band_rows(lines: LineSet, k: int, lo: RatT, hi: RatT) -> np.ndarray:
     """The lines that can pass through a vertex with mis <= k and x in
-    [lo, hi], in index order (below-lines are the first nb): every line
-    through such a vertex is among them.
+    [lo, hi], in index order: every line through such a vertex is among
+    them.
 
     At a point with mis <= k at most k below-lines lie strictly under it,
     so it is not above the (k+1)-th lowest below-line, nor below the
@@ -453,15 +478,15 @@ def _band_rows(a, b, c, nb: int, k: int, lo: RatT, hi: RatT) -> np.ndarray:
     value that is not finite is nan or widened to +-inf: np.partition
     sorts nan last, and a comparison with nan is false, so it keeps its
     line and never tightens a bound."""
-    n = len(a)
+    n, nb = len(lines.lines), lines.nb
     if k >= nb and k >= n - nb:
         return np.arange(n)
     try:
-        af, bf, cf = (col.astype(np.float64) for col in (a, b, c))
+        af, bf, cf = (col.astype(np.float64) for col in lines.cols)
     except OverflowError:       # Python ints beyond the float range
         return np.arange(n)
     # one float step outward holds the correctly rounded ends
-    walls = _slab_walls(a, b, c, np.nextafter(_rat_float(lo), -inf),
+    walls = _slab_walls(*lines.cols, np.nextafter(_rat_float(lo), -inf),
                         np.nextafter(_rat_float(hi), inf))
     keep = np.zeros(n, dtype=bool)
     # slabs in blocks of about SCAN_BLOCK values, as in the row pass
@@ -495,27 +520,33 @@ def _within(num: np.ndarray, den: np.ndarray, lo: RatT, hi: RatT
     return inside
 
 
-def _kept_blocks(a, b, c, nb: int, kmax: int,
-                 slab: Optional[tuple[RatT, RatT]] = None, lo=None, hi=None):
+def _rows_per_block(a) -> int:
+    """Rows of a 2-D pass that crosses rows with the lines of column a: at
+    most SCAN_BLOCK crossings, an eighth of that on Python ints (an entry
+    then points to an object of several words)."""
+    block = SCAN_BLOCK if a.dtype == np.int64 else SCAN_BLOCK // 8
+    return max(1, block // len(a))
+
+
+def _kept_blocks(lines: LineSet, kmax: int,
+                 slab: Optional[tuple[RatT, RatT]] = None):
     """The vertices with mis <= kmax (and, with a slab, x in it), by blocks
     of rows (r, blk, keep): blk is `_block_crossings` of the rows r, run
-    only on the lines `_band_rows` keeps between the extreme crossings lo
-    and hi (found if not given), cut to the slab, and keep marks each such
-    vertex once, on the row of the first line through it."""
-    n = len(a)
+    only on the lines `_band_rows` keeps between the extreme crossings, cut
+    to the slab, and keep marks each such vertex once, on the row of the
+    first line through it."""
+    lo, hi = lines.extreme(-1), lines.extreme(1)
     if lo is None:
-        lo, hi = _extreme_crossing(a, b, c, -1), _extreme_crossing(a, b, c, 1)
-        if lo is None:
-            return
+        return
     if slab is not None:
         lo, hi = max(lo, slab[0]), min(hi, slab[1])
         if lo > hi:
             return
-    rows = _band_rows(a, b, c, nb, kmax, lo, hi)
-    isb = np.arange(n) < nb
-    # a Python-int entry points to an object of several words
-    block = SCAN_BLOCK if a.dtype == np.int64 else SCAN_BLOCK // 8
-    step = max(1, block // n)
+    rows = _band_rows(lines, kmax, lo, hi)
+    a, b, c = lines.cols
+    n = len(a)
+    isb = np.arange(n) < lines.nb
+    step = _rows_per_block(a)
     for s in range(0, len(rows), step):
         r = rows[s:s + step]
         blk = _block_crossings(r, a, b, c, isb)
@@ -535,24 +566,17 @@ def _crossing_pairs(a, b) -> int:
     return (len(a) ** 2 - int((runs * runs).sum())) // 2
 
 
-def scan_vertices(
-    below: Sequence[DLine], above: Sequence[DLine], kmax: int, cols=None,
-    slab: Optional[tuple[RatT, RatT]] = None,
-) -> VertexScanResult:
+def scan_vertices(lines: LineSet, kmax: int,
+                  slab: Optional[tuple[RatT, RatT]] = None) -> VertexScanResult:
     """All arrangement vertices with mis <= kmax, plus global stats.  A
     vertex is recorded once per pair of lines through it, on the row of the
     pair's first line in below + above order, rows in that order and each
-    row in x order.  `cols` is line_columns(below + above), if the caller
-    has it.  `slab` = (x_lo, x_hi) keeps only the vertices with x_lo <= x
-    <= x_hi, and the band filter cuts only that part of the line; the
-    stats stay global."""
-    a, b, c = line_columns(list(below) + list(above)) if cols is None else cols
-    count = _crossing_pairs(a, b)
-    if not count:
-        return VertexScanResult([], None, None, None, 0)
-    lo, hi = _extreme_crossing(a, b, c, -1), _extreme_crossing(a, b, c, 1)
+    row in x order.  `slab` = (x_lo, x_hi) keeps only the vertices with
+    x_lo <= x <= x_hi, and the band filter cuts only that part of the line;
+    the stats stay global."""
+    a, b, c = lines.cols
     out: list[VertexRecord] = []
-    for r, blk, keep in _kept_blocks(a, b, c, len(below), kmax, slab, lo, hi):
+    for r, blk, keep in _kept_blocks(lines, kmax, slab):
         for i, t in zip(*np.nonzero(keep)):
             j = blk.order[i, t]
             p, q = int(blk.num[i, j]), int(blk.den[i, j])
@@ -561,40 +585,40 @@ def scan_vertices(
             y = Rat(int(b[e]) * p + int(c[e]) * q, int(a[e]) * q)
             out.append(VertexRecord(Rat(p, q), y, int(blk.mis[i, t])))
     return VertexScanResult(out, min((v.mis for v in out), default=None),
-                            lo, hi, count)
+                            lines.extreme(-1), lines.extreme(1),
+                            _crossing_pairs(a, b))
 
 
-def least_vertex_mis(below: Sequence[DLine], above: Sequence[DLine],
-                     kmax: int, cols=None) -> Optional[int]:
-    """scan_vertices(below, above, kmax, cols).min_vertex_mis, without
-    building the vertex records."""
-    a, b, c = line_columns(list(below) + list(above)) if cols is None else cols
-    return min((int(blk.mis[keep].min()) for _, blk, keep in
-                _kept_blocks(a, b, c, len(below), kmax) if keep.any()),
-               default=None)
+def least_mis(sets: Sequence[LineSet], bound: int, tried: int = -1) -> int:
+    """The least of `bound` and the least mis of a vertex of any of the line
+    sets, whose vertex scans found none with mis <= `tried` (>= -1).  Only
+    a vertex below `bound` matters, so vertex scans that skip the vertex
+    records try caps that double from `tried` (2*cap + 2, which grows from
+    any cap >= -1) up to bound - 1."""
+    cap, found = tried, None
+    while found is None and cap < bound - 1:
+        cap = min(2 * cap + 2, bound - 1)
+        found = min((int(blk.mis[keep].min()) for lines in sets for _, blk, keep
+                     in _kept_blocks(lines, cap) if keep.any()), default=None)
+    return bound if found is None else found
 
 
-def level_swaps(a, b, c, k: int, left: np.ndarray, right: np.ndarray
-                ) -> list[tuple[RatT, int, list[int]]]:
-    """The vertices of the lines (a, b, c) of line_columns where a line
+def level_swaps(lines: LineSet, k: int) -> list[tuple[RatT, int, list[int]]]:
+    """The vertices of the lines, every one a below-line, where a line
     leaves the k+1 lowest, in x order, as (x, below, the lines through it):
     `below` lie strictly under it and g pass through it, below <= k < below
-    + g - 1, so no two share an x.  `left` and `right` are the lines' far
-    orders (`_far_index`) on each side.  Each vertex is read on the row of
-    its least line e in the scan with every line a below-line: the others
-    through it are a run at one x there, in index order, save e's identical
-    copies."""
-    lo = _extreme_crossing(a, b, c, -1, left)
-    if k >= len(a) - 1 or lo is None:
+    + g - 1, so no two share an x.  Each vertex is read on the row of its
+    least line e in the vertex scan: the others through it are a run at one
+    x there, in index order, save e's identical copies."""
+    if k >= len(lines.lines) - 1 or lines.extreme(-1) is None:
         return []
-    keys = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    keys = [l.abc for l in lines.lines]
     twins: dict[tuple[int, int, int], list[int]] = {}
     for j, abc in enumerate(keys):
         twins.setdefault(abc, []).append(j)
     first, size = np.array([(twins[abc][0], len(twins[abc])) for abc in keys]).T
     out = []
-    hi = _extreme_crossing(a, b, c, 1, right)
-    for r, blk, keep in _kept_blocks(a, b, c, len(a), k, None, lo, hi):
+    for r, blk, keep in _kept_blocks(lines, k):
         starts = np.flatnonzero(~blk.same)
         run = np.diff(np.append(starts, keep.size))[np.cumsum(~blk.same) - 1]
         run = run.reshape(keep.shape)       # the length of each position's run
@@ -624,26 +648,21 @@ class FarGap:
 
 class FarGaps:
     """The gaps between the lines beyond every crossing on one side (-1
-    left, +1 right), bottom to top (`_far_index`).  `mis` holds every gap's
+    left, +1 right), bottom to top (`LineSet.far`).  `mis` holds every gap's
     mis (the below-lines under it plus the above-lines over it), from the
     integer order; the lines in that order, and a gap's slope range and
-    limit (its FarGap), are built when first read.  `cols` is
-    line_columns(below + above), if the caller has it."""
+    limit (its FarGap), are built when first read."""
 
-    def __init__(self, below: Sequence[DLine], above: Sequence[DLine],
-                 side: int, cols=None):
-        self.below, self.above, self.side = below, above, side
-        a, b, c = line_columns(list(below) + list(above)) if cols is None else cols
-        self._index = _far_index(a, b, c, side)
+    def __init__(self, lines: LineSet, side: int):
+        self.side = side
+        self._lines, self._nb = lines.lines, lines.nb
+        self._index = lines.far(side)
         # the bottom gap has every above-line over it; passing a line adds a
         # below-line under the gap or takes an above-line off it
-        step = np.where(self._index < len(below), 1, -1)
-        self.mis = (len(above) + np.append(0, np.cumsum(step))).tolist()
+        step = np.where(self._index < self._nb, 1, -1)
+        self.mis = (len(self._lines) - self._nb
+                    + np.append(0, np.cumsum(step))).tolist()
         self._read: dict[int, FarGap] = {}
-
-    @cached_property
-    def _lines(self) -> list[DLine]:
-        return list(self.below) + list(self.above)
 
     @cached_property
     def order(self) -> list[DLine]:
@@ -663,7 +682,7 @@ class FarGaps:
         """The below-slope and above-slope that bound the limits: those of
         the lowest below-line and the highest above-line in the far order
         (left: the greatest and the least slope; right: the reverse)."""
-        nb, idx = len(self.below), self._index.tolist()
+        nb, idx = self._nb, self._index.tolist()
         lo = next(j for j in idx if j < nb)
         hi = next(j for j in reversed(idx) if j >= nb)
         return self._lines[lo].m, self._lines[hi].m
@@ -690,11 +709,8 @@ class FarGaps:
         return FarGap(self.mis[i], alo, ahi, lim)
 
 
-def far_gaps(below: Sequence[DLine], above: Sequence[DLine], side: int,
-             cols=None) -> FarGaps:
-    """Exact gap structure beyond all crossings on one side (-1 left, +1
-    right).  `cols` is line_columns(below + above), if the caller has it."""
-    return FarGaps(below, above, side, cols)
+# the name the exact solver calls, which perfbench/spans.py times
+far_gaps = FarGaps
 
 
 # ---------------------------------------------------------------------------
@@ -709,44 +725,28 @@ class ColumnProfile:
     group counts below-lines strictly below and above-lines strictly above.
     The heights stay integer pairs (num, den), sorted exactly; a search
     bisects their float keys and compares only float-tied heights exactly,
-    and a rational is built only for a height that is returned.  `cols` is
-    line_columns(below + above), if the caller has it.
+    and a rational is built only for a height that is returned.
     """
 
-    def __init__(self, below: Sequence[DLine], above: Sequence[DLine], x: RatT,
-                 cols=None):
+    def __init__(self, lines: LineSet, x: RatT):
         self.x = x
-        lines = list(below) + list(above)
         p, q = x.numerator, x.denominator
         # line j at x = p/q has height (B_j*p + C_j*q) / (A_j*q)
-        if cols is None:
-            a, b, c = line_columns(lines, (p, q))
-        elif cols[0].dtype == np.int64 and max(abs(p), q) >= INT64_BOUND:
-            a, b, c = (col.astype(object) for col in cols)
-        else:
-            a, b, c = cols
+        a, b, c = lines.columns(p, q)
         hnum, hden = b * p + c * q, a * q
         order, same = exact_order((hnum, hden))
         starts = np.flatnonzero(~same)
-        isb = (np.arange(len(lines)) < len(below))[order]
+        isb = (np.arange(len(a)) < lines.nb)[order]
         nb_grp = np.add.reduceat(isb.astype(np.int64), starts)
         na_grp = np.diff(np.append(starts, len(order))) - nb_grp
         # counts strictly below / above each group of equal heights
         rb = np.cumsum(nb_grp) - nb_grp
-        ba = len(lines) - len(below) - np.cumsum(na_grp) + na_grp
+        ba = len(a) - lines.nb - np.cumsum(na_grp) + na_grp
         self._num, self._den = hnum[order[starts]], hden[order[starts]]
         self._key = _float_key(self._num, self._den)
         self._onpoint = rb + ba - na_grp
         # _interval[i] = mis strictly between group i-1 and i
-        self._interval = np.append(rb + ba, len(below))
-
-    @cached_property
-    def heights(self) -> list[RatT]:
-        return [self._height(i) for i in range(len(self._num))]
-
-    @cached_property
-    def interval(self) -> list[int]:
-        return self._interval.tolist()
+        self._interval = np.append(rb + ba, lines.nb)
 
     def _height(self, i: int) -> RatT:
         return Rat(int(self._num[i]), int(self._den[i]))
@@ -812,35 +812,24 @@ class ColumnProfile:
 
 def segment_valid_crossings(
     segments: Sequence[tuple[DLine, Optional[RatT], Optional[RatT]]],
-    below: Sequence[DLine],
-    above: Sequence[DLine],
+    lines: LineSet,
     k: int,
-    cols=None,
 ) -> list[tuple[RatT, RatT, int]]:
     """Crossing points of each segment (e, x1, x2), the line e restricted
-    to [x1, x2] (None: unbounded), with any input line, whose exact
+    to [x1, x2] (None: unbounded), with any of the lines, whose exact
     on-point mis is <= k; the segments in order, each in x order.  Returns
-    (x, y, mis).  `cols` is line_columns(below + above), if the caller has
-    it; they are recast to Python ints if a segment's coefficients reach
-    2**25.
+    (x, y, mis).
 
     One 2-D pass crosses every segment with every line; only the crossings
     in [x1, x2] are sorted, and a segment whose count at x1, less its
     in-range crossings whose line leaves the count, exceeds k sorts
     nothing (see the module docstring)."""
-    lines = list(below) + list(above)
-    if not lines:
+    if not lines.lines:
         return []
     es = [e.abc for e, _, _ in segments]
-    big = max(map(abs, chain.from_iterable(es)), default=0) >= INT64_BOUND
-    if cols is None:
-        cols = line_columns(lines, [INT64_BOUND] if big else ())
-    elif big:
-        cols = tuple(col.astype(object) for col in cols)
-    a, b, c = cols
-    isb = np.arange(len(a)) < len(below)
-    block = SCAN_BLOCK if a.dtype == np.int64 else SCAN_BLOCK // 8
-    step = max(1, block // len(a))
+    a, b, c = lines.columns(*chain.from_iterable(es))
+    isb = np.arange(len(a)) < lines.nb
+    step = _rows_per_block(a)
     out: list[tuple[RatT, RatT, int]] = []
     for s in range(0, len(segments), step):
         out += _segment_block(segments[s:s + step], es[s:s + step],

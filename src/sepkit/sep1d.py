@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Color
-from .errors import DuplicateCoordinate, UnknownId
+from .errors import DuplicateCoordinate, UnknownId, check_k
 from .rat import R0, RatT, rat
 
 
@@ -354,8 +354,7 @@ class Tree1D:
         Ties are broken by smaller separator coordinate, then red-left
         orientation first.  None when every separator misclassifies > k.
         """
-        if k < 0:
-            raise ValueError("k must be >= 0")
+        check_k(k)
         if self.root is None:
             return Result1D(None, 0, R0, Orient1D.RED_LEFT)
         best = None

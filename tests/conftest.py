@@ -12,7 +12,7 @@ from sepkit.core import Color, LabeledPoint
 from sepkit.errors import EmptyInput, ValidationError
 from sepkit.parttree import PTPoint
 from sepkit.rat import Rat, RatT, rat
-from sepkit.scans import _far_index, exact_order, line_columns, point_columns
+from sepkit.scans import LineSet, _far_index, exact_order, point_columns
 
 
 def random_instance(rng, n, coord=50, ensure_both=True):
@@ -245,7 +245,7 @@ def reference_chain_decomposition(
                         Direction.UPPER, k)
     n = len(lines)
     m = min(k + 1, n)
-    a, b, c = line_columns(lines)
+    a, b, c = LineSet(lines).cols
     # order at x = -infinity: bottom-to-top is decreasing slope, then
     # increasing intercept (parallel lines never swap)
     order = [lines[j] for j in _far_index(a, b, c, -1).tolist()]

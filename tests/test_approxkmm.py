@@ -121,7 +121,7 @@ def test_kmm_approx_shape_wedges_run_int64():
     solver = ApproxSolver(pts, 4, Rat(1, 10))
     assert len(solver.analyses) == 8
     for ana in solver.analyses:
-        assert all(col.dtype == np.int64 for col in ana.cols)
+        assert all(col.dtype == np.int64 for col in ana.lines.cols)
 
 
 def _on_slab(curve, lo, hi):
@@ -238,9 +238,9 @@ def test_one_column_per_wedge_and_x(monkeypatch, rng):
     built = []
     real = exactkmm.ColumnProfile
 
-    def counting(below, above, x, **kwargs):
-        built.append((id(below), x))
-        return real(below, above, x, **kwargs)
+    def counting(lines, x):
+        built.append((id(lines), x))
+        return real(lines, x)
 
     monkeypatch.setattr(exactkmm, "ColumnProfile", counting)
     monkeypatch.setattr(approxkmm, "ColumnProfile", counting)

@@ -19,7 +19,7 @@ from sepkit.chains import (
 from sepkit.errors import EmptyInput
 from sepkit.levels import build_leq_k, overlay_and_label
 from sepkit.rat import Rat
-from sepkit.scans import line_columns
+from sepkit.scans import LineSet
 from tests.conftest import all_cells, locate, random_lines, \
     reference_chain_decomposition, xy
 
@@ -101,8 +101,11 @@ def envelope_lines(draw):
 @given(lines=envelope_lines(), direction=st.sampled_from(list(Direction)))
 def test_envelope_matches_fraction_reference(lines, direction):
     want = reference_envelope(lines, direction)
-    for cols in (None, line_columns(lines)):
-        got = envelope(lines, direction, cols=cols)
+    # a LineSet gives the lower envelope of its below-lines and the upper
+    # envelope of its above-lines
+    upper = direction is Direction.UPPER
+    for arg in (lines, LineSet([], lines) if upper else LineSet(lines)):
+        got = envelope(arg, direction)
         assert got.kind is want.kind
         assert [(p.line, p.line.id, p.x_lo, p.x_hi) for p in got.pieces] == \
             [(p.line, p.line.id, p.x_lo, p.x_hi) for p in want.pieces]
@@ -112,7 +115,7 @@ def test_envelope_on_python_int_columns():
     big = Rat(10**30, 7)
     lines = [DLine(0, Rat(1), big), DLine(1, Rat(-1), big), DLine(2, Rat(0), big + 1),
              DLine(3, Rat(1), big), DLine(4, Rat(0), big - Rat(1, 3))]
-    assert line_columns(lines)[0].dtype == object
+    assert LineSet(lines).cols[0].dtype == object
     for direction in Direction:
         got = envelope(lines, direction)
         want = reference_envelope(lines, direction)

@@ -1,11 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepkit import exactkmm
-from sepkit.approxkmm import ApproxSolver, Infeasible
+import sepkit
+from sepkit import exactkmm, scans
+from sepkit.approxkmm import ApproxSolver, Infeasible, solve_approx
 from sepkit.core import (
     Color,
     LabeledPoint,
@@ -210,9 +214,10 @@ def test_vertical_optimality(rng):
         for _ in range(15):
             m = Rat(rng.randint(-60, 60), rng.randint(1, 5))
             res = best_at_slope(pts, k, m)
-            col = ColumnProfile(ana.below, ana.above, m)
+            col = ColumnProfile(ana.lines, m)
             cy = ana.curve.value_at(m)
-            cands = [h for h in col.heights if col.mis_at(h) <= k]
+            heights = {l.y_at(m) for l in ana.below + ana.above}
+            cands = [h for h in heights if col.mis_at(h) <= k]
             if col.mis_at(cy) <= k:
                 cands.append(cy)
             if not cands:
@@ -369,3 +374,68 @@ def test_reports_unchanged_with_the_whole_line_walk():
             assert _all_reports(pts, 3) == got
         found_d += sum(r.counts["d"] for r in got[::2])
     assert calls and found_d
+
+
+def test_one_build_reads_each_far_order_once(monkeypatch, rng):
+    """Each orientation's line set builds its two far orders once: the
+    vertex scan, the far gaps and every k_min rescan with a larger cap
+    share them, so a build runs four far orders, not one per pass."""
+    pts = random_instance(rng, 100, coord=1000)
+    orders, caps = [], []
+    real_far, real_kept = scans._far_index, scans._kept_blocks
+
+    def far_index(*args):
+        orders.append(len(args[0]))
+        return real_far(*args)
+
+    def kept_blocks(*args):
+        caps.append(args[1])
+        return real_kept(*args)
+
+    monkeypatch.setattr(scans, "_far_index", far_index)
+    monkeypatch.setattr(scans, "_kept_blocks", kept_blocks)
+    solver = ExactSolver(pts, 1)
+    assert solver.k_min > 1 and len([c for c in caps if c > 1]) >= 4
+    assert orders == [len(pts)] * 4
+
+
+# The five points red, blue, red, blue, red along a zigzag: every far gap
+# misclassifies at least one point.
+_ZIGZAG = [(0, 0), (1, 3), (2, 1), (3, 4), (4, 0)]
+
+
+def _zigzag():
+    return [LabeledPoint.of(x, y, Color.BLUE if i % 2 else Color.RED, i)
+            for i, (x, y) in enumerate(_ZIGZAG)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda pts: solve_exact(pts, -1),
+    lambda pts: ExactSolver(pts, 2).solve(-1),
+    lambda pts: solve_approx(pts, -1, Rat(1, 2)),
+    lambda pts: ApproxSolver(pts, -1, Rat(1, 2)),
+    lambda pts: ApproxSolver(pts, 2, Rat(1, 2)).solve(-1),
+], ids=["solve_exact", "ExactSolver.solve", "solve_approx", "ApproxSolver",
+        "ApproxSolver.solve"])
+def test_negative_k_is_refused(call):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        call(_zigzag())
+
+
+def test_exact_solver_refuses_negative_k_at_once():
+    """ExactSolver(pts, -1) raises before any scan.  It runs in a process
+    of its own with a time limit, as a k_min search whose cap does not grow
+    would never return."""
+    code = ("from sepkit.core import Color, LabeledPoint\n"
+            "from sepkit.exactkmm import ExactSolver\n"
+            "pts = [LabeledPoint.of(x, y, Color.BLUE if i % 2 else Color.RED,"
+            f" i) for i, (x, y) in enumerate({_ZIGZAG})]\n"
+            "try:\n"
+            "    ExactSolver(pts, -1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(sepkit.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "k must be >= 0"

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepkit import scans
 from sepkit.chains import Direction, DLine, chain_decomposition
 from sepkit.core import Color, LineR2, PointR2
 from sepkit.errors import ScheduleViolation, UnknownId
@@ -575,3 +576,46 @@ def test_static_leftmost_breaks_x_ties_by_least_y():
     assert (got.point, got.violations) == (PointR2(Rat(1), Rat(-1)), 2)
     want = oracle_leftmost_valid(red, blue, 2).witness
     assert (want["point"], want["violations"]) == (got.point, 2)
+
+
+def test_static_min_violations_shares_one_line_set(monkeypatch):
+    """static_min_violations builds the red + blue columns and far orders
+    once, however many caps its vertex scans try."""
+    rng = random.Random(11)
+    red, blue = random_lines(rng, 100), random_lines(rng, 100, first_id=100)
+    n = len(red) + len(blue)
+    sets, orders, caps = [], [], []
+    real_init = scans.LineSet.__init__
+    real_far, real_kept = scans._far_index, scans._kept_blocks
+
+    def init(self, *args):
+        real_init(self, *args)
+        sets.append(len(self.lines))
+
+    def far_index(*args):
+        orders.append(len(args[0]))
+        return real_far(*args)
+
+    def kept_blocks(*args):
+        if len(args[0].lines) == n:
+            caps.append(args[1])
+        return real_kept(*args)
+
+    monkeypatch.setattr(scans.LineSet, "__init__", init)
+    monkeypatch.setattr(scans, "_far_index", far_index)
+    monkeypatch.setattr(scans, "_kept_blocks", kept_blocks)
+    k_min, res = static_min_violations(ConstraintSet(red, blue))
+    assert len(caps) >= 3 and res.status is LPStatus.FEASIBLE
+    assert sets.count(n) == 1
+    assert orders.count(n) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda cs: static_leftmost_valid(cs, -1),
+    lambda cs: DynState(cs, {}, -1),
+    lambda cs: DynState(cs, {}, 2).query(-1),
+], ids=["static_leftmost_valid", "DynState", "DynState.query"])
+def test_negative_k_is_refused(call):
+    cs = ConstraintSet([L(0, 1, 0), L(1, 0, 2)], [L(2, -1, 0), L(3, 0, -2)])
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        call(cs)

@@ -7,6 +7,7 @@ slab against the unfiltered scan's vertices in that slab.  The walk along
 curve pieces, which sorts only each piece's own x-range, is checked
 against the walk that sweeps each piece's whole support line."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -23,11 +24,11 @@ from sepkit.rat import Rat, homogeneous
 from sepkit.scans import (
     ColumnProfile,
     FarGaps,
+    LineSet,
     VertexRecord,
     VertexScanResult,
     crossings,
     exact_order,
-    line_columns,
     scan_vertices,
     segment_valid_crossings,
 )
@@ -178,29 +179,53 @@ _OBJECT_CASE = (
 
 
 def test_line_columns_dtype():
-    assert line_columns(_INT64_CASE[0] + _INT64_CASE[1])[0].dtype == np.int64
-    assert line_columns(_OBJECT_CASE[0] + _OBJECT_CASE[1])[0].dtype == object
+    assert LineSet(*_INT64_CASE[:2]).cols[0].dtype == np.int64
+    assert LineSet(*_OBJECT_CASE[:2]).cols[0].dtype == object
 
 
 def test_scans_at_near_ties_match_reference():
     for below, above, x_col in (_INT64_CASE, _OBJECT_CASE):
         for kmax in range(len(below) + len(above) + 1):
-            assert scan_vertices(below, above, kmax) == \
+            assert scan_vertices(LineSet(below, above), kmax) == \
                 reference_scan(below, above, kmax)
         for e in below + above:
             for k in range(len(below) + len(above) + 1):
                 assert segment_valid_crossings(
-                    [(e, None, None)], below, above, k) == \
+                    [(e, None, None)], LineSet(below, above), k) == \
                     reference_segment(e.m, e.c, below, above, k)
-        lines = below + above
-        col = ColumnProfile(below, above, x_col)
-        heights = sorted({l.y_at(x_col) for l in lines})
-        assert col.heights == heights
-        assert [col.mis_at(h) for h in heights] == \
-            [_mis(x_col, h, below, above) for h in heights]
-        gaps = [heights[0] - 1] + [(a + b) / 2 for a, b in zip(heights, heights[1:])] \
-            + [heights[-1] + 1]
-        assert col.interval == [_mis(x_col, y, below, above) for y in gaps]
+        _check_column(ColumnProfile(LineSet(below, above), x_col), below, above)
+
+
+def _check_column(col, below, above):
+    """The column profile's heights, on-point and interval counts against
+    the Fraction definition.  With k = n every height is valid, so the
+    nearest valid height over each gap between heights is the next one."""
+    x, n = col.x, len(below) + len(above)
+    heights = sorted({l.y_at(x) for l in below + above})
+    gaps = [heights[0] - 1] + [(a + b) / 2 for a, b in zip(heights, heights[1:])] \
+        + [heights[-1] + 1]
+    assert [col.nearest_valid_above(y, n) for y in gaps] == heights + [None]
+    assert [col.mis_at(y) for y in heights + gaps] == \
+        [_mis(x, y, below, above) for y in heights + gaps]
+
+
+def test_column_recasts_int64_columns_at_a_large_x():
+    """Lines with coefficients near 2**24 have int64 columns, but at an x
+    whose numerator or denominator is about 2**40 the heights' products
+    pass int64: the profile recasts the columns it is given to Python
+    ints, and leaves the shared ones int64."""
+    rng = random.Random(4)
+    lines = []
+    for i in range(12):
+        abc = (rng.randint(2**23, 2**24), rng.randint(-2**24, 2**24),
+               rng.randint(-2**24, 2**24))
+        g = math.gcd(*abc)
+        lines.append(DLine.of_abc(i, tuple(v // g for v in abc)))
+    shared = LineSet(lines[:5], lines[5:])
+    assert shared.cols[0].dtype == np.int64
+    for x in (Rat(2**40 + 1, 3), Rat(-3, 2**40 + 1), Rat(2**25), Rat(1, 2**25)):
+        _check_column(ColumnProfile(shared, x), shared.below, shared.above)
+    assert shared.cols[0].dtype == np.int64
 
 
 @st.composite
@@ -223,9 +248,11 @@ def scaled_lines(draw):
 @given(lines=scaled_lines(), k=st.integers(0, 4))
 def test_scans_match_reference_on_degenerate_lines(lines, k):
     below, above = lines
-    assert scan_vertices(below, above, k) == reference_scan(below, above, k)
+    assert scan_vertices(LineSet(below, above), k) == \
+        reference_scan(below, above, k)
     e = (below + above)[0]
-    assert segment_valid_crossings([(e, None, None)], below, above, k) == \
+    assert segment_valid_crossings([(e, None, None)], LineSet(below, above),
+                                   k) == \
         reference_segment(e.m, e.c, below, above, k)
 
 
@@ -238,7 +265,7 @@ def unfiltered_scan(below, above, kmax):
     row, and every crossing of a row is counted."""
     lines = below + above
     n = len(lines)
-    a, b, c = line_columns(lines)
+    a, b, c = LineSet(lines).cols
     isb = np.arange(n) < len(below)
     block = scans.SCAN_BLOCK if a.dtype == np.int64 else scans.SCAN_BLOCK // 8
     step = max(1, block // max(n, 1))
@@ -273,7 +300,7 @@ def unfiltered_scan(below, above, kmax):
 def test_swapped_scan_at_near_ties_matches_reference():
     for below, above, _ in (_INT64_CASE, _OBJECT_CASE):
         for kmax in range(len(below) + len(above) + 1):
-            got = scan_vertices(above, below, kmax)
+            got = scan_vertices(LineSet(above, below), kmax)
             assert got == reference_scan(above, below, kmax)
             assert got == unfiltered_scan(above, below, kmax)
 
@@ -287,8 +314,8 @@ def test_swapped_scan_matches_scan_with_roles_exchanged(lines, k, block):
     its own."""
     below, above = lines
     with mock.patch.object(scans, "SCAN_BLOCK", block):
-        direct = scan_vertices(below, above, k)
-        exchanged = scan_vertices(above, below, k)
+        direct = scan_vertices(LineSet(below, above), k)
+        exchanged = scan_vertices(LineSet(above, below), k)
     assert exchanged == reference_scan(above, below, k)
     assert exchanged.vertices == reference_scan(above, below, k).vertices
     assert direct == reference_scan(below, above, k)
@@ -319,10 +346,12 @@ def test_filtered_scan_matches_unfiltered_on_grids(lines, k, slab):
     below, above = lines
     with mock.patch.object(scans, "SLAB_LINES", slab):
         for bl, ab in ((below, above), (above, below)):
-            got = scan_vertices(bl, ab, k)
+            got = scan_vertices(LineSet(bl, ab), k)
             assert got == unfiltered_scan(bl, ab, k)
             assert got.vertices == unfiltered_scan(bl, ab, k).vertices
-            assert scans.least_vertex_mis(bl, ab, k) == got.min_vertex_mis
+            least = got.min_vertex_mis
+            assert scans.least_mis([LineSet(bl, ab)], k + 1, k - 1) == \
+                (k + 1 if least is None else least)
 
 
 def test_filter_walls_on_vertices_and_dropped_rows():
@@ -348,7 +377,8 @@ def test_filter_walls_on_vertices_and_dropped_rows():
             mock.patch.object(scans, "_slab_walls", record_walls), \
             mock.patch.object(scans, "_band_rows", record_rows):
         for k in range(len(lines) + 1):
-            assert scan_vertices(below, above, k) == unfiltered_scan(below, above, k)
+            assert scan_vertices(LineSet(below, above), k) == \
+                unfiltered_scan(below, above, k)
     xs = {v.x for v in unfiltered_scan(below, above, len(lines)).vertices}
     assert any(Fraction(w) in xs for w in walls)
     assert min(rows) < len(lines)
@@ -378,7 +408,7 @@ def test_slab_scan_is_the_scan_cut_to_the_slab(data, lines, k, slab_lines):
     lo, hi = sorted(data.draw(st.one_of(ends)) for _ in range(2))
     with mock.patch.object(scans, "SLAB_LINES", slab_lines):
         for bl, ab in ((below, above), (above, below)):
-            got = scan_vertices(bl, ab, k, slab=(lo, hi))
+            got = scan_vertices(LineSet(bl, ab), k, slab=(lo, hi))
             want = _cut_to_slab(unfiltered_scan(bl, ab, k), lo, hi)
             assert got == want
             assert got.vertices == want.vertices
@@ -399,19 +429,20 @@ def test_slab_scan_rows():
         rows.append(len(r))
         return real_block(r, *args)
 
-    full = scan_vertices(below, above, 5)
+    full = scan_vertices(LineSet(below, above), 5)
     lo, hi = Rat(0), Rat(1, 2)
     with mock.patch.object(scans, "_block_crossings", record_rows):
         # at k = n the band filter keeps every line
         for k in (5, len(lines)):
-            assert scan_vertices(below, above, k, slab=(Rat(100), Rat(200))) \
+            assert scan_vertices(LineSet(below, above), k,
+                                 slab=(Rat(100), Rat(200))) \
                 == VertexScanResult([], None, full.min_cross_x,
                                     full.max_cross_x, full.count)
         assert rows == []
-        scan_vertices(below, above, 5)
+        scan_vertices(LineSet(below, above), 5)
         whole = sum(rows)
         rows.clear()
-        got = scan_vertices(below, above, 5, slab=(lo, hi))
+        got = scan_vertices(LineSet(below, above), 5, slab=(lo, hi))
         assert 0 < sum(rows) < whole
     assert got == _cut_to_slab(full, lo, hi)
     assert {v.x for v in got.vertices} >= {lo, hi}
@@ -456,7 +487,7 @@ def test_wall_values_where_the_value_underflows():
 def rowwise_scan(below, above, kmax):
     """The vertex scan one line at a time, through `crossings`."""
     lines = below + above
-    a, b, c = line_columns(lines)
+    a, b, c = LineSet(lines).cols
     isb = np.arange(len(lines)) < len(below)
     verts, all_mis, xs = [], [], []
     for i, li in enumerate(lines):
@@ -495,12 +526,12 @@ def _many_lines(copied):
 @pytest.mark.parametrize("copied", [None, "free", "pencil"])
 def test_block_scan_over_several_blocks(copied):
     lines = _many_lines(copied)
-    assert line_columns(lines)[0].dtype == np.int64
+    assert LineSet(lines).cols[0].dtype == np.int64
     assert 2 * (scans.SCAN_BLOCK // len(lines)) < len(lines)   # >= 3 blocks
     below, above = lines[:90], lines[90:]
     for kmax in (0, 60, len(lines)):
-        res = scan_vertices(below, above, kmax)
-        exchanged = scan_vertices(above, below, kmax)
+        res = scan_vertices(LineSet(below, above), kmax)
+        exchanged = scan_vertices(LineSet(above, below), kmax)
         assert res == rowwise_scan(below, above, kmax)
         assert exchanged == rowwise_scan(above, below, kmax)
         assert exchanged == unfiltered_scan(above, below, kmax)
@@ -510,17 +541,15 @@ def test_block_scan_over_several_blocks(copied):
 # -- the walk along curve pieces against the whole-line walk ---------------
 
 
-def whole_line_valid_crossings(segments, below, above, k, cols=None):
+def whole_line_valid_crossings(segments, lines, k):
     """segment_valid_crossings by sweeping each segment's whole support
-    line: every crossing is sorted and counted, then cut to [x1, x2].
-    `cols` is ignored; the columns are built with the dtype bound taken
-    over every segment's line."""
-    lines = list(below) + list(above)
-    if not lines:
+    line: every crossing is sorted and counted, then cut to [x1, x2], on
+    Python-int columns."""
+    if not lines.lines:
         return []
     es = [e.abc for e, _, _ in segments]
-    a, b, c = line_columns(lines, [v for e in es for v in e])
-    isb = np.arange(len(lines)) < len(below)
+    a, b, c = np.array([l.abc for l in lines.lines], dtype=object).T
+    isb = np.arange(len(a)) < lines.nb
     out = []
     for (line, x1, x2), e in zip(segments, es):
         m_e, c_e = line.m, line.c
@@ -568,18 +597,18 @@ def walk_cases(draw):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(case=walk_cases(), data=st.data(), with_cols=st.booleans(),
+@given(case=walk_cases(), data=st.data(),
        block=st.sampled_from([1, 64, scans.SCAN_BLOCK]))
-def test_walk_matches_whole_line_walk(case, data, with_cols, block):
+def test_walk_matches_whole_line_walk(case, data, block):
     """Parallel, identical and concurrent lines, piece ends on and one
-    float step from crossings, unbounded ends, k from 0 to n, with and
-    without the analysis's columns, and blocks of one piece or several."""
+    float step from crossings, unbounded ends, k from 0 to n, and blocks of
+    one piece or several."""
     below, above, segments = case
     k = data.draw(st.integers(0, len(below) + len(above)))
-    cols = line_columns(below + above) if with_cols else None
+    lines = LineSet(below, above)
     with mock.patch.object(scans, "SCAN_BLOCK", block):
-        got = segment_valid_crossings(segments, below, above, k, cols=cols)
-    assert got == whole_line_valid_crossings(segments, below, above, k)
+        got = segment_valid_crossings(segments, lines, k)
+    assert got == whole_line_valid_crossings(segments, lines, k)
 
 
 def test_walk_recasts_int64_columns_for_large_pieces():
@@ -587,15 +616,15 @@ def test_walk_recasts_int64_columns_for_large_pieces():
     2**25 - 49 for the above-lines, have int64 columns, but the midpoint
     of a below-line and an above-line has A = 2*d1*d2, about 2**51.  Its
     products with the columns overflow int64, so the walk recasts the
-    columns to Python ints."""
+    columns it is given to Python ints, and leaves the shared ones int64."""
     rng = random.Random(3)
     d1, d2 = 2**25 - 39, 2**25 - 49
     lines = [DLine(i, Rat(rng.randint(1 - d, d - 1), d),
                    Rat(rng.randint(-50, 50), d))
              for i, d in enumerate([d1] * 11 + [d2] * 13)]
-    below, above = lines[:11], lines[11:]
-    cols = line_columns(lines)
-    assert cols[0].dtype == np.int64
+    shared = LineSet(lines[:11], lines[11:])
+    assert shared.cols[0].dtype == np.int64
+    below, above = shared.below, shared.above
     segments = []
     for l, h in zip(below, above):
         m, c = (l.m + h.m) / 2, (l.c + h.c) / 2
@@ -604,11 +633,11 @@ def test_walk_recasts_int64_columns_for_large_pieces():
     segments.append((DLine(-1, Rat(0), Rat(0)), None, None))
     found = 0
     for k in range(len(lines) + 1):
-        want = whole_line_valid_crossings(segments, below, above, k)
-        assert segment_valid_crossings(segments, below, above, k, cols=cols) == want
-        assert segment_valid_crossings(segments, below, above, k) == want
+        want = whole_line_valid_crossings(segments, shared, k)
+        assert segment_valid_crossings(segments, shared, k) == want
         found += len(want)
     assert found
+    assert shared.cols[0].dtype == np.int64
 
 
 def test_walk_on_python_int_columns():
@@ -619,13 +648,12 @@ def test_walk_on_python_int_columns():
     pts = [LabeledPoint.of(rng.randint(-40, 40) * 10**12, rng.randint(-40, 40) * 10**12,
                            Color.RED if i % 3 else Color.BLUE, i) for i in range(14)]
     ana = _analysis_for(pts, len(pts))
-    assert ana.cols[0].dtype == object
+    assert ana.lines.cols[0].dtype == object
     segments = [(p.line, p.x_lo, p.x_hi) for p in ana.curve.pieces]
     found = 0
     for k in range(len(pts) + 1):
-        want = whole_line_valid_crossings(segments, ana.below, ana.above, k)
-        assert segment_valid_crossings(segments, ana.below, ana.above, k,
-                                       cols=ana.cols) == want
+        want = whole_line_valid_crossings(segments, ana.lines, k)
+        assert segment_valid_crossings(segments, ana.lines, k) == want
         found += len(want)
     assert found
 
@@ -643,17 +671,18 @@ def test_walk_skips_pieces_over_the_count_bound():
     segments = [(DLine(-1, Rat(1), Rat(100)), Rat(0), Rat(1))]
     sorts = []
     real_order = scans.exact_order
+    lines = LineSet(below, above)
 
     def counted_order(*keys):
         sorts.append(len(keys[0][0]))
         return real_order(*keys)
 
     with mock.patch.object(scans, "exact_order", counted_order):
-        assert segment_valid_crossings(segments, below, above, 5) == []
+        assert segment_valid_crossings(segments, lines, 5) == []
         assert sorts == []
-        got = segment_valid_crossings(segments, below, above, 6)
+        got = segment_valid_crossings(segments, lines, 6)
         assert sorts == [2]
-    assert got == whole_line_valid_crossings(segments, below, above, 6) \
+    assert got == whole_line_valid_crossings(segments, lines, 6) \
         == [(Rat(1, 8), Rat(801, 8), 6), (Rat(1, 4), Rat(401, 4), 6)]
 
 
@@ -668,5 +697,5 @@ def test_far_gap_slopes_are_the_extreme_slopes(lines, side):
     if not below or not above:
         return
     pick = (max, min) if side < 0 else (min, max)
-    assert FarGaps(below, above, side)._slopes == (
+    assert FarGaps(LineSet(below, above), side)._slopes == (
         pick[0](l.m for l in below), pick[1](l.m for l in above))

@@ -13,7 +13,7 @@ from sepkit.chains import DLine, cross_x
 from sepkit.core import PointR2
 from sepkit.lpviol import violation_counts, violations_at
 from sepkit.rat import Rat
-from sepkit.scans import line_columns, line_sides
+from sepkit.scans import LineSet, line_sides
 from tests.conftest import fraction_point_columns, hom, side_of_line
 
 ANCHORS = [0, 1, 2**25, 2**36, 10**30]
@@ -68,7 +68,7 @@ def test_sides_match_fraction_definition(case):
     lines, pts = case
     want = [[reference_side(l, x, y) for l in lines] for x, y in pts]
     assert [[side_of_line(l.abc, x, y) for l in lines] for x, y in pts] == want
-    got = line_sides(line_columns(lines), fraction_point_columns(pts))
+    got = line_sides(LineSet(lines).cols, fraction_point_columns(pts))
     assert got.shape == (len(pts), len(lines))
     assert got.tolist() == want
 
@@ -79,7 +79,8 @@ def test_violation_counts_match_fraction_definition(case, split):
     lines, pts = case
     red, blue = lines[:split], lines[split:]
     want = [reference_violations(x, y, red, blue) for x, y in pts]
-    assert violation_counts([hom(x, y) for x, y in pts], red, blue) == want
+    assert violation_counts([hom(x, y) for x, y in pts],
+                            LineSet(red, blue)) == want
     assert [violations_at(PointR2(x, y), red, blue) for x, y in pts] == want
 
 
@@ -113,15 +114,16 @@ def test_sides_at_dtype_boundaries():
     for abc, x in BOUNDARY:
         line = DLine(0, Rat(abc[1], abc[0]), Rat(abc[2], abc[0]))
         assert line.abc == abc
-        cols = line_columns([line])
+        cols = LineSet([line]).cols
         on = line.y_at(x)
         for y in (on, on + 1, on - 1, on + Rat(1, 3), on - Rat(1, 7)):
             paths.append(_path(cols, x, y))
             want = reference_side(line, x, y)
             assert side_of_line(line.abc, x, y) == want
             assert line_sides(cols, fraction_point_columns([(x, y)])).tolist() == [[want]]
-            assert violation_counts([hom(x, y)], [line], []) == [int(want > 0)]
-            assert violation_counts([hom(x, y)], [], [line]) == [int(want < 0)]
+            assert violation_counts([hom(x, y)], LineSet([line])) == [int(want > 0)]
+            assert violation_counts([hom(x, y)], LineSet([], [line])) \
+                == [int(want < 0)]
     assert set(paths) == {"int64", "object"}
 
 
@@ -130,8 +132,8 @@ def test_violation_counts_in_chunks():
     lines = [DLine(i, Rat(i - 3, 2), Rat(5 - i, 3)) for i in range(7)]
     pts = [(Rat(j % 23 - 11, 3), Rat(j % 17 - 8, 2)) for j in range(20000)]
     want = [reference_violations(x, y, lines[:3], lines[3:]) for x, y in pts]
-    assert violation_counts([hom(x, y) for x, y in pts], lines[:3],
-                            lines[3:]) == want
+    assert violation_counts([hom(x, y) for x, y in pts],
+                            LineSet(lines[:3], lines[3:])) == want
 
 
 def test_sides_near_the_int64_product_bound():
@@ -141,7 +143,7 @@ def test_sides_near_the_int64_product_bound():
     a, b, c = 2**25 - 1, 2**25 - 2, 2**25 - 3
     line = DLine(0, Rat(b, a), Rat(c, a))
     assert line.abc == (a, b, c)
-    cols = line_columns([line, line.neg()])
+    cols = LineSet([line, line.neg()]).cols
     paths = []
     for p in (2**36 - 1, -(2**36 - 1), 2**37 - 2**14, -(2**37 + 2**14),
               2**40 + 1, -(2**62)):
