@@ -25,11 +25,15 @@ runs its band filter on the slab and records only the vertices in it: a
 dual vertex is a primal line through two points, and its direction lies
 in one wedge, so the t wedges together record about one arrangement's
 valid vertices, and each sweeps only the lines that can pass through one
-in its slab.  solve(k) takes the best wedge_optimum, which adds the slab
-walls and scores by vertical error.  The delta-decision structure
-(DeltaContext, decide_delta) answers "is there a valid separator with
-vertical error <= delta in this wedge"; the solver does not call it, and
-tests check wedge optima against it.  DynApprox keeps a live set under
+in its slab.  A wedge whose scan kept no vertex and whose two wall columns
+have no height with mis <= kmax holds no valid point (a face that meets
+the slab has a vertex in it or meets a wall), so it builds no envelopes,
+curve or columns, and its wedge_optimum is None.  On nearly separable
+inputs most wedges are such.  solve(k) takes the best wedge_optimum, which
+adds the slab walls and scores by vertical error.  The delta-decision
+structure (DeltaContext, decide_delta) answers "is there a valid separator
+with vertical error <= delta in this wedge"; the solver does not call it,
+and tests check wedge optima against it.  DynApprox keeps a live set under
 semi-online updates and re-solves it with ApproxSolver on every report.
 """
 
@@ -330,13 +334,17 @@ def wedge_optimum(
     """Exact minimum vertical error over valid separators in the wedge slab.
 
     `ana` is the wedge's analysis, with the wedge's slope slab as its slab.
-    The candidates are its families a-d plus the same column search on the
-    two slab walls, where clipping can move the optimum.  Columns also give
+    An empty analysis has no valid point in the slab, walls included, so
+    the optimum is None and its curve is not read.  Otherwise the
+    candidates are its families a-d plus the same column search on the two
+    slab walls, where clipping can move the optimum.  Columns also give
     the valid heights next to a valid curve height: across a zero-error band
     the (err, x, y) key prefers the lower one.  Candidates whose separator
     would be vertical in the original frame are skipped (outside the
     solver's domain).
     """
+    if ana.empty:
+        return None
     vskip = wedge.vertical_slope_in_frame()
     cands = [(x, y, mis) for _, x, y, mis in ana.points(k, neighbours=True)]
     for wall in (wedge.m_lo, wedge.m_hi):

@@ -15,6 +15,15 @@ per-slope unconstrained optima), and enumerates every candidate optimum:
 The approximate solver runs the same enumeration per t-gon wedge,
 restricted to the wedge's slope slab (OrientationAnalysis's `slab`).
 
+An analysis stops after the vertex scan when no point with mis <= kmax can
+lie in its range, and builds no envelopes, curve or columns.  On the whole
+line that is when the scan kept no vertex and the lines are not all
+parallel: then every face has a vertex, and a vertex's mis is at most that
+of any face or edge it bounds.  In a slab it is when the scan kept no
+vertex there and neither wall's column has a height with mis <= kmax: a
+face that meets the slab either has a vertex inside it or meets a wall,
+and on a wall the least mis is at a line's height.
+
 Unbounded directions are probed separately: each far gap gets a finite probe
 point (which can attain the optimum, e.g. for parallel separable inputs) and
 an exact limit value; an instance where the limit strictly beats every
@@ -169,11 +178,16 @@ class OrientationAnalysis(VerticalError):
     frame; None is the whole line.  The vertex scan keeps the vertices with
     mis <= kmax in the slab, and its band filter cuts only the slab, so a
     wedge's rows are the lines that can pass through such a vertex there.
-    The envelopes cover the whole line, and the curve is merged only around
-    the slab; columns are built for the curve vertices in the slab, and the
-    far gaps when first read (a gap's limit is built when `far_limit_sq` or
-    the probes read that gap).  One LineSet, `lines`, is shared by the
-    scan, the envelopes, the columns, the curve walk and the far gaps.
+    `empty` says that no point with mis <= kmax lies in the slab (the rule
+    of the module docstring; in a slab it reads the wall columns only when
+    the scan kept no vertex).  Then `points` yields nothing and nothing
+    more is built.  Otherwise the envelopes (over the whole line), the
+    curve (merged only around the slab) and the columns of the curve
+    vertices in the slab are built at once.  The envelopes and the curve of
+    an empty analysis, and the far gaps of any, are built when first read
+    (a gap's limit when `far_limit_sq` or the probes read that gap).  One
+    LineSet, `lines`, is shared by the scan, the envelopes, the columns,
+    the curve walk and the far gaps.
     """
 
     def __init__(self, below: list[DLine], above: list[DLine], kmax: int,
@@ -184,15 +198,37 @@ class OrientationAnalysis(VerticalError):
         self.slab = slab
         self.lines = LineSet(below, above)
         self.scan = scan_vertices(self.lines, kmax, slab)
-        self.env_lo = envelope(self.lines, Direction.LOWER)
-        self.env_hi = envelope(self.lines, Direction.UPPER)
-        self.curve = midpoint_curve(self.env_lo, self.env_hi, slab)
-        self.curve_vertices = [
-            v for v in self.curve.vertices if self.in_slab(v.x)
-        ]
         self.columns: dict[RatT, ColumnProfile] = {}
-        for v in self.curve_vertices:
-            self.column(v.x)
+        self.empty = self._empty()
+        if not self.empty:
+            for v in self.curve_vertices:
+                self.column(v.x)
+
+    def _empty(self) -> bool:
+        """No point with mis <= kmax lies in the slab: the scan kept no
+        vertex there, and on the whole line the lines are not all parallel,
+        or in a slab neither wall has a height with mis <= kmax."""
+        if self.scan.vertices:
+            return False
+        if self.slab is None:
+            return self.lines.extreme(-1) is not None
+        return all(self.column(w).min_mis > self.kmax for w in self.slab)
+
+    @cached_property
+    def env_lo(self) -> Chain:
+        return envelope(self.lines, Direction.LOWER)
+
+    @cached_property
+    def env_hi(self) -> Chain:
+        return envelope(self.lines, Direction.UPPER)
+
+    @cached_property
+    def curve(self) -> MinMaxCurve:
+        return midpoint_curve(self.env_lo, self.env_hi, self.slab)
+
+    @cached_property
+    def curve_vertices(self) -> list[PointR2]:
+        return [v for v in self.curve.vertices if self.in_slab(v.x)]
 
     def in_slab(self, x: RatT) -> bool:
         return self.slab is None or self.slab[0] <= x <= self.slab[1]
@@ -226,6 +262,8 @@ class OrientationAnalysis(VerticalError):
         """Every candidate in the slab as (family, x, y, mis), families a-d
         of the module docstring.  With `neighbours`, a valid curve vertex
         also brings the nearest valid heights around it (as b or c)."""
+        if self.empty:
+            return
         for v in self.scan.vertices:
             if v.mis <= k:
                 yield "a", v.x, v.y, v.mis

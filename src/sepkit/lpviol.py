@@ -439,7 +439,7 @@ class DynState:
         found = (_chain_candidates(new, opp) if color is Color.RED
                  else _chain_candidates(opp, new))
         pts, pcols = self._candidates(found, replace=True)
-        self.forest.insert(*pts, cols=pcols)
+        self.forest.insert(pts, pcols)
         self._maybe_expensive()
 
     def delete(self, id_: int) -> None:

@@ -54,9 +54,10 @@ class PTPoint:
 
 class PartitionForest:
     """The candidate table: `pts` and the numpy columns `cols` (X, Y, W),
-    `fx`, `count` and `alive`, one row per point."""
+    `fx`, `count` and `alive`, one row per point.  Points come in batches
+    with their `scans.point_columns`."""
 
-    def __init__(self, points: Sequence[PTPoint] = (), cols=None):
+    def __init__(self, points: Sequence[PTPoint], cols):
         self.pts: list[PTPoint] = []
         self.cols = tuple(np.zeros(0, np.int64) for _ in range(3))
         self.fx = np.zeros(0)
@@ -71,16 +72,14 @@ class PartitionForest:
     def __len__(self):
         return len(self.pts) - self.deleted
 
-    def insert(self, *pts: PTPoint, cols=None) -> None:
+    def insert(self, pts: Sequence[PTPoint], cols) -> None:
         """Append a batch of points; `cols` is the point_columns of their
-        triples, if the caller has it."""
+        triples."""
         self._append(pts, cols)
 
     def _append(self, pts: Sequence[PTPoint], cols) -> None:
         if not pts:
             return
-        if cols is None:
-            cols = point_columns([p.xyw for p in pts])
         for row, p in enumerate(pts, len(self.pts)):
             p.row = row
         self.pts.extend(pts)

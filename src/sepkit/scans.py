@@ -357,7 +357,7 @@ class VertexScanResult:
     min_vertex_mis: Optional[int]    # their least mis, None if there are none
     min_cross_x: Optional[RatT]
     max_cross_x: Optional[RatT]
-    count: int                       # non-parallel line pairs (vertices met)
+    count: int                       # crossings computed: band rows x lines
 
 
 @dataclass
@@ -559,24 +559,20 @@ def _kept_blocks(lines: LineSet, kmax: int,
         yield r, blk, keep
 
 
-def _crossing_pairs(a, b) -> int:
-    """The number of line pairs that are not parallel: each meets once."""
-    _, same = exact_order((b, a))
-    runs = np.diff(np.append(np.flatnonzero(~same), len(a)))
-    return (len(a) ** 2 - int((runs * runs).sum())) // 2
-
-
 def scan_vertices(lines: LineSet, kmax: int,
                   slab: Optional[tuple[RatT, RatT]] = None) -> VertexScanResult:
-    """All arrangement vertices with mis <= kmax, plus global stats.  A
-    vertex is recorded once per pair of lines through it, on the row of the
-    pair's first line in below + above order, rows in that order and each
-    row in x order.  `slab` = (x_lo, x_hi) keeps only the vertices with
-    x_lo <= x <= x_hi, and the band filter cuts only that part of the line;
-    the stats stay global."""
+    """All arrangement vertices with mis <= kmax, plus stats.  A vertex is
+    recorded once per pair of lines through it, on the row of the pair's
+    first line in below + above order, rows in that order and each row in x
+    order.  `slab` = (x_lo, x_hi) keeps only the vertices with x_lo <= x <=
+    x_hi, and the band filter cuts only that part of the line; the extreme
+    crossings stay global, and `count` is the crossings the scan computed,
+    its band rows times the lines."""
     a, b, c = lines.cols
     out: list[VertexRecord] = []
+    count = 0
     for r, blk, keep in _kept_blocks(lines, kmax, slab):
+        count += len(r) * len(a)
         for i, t in zip(*np.nonzero(keep)):
             j = blk.order[i, t]
             p, q = int(blk.num[i, j]), int(blk.den[i, j])
@@ -585,8 +581,7 @@ def scan_vertices(lines: LineSet, kmax: int,
             y = Rat(int(b[e]) * p + int(c[e]) * q, int(a[e]) * q)
             out.append(VertexRecord(Rat(p, q), y, int(blk.mis[i, t])))
     return VertexScanResult(out, min((v.mis for v in out), default=None),
-                            lines.extreme(-1), lines.extreme(1),
-                            _crossing_pairs(a, b))
+                            lines.extreme(-1), lines.extreme(1), count)
 
 
 def least_mis(sets: Sequence[LineSet], bound: int, tried: int = -1) -> int:
@@ -747,6 +742,12 @@ class ColumnProfile:
         self._onpoint = rb + ba - na_grp
         # _interval[i] = mis strictly between group i-1 and i
         self._interval = np.append(rb + ba, lines.nb)
+
+    @property
+    def min_mis(self) -> int:
+        """The least on-point mis of a height: no point of the column has
+        less."""
+        return int(self._onpoint.min())
 
     def _height(self, i: int) -> RatT:
         return Rat(int(self._num[i]), int(self._den[i]))

@@ -227,6 +227,12 @@ def ptpoint(x, y, count: int, payload: object = None) -> PTPoint:
     return PTPoint(hom(x, y), count, payload)
 
 
+def columns_of(pts: Sequence[PTPoint]):
+    """The `scans.point_columns` of table points, which a table takes with
+    each batch."""
+    return point_columns([p.xyw for p in pts])
+
+
 def reference_chain_decomposition(
     lines: Sequence[DLine], k: int, direction: Direction
 ) -> ChainSet:

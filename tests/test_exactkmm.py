@@ -5,7 +5,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sepkit
 from sepkit import exactkmm, scans
@@ -439,3 +439,110 @@ def test_exact_solver_refuses_negative_k_at_once():
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "k must be >= 0"
+
+
+# -- empty analyses ------------------------------------------------------------
+
+
+@st.composite
+def pruning_inputs(draw):
+    """A degenerate grid (shared x, so parallel duals, and collinear
+    points), in random colours or blue above a line through the grid save
+    at most one point, or every point on one vertical; scaled by 1, 1/3 or
+    10**12.  Many analyses of the coloured-by-a-line grids are empty."""
+    shape = draw(st.sampled_from(["random", "line", "vertical"]))
+    if shape == "random":
+        pts = draw(grid_instances())
+    elif shape == "line":
+        cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                              min_size=10, max_size=30, unique=True))
+        m, c = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+        blue = [y > m * x + c or (y == m * x + c and draw(st.booleans()))
+                for x, y in cells]
+        flip = draw(st.integers(-1, len(cells) - 1))
+        if flip >= 0:
+            blue[flip] = not blue[flip]
+        assume(0 < sum(blue) < len(blue))
+        pts = [LabeledPoint.of(x, y, Color.BLUE if b else Color.RED, i)
+               for i, ((x, y), b) in enumerate(zip(cells, blue))]
+    else:
+        ys = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=7,
+                           unique=True))
+        red = draw(st.lists(st.booleans(), min_size=len(ys), max_size=len(ys))
+                   .filter(lambda r: 0 < sum(r) < len(r)))
+        pts = [LabeledPoint.of(1, y, Color.RED if r else Color.BLUE, i)
+               for i, (y, r) in enumerate(zip(ys, red))]
+    return _scaled(pts, draw(st.sampled_from([1, Rat(1, 3), 10**12])))
+
+
+def _pruning_reports(pts) -> str:
+    """repr of the exact reports and of the approximate ones at eps 1 and
+    1/10, for k = 0..3."""
+    exact = ExactSolver(pts, 3)
+    out = [exact.solve(k) for k in range(4)]
+    for eps in (Rat(1), Rat(1, 10)):
+        approx = ApproxSolver(pts, 3, eps)
+        for k in range(4):
+            try:
+                out.append(approx.solve(k))
+            except Infeasible:
+                out.append(None)
+    return repr(out)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pts=pruning_inputs())
+def test_empty_analyses_change_no_report(pts):
+    """An analysis found empty builds no envelopes, curve or columns; every
+    report, its counts included, is the one the full build gives."""
+    pruned = _pruning_reports(pts)
+    with mock.patch.object(exactkmm.OrientationAnalysis, "_empty",
+                           lambda self: False):
+        assert _pruning_reports(pts) == pruned
+
+
+def _nearly_separable(seed, n, outliers):
+    """n integer points with distinct x and y strictly on either side of a
+    line y = m*x, blue above, with `outliers` colours flipped: the shape of
+    the benchmark's kmm instances."""
+    rng = random.Random(seed)
+    m, pts, used_x, used_y = rng.randint(-2, 2), [], set(), set()
+    while len(pts) < n:
+        x, off = rng.randint(-10**5, 10**5), rng.randint(10**3, 10**5)
+        blue = rng.random() < 0.5
+        y = m * x + (off if blue else -off)
+        if x not in used_x and y not in used_y:
+            used_x.add(x)
+            used_y.add(y)
+            pts.append(LabeledPoint.of(x, y, Color.BLUE if blue else Color.RED,
+                                       len(pts)))
+    for i in rng.sample(range(n), outliers):
+        p = pts[i]
+        other = Color.BLUE if p.color is Color.RED else Color.RED
+        pts[i] = LabeledPoint(p.point, other, p.id)
+    return pts
+
+
+def test_empty_analyses_build_no_envelopes(monkeypatch):
+    """Nearly separable points: no line with reds above misclassifies at
+    most kmax of them, and the separating directions lie in one t-gon
+    wedge, so only those analyses build their two envelopes."""
+    calls = []
+    real = exactkmm.envelope
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(exactkmm, "envelope", counting)
+    solver = ApproxSolver(_nearly_separable(3, 100, 3), 4, Rat(1, 10))
+    assert [a.empty for a in solver.analyses].count(False) == 1
+    assert len(calls) == 2
+    solver.solve(4)
+    assert len(calls) == 2
+    calls.clear()
+    solver = ExactSolver(_nearly_separable(3, 1000, 5), 8)
+    assert solver.analyses[Orientation.RED_ABOVE].empty
+    assert len(calls) == 2
+    assert solver.solve(8).best is not None
+    assert len(calls) == 2

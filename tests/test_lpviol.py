@@ -19,7 +19,7 @@ from sepkit.lpviol import (
 from sepkit.oracle import oracle_leftmost_valid, oracle_min_violations
 from sepkit.parttree import PartitionForest
 from sepkit.rat import Rat
-from tests.conftest import ptpoint, random_lines
+from tests.conftest import columns_of, ptpoint, random_lines
 
 L = lambda i, m, c: DLine(i, Rat(m), Rat(c))
 
@@ -96,7 +96,7 @@ def _random_forest(rng, n):
         pts.append(ptpoint(Rat(rng.randint(-50, 50), rng.randint(1, 3)),
                            Rat(rng.randint(-50, 50), rng.randint(1, 3)),
                            rng.randint(0, 5), payload=i))
-    return PartitionForest(pts), pts
+    return PartitionForest(pts, columns_of(pts)), pts
 
 
 def test_halfplane_updates_match_recount(rng):
@@ -120,14 +120,14 @@ def test_halfplane_updates_match_recount(rng):
 
 def test_single_point_increment():
     p = ptpoint(Rat(0), Rat(0), 0)
-    forest = PartitionForest([p])
+    forest = PartitionForest([p], columns_of([p]))
     forest.halfplane_update(L(0, 0, -1), above=True, delta=+1)   # point above line
     assert forest.alive_points()[0].count == 1
 
 
 def test_sentinel_deletion():
     p = ptpoint(Rat(0), Rat(0), 0)
-    forest = PartitionForest([p])
+    forest = PartitionForest([p], columns_of([p]))
     assert forest.leftmost_valid(5) is not None
     forest.delete(p)
     assert forest.leftmost_valid(5) is None
@@ -136,9 +136,9 @@ def test_sentinel_deletion():
 def test_leftmost_query_with_inserts(rng):
     forest, pts = _random_forest(rng, 30)
     for i in range(20):
-        forest.insert(ptpoint(Rat(rng.randint(-50, 50), 7),
-                              Rat(rng.randint(-50, 50)), rng.randint(0, 5),
-                              payload=100 + i))
+        p = ptpoint(Rat(rng.randint(-50, 50), 7), Rat(rng.randint(-50, 50)),
+                    rng.randint(0, 5), payload=100 + i)
+        forest.insert([p], columns_of([p]))
         forest.audit()
         for kq in (0, 2, 5):
             got = forest.leftmost_valid(kq)

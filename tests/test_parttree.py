@@ -16,7 +16,7 @@ from sepkit.chains import DLine
 from sepkit.lpviol import DynState
 from sepkit.parttree import PartitionForest
 from sepkit.rat import Rat
-from tests.conftest import TIED_X, TIED_Y, ptpoint, side_of_line
+from tests.conftest import TIED_X, TIED_Y, columns_of, ptpoint, side_of_line
 
 GRID = range(-4, 5)
 # (slope, intercept) pairs through many grid points
@@ -37,7 +37,7 @@ def _counts(table) -> dict[int, int]:
 def test_halfplane_updates_with_points_on_the_line():
     pts = [ptpoint(Rat(x), Rat(y), (7 * x + 3 * y) % 5, payload=(x, y))
            for x in GRID for y in GRID]
-    table = PartitionForest(pts)
+    table = PartitionForest(pts, columns_of(pts))
     shadow = {id(p): p.count for p in pts}
     alive = {id(p): p for p in pts}
     on_line = 0     # points on an update line, which no update may move
@@ -58,7 +58,7 @@ def test_halfplane_updates_with_points_on_the_line():
                 # insert a point on the last line, delete a grid point
                 j = step % 9 - 4
                 q = ptpoint(Rat(j, 2), m * Rat(j, 2) + c, step % 4)
-                table.insert(q)
+                table.insert([q], columns_of([q]))
                 shadow[id(q)] = q.count
                 alive[id(q)] = q
                 gone = pts[(5 * step) % len(pts)]
@@ -91,7 +91,7 @@ def _tied_lines(rng, n):
 def test_order_keys_on_float_ties(seed):
     rng = random.Random(seed)
     lines = _tied_lines(rng, 12)
-    table = PartitionForest()
+    table = PartitionForest([], columns_of([]))
     coords, shadow = {}, {}     # by id: the exact (x, y), the true count
     alive = []
 
@@ -116,7 +116,7 @@ def test_order_keys_on_float_ties(seed):
                 p = ptpoint(x, y, rng.randint(-1, 3))
                 coords[id(p)], shadow[id(p)] = (x, y), p.count
                 batch.append(p)
-            table.insert(*batch)
+            table.insert(batch, columns_of(batch))
             alive.extend(batch)
         elif op < 0.6:
             p = alive.pop(rng.randrange(len(alive)))
@@ -169,7 +169,7 @@ def table_runs(draw):
 @given(run=table_runs())
 def test_table_matches_brute_force_recount(run):
     lines, ops = run
-    table = PartitionForest()
+    table = PartitionForest([], columns_of([]))
     alive, shadow = [], {}      # the alive points, their counts by id
     for op in ops:
         if op[0] == "insert":
@@ -178,7 +178,7 @@ def test_table_matches_brute_force_recount(run):
                 p = ptpoint(x, y if on is None else lines[on].y_at(x), count)
                 shadow[id(p)] = count
                 batch.append(p)
-            table.insert(*batch)
+            table.insert(batch, columns_of(batch))
             alive.extend(batch)
         elif op[0] == "delete" and alive:
             p = alive.pop(op[1] % len(alive))
@@ -209,10 +209,12 @@ def test_table_matches_brute_force_recount(run):
 
 
 def test_len_after_deletes_and_compaction():
-    table = PartitionForest([ptpoint(Rat(i), Rat(0), 0) for i in range(4)])
+    first = [ptpoint(Rat(i), Rat(0), 0) for i in range(4)]
+    table = PartitionForest(first, columns_of(first))
     pts = table.alive_points()
     table.delete(pts[0])
-    table.insert(*[ptpoint(Rat(10 + i), Rat(0), 0) for i in range(4)])
+    more = [ptpoint(Rat(10 + i), Rat(0), 0) for i in range(4)]
+    table.insert(more, columns_of(more))
     assert len(table) == len(table.alive_points()) == 7
     assert len(table.pts) == 8
     # the fourth dead row of eight compacts the table
@@ -245,7 +247,7 @@ def _table_side(line: DLine, x, y) -> int:
     """The side of (x, y) the table's halfplane updates see: +1 if an
     update above the line counts it, -1 if one below does, else 0."""
     p = ptpoint(x, y, 0)
-    table = PartitionForest([p])
+    table = PartitionForest([p], columns_of([p]))
     table.halfplane_update(line, True, 1)
     table.halfplane_update(line, False, -1)
     return table.leftmost_valid(1).count

@@ -7,6 +7,7 @@ slab against the unfiltered scan's vertices in that slab.  The walk along
 curve pieces, which sorts only each piece's own x-range, is checked
 against the walk that sweeps each piece's whole support line."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -107,6 +108,29 @@ def _mis(x, y, below, above):
             + sum(1 for l in above if l.y_at(x) > y))
 
 
+def scan(below, above, kmax, slab=None):
+    """scan_vertices on LineSet(below, above), its `count` checked to be
+    the crossings it computed, the rows it crossed with every line (all n
+    rows when neither side bounds the band and some lines cross), then
+    cleared: the references find the vertices, not the band filter's
+    rows."""
+    rows = []
+    real = scans._block_crossings
+
+    def record(r, *args):
+        rows.append(len(r))
+        return real(r, *args)
+
+    with mock.patch.object(scans, "_block_crossings", record):
+        res = scan_vertices(LineSet(below, above), kmax, slab)
+    n = len(below) + len(above)
+    assert res.count == sum(rows) * n
+    if slab is None and kmax >= max(len(below), len(above)) \
+            and res.min_cross_x is not None:
+        assert res.count == n * n
+    return dataclasses.replace(res, count=None)
+
+
 def reference_scan(below, above, kmax):
     lines = below + above
     verts, all_mis, xs = [], [], []
@@ -121,8 +145,7 @@ def reference_scan(below, above, kmax):
             if mis <= kmax:
                 verts.append(VertexRecord(x, y, mis))
     return VertexScanResult(verts, _cut(all_mis, kmax),
-                            min(xs, default=None), max(xs, default=None),
-                            len(xs))
+                            min(xs, default=None), max(xs, default=None), None)
 
 
 def _cut(all_mis, kmax):
@@ -186,7 +209,7 @@ def test_line_columns_dtype():
 def test_scans_at_near_ties_match_reference():
     for below, above, x_col in (_INT64_CASE, _OBJECT_CASE):
         for kmax in range(len(below) + len(above) + 1):
-            assert scan_vertices(LineSet(below, above), kmax) == \
+            assert scan(below, above, kmax) == \
                 reference_scan(below, above, kmax)
         for e in below + above:
             for k in range(len(below) + len(above) + 1):
@@ -248,8 +271,7 @@ def scaled_lines(draw):
 @given(lines=scaled_lines(), k=st.integers(0, 4))
 def test_scans_match_reference_on_degenerate_lines(lines, k):
     below, above = lines
-    assert scan_vertices(LineSet(below, above), k) == \
-        reference_scan(below, above, k)
+    assert scan(below, above, k) == reference_scan(below, above, k)
     e = (below + above)[0]
     assert segment_valid_crossings([(e, None, None)], LineSet(below, above),
                                    k) == \
@@ -262,21 +284,20 @@ def test_scans_match_reference_on_degenerate_lines(lines, k):
 def unfiltered_scan(below, above, kmax):
     """The vertex scan over every row, in blocks of rows: the scan before
     the band filter.  The extreme crossings are the first and last of each
-    row, and every crossing of a row is counted."""
+    row."""
     lines = below + above
     n = len(lines)
     a, b, c = LineSet(lines).cols
     isb = np.arange(n) < len(below)
     block = scans.SCAN_BLOCK if a.dtype == np.int64 else scans.SCAN_BLOCK // 8
     step = max(1, block // max(n, 1))
-    out, all_mis, lo, hi, count = [], [], [], [], 0
+    out, all_mis, lo, hi = [], [], [], []
     for r0 in range(0, n, step):
         rows = np.arange(r0, min(n, r0 + step))
         blk = scans._block_crossings(rows, a, b, c, isb)
         real = np.arange(n) < blk.ncross[:, None]
         if not real.any():
             continue
-        count += int(blk.ncross.sum())
         all_mis.append(int(blk.mis[real].min()))
         r = np.flatnonzero(blk.ncross)
         for t, dest, lowest in ((np.zeros_like(r), lo, True),
@@ -291,16 +312,16 @@ def unfiltered_scan(below, above, kmax):
             x = Rat(int(blk.num[i, j]), int(blk.den[i, j]))
             out.append(VertexRecord(x, lines[rows[i]].y_at(x), int(blk.mis[i, t])))
     if not all_mis:
-        return VertexScanResult(out, None, None, None, 0)
+        return VertexScanResult(out, None, None, None, None)
     return VertexScanResult(out, _cut(all_mis, kmax),
                             Rat(*min(lo, key=lambda x: Fraction(*x))),
-                            Rat(*max(hi, key=lambda x: Fraction(*x))), count // 2)
+                            Rat(*max(hi, key=lambda x: Fraction(*x))), None)
 
 
 def test_swapped_scan_at_near_ties_matches_reference():
     for below, above, _ in (_INT64_CASE, _OBJECT_CASE):
         for kmax in range(len(below) + len(above) + 1):
-            got = scan_vertices(LineSet(above, below), kmax)
+            got = scan(above, below, kmax)
             assert got == reference_scan(above, below, kmax)
             assert got == unfiltered_scan(above, below, kmax)
 
@@ -314,8 +335,8 @@ def test_swapped_scan_matches_scan_with_roles_exchanged(lines, k, block):
     its own."""
     below, above = lines
     with mock.patch.object(scans, "SCAN_BLOCK", block):
-        direct = scan_vertices(LineSet(below, above), k)
-        exchanged = scan_vertices(LineSet(above, below), k)
+        direct = scan(below, above, k)
+        exchanged = scan(above, below, k)
     assert exchanged == reference_scan(above, below, k)
     assert exchanged.vertices == reference_scan(above, below, k).vertices
     assert direct == reference_scan(below, above, k)
@@ -346,7 +367,7 @@ def test_filtered_scan_matches_unfiltered_on_grids(lines, k, slab):
     below, above = lines
     with mock.patch.object(scans, "SLAB_LINES", slab):
         for bl, ab in ((below, above), (above, below)):
-            got = scan_vertices(LineSet(bl, ab), k)
+            got = scan(bl, ab, k)
             assert got == unfiltered_scan(bl, ab, k)
             assert got.vertices == unfiltered_scan(bl, ab, k).vertices
             least = got.min_vertex_mis
@@ -377,8 +398,7 @@ def test_filter_walls_on_vertices_and_dropped_rows():
             mock.patch.object(scans, "_slab_walls", record_walls), \
             mock.patch.object(scans, "_band_rows", record_rows):
         for k in range(len(lines) + 1):
-            assert scan_vertices(LineSet(below, above), k) == \
-                unfiltered_scan(below, above, k)
+            assert scan(below, above, k) == unfiltered_scan(below, above, k)
     xs = {v.x for v in unfiltered_scan(below, above, len(lines)).vertices}
     assert any(Fraction(w) in xs for w in walls)
     assert min(rows) < len(lines)
@@ -408,7 +428,7 @@ def test_slab_scan_is_the_scan_cut_to_the_slab(data, lines, k, slab_lines):
     lo, hi = sorted(data.draw(st.one_of(ends)) for _ in range(2))
     with mock.patch.object(scans, "SLAB_LINES", slab_lines):
         for bl, ab in ((below, above), (above, below)):
-            got = scan_vertices(LineSet(bl, ab), k, slab=(lo, hi))
+            got = scan(bl, ab, k, (lo, hi))
             want = _cut_to_slab(unfiltered_scan(bl, ab, k), lo, hi)
             assert got == want
             assert got.vertices == want.vertices
@@ -429,20 +449,19 @@ def test_slab_scan_rows():
         rows.append(len(r))
         return real_block(r, *args)
 
-    full = scan_vertices(LineSet(below, above), 5)
+    full = scan(below, above, 5)
     lo, hi = Rat(0), Rat(1, 2)
     with mock.patch.object(scans, "_block_crossings", record_rows):
         # at k = n the band filter keeps every line
         for k in (5, len(lines)):
-            assert scan_vertices(LineSet(below, above), k,
-                                 slab=(Rat(100), Rat(200))) \
+            assert scan(below, above, k, (Rat(100), Rat(200))) \
                 == VertexScanResult([], None, full.min_cross_x,
-                                    full.max_cross_x, full.count)
+                                    full.max_cross_x, None)
         assert rows == []
         scan_vertices(LineSet(below, above), 5)
         whole = sum(rows)
         rows.clear()
-        got = scan_vertices(LineSet(below, above), 5, slab=(lo, hi))
+        got = scan(below, above, 5, (lo, hi))
         assert 0 < sum(rows) < whole
     assert got == _cut_to_slab(full, lo, hi)
     assert {v.x for v in got.vertices} >= {lo, hi}
@@ -500,8 +519,7 @@ def rowwise_scan(below, above, kmax):
             if mis[t] <= kmax:
                 verts.append(VertexRecord(x, li.y_at(x), int(mis[t])))
     return VertexScanResult(verts, _cut(all_mis, kmax),
-                            min(xs, default=None), max(xs, default=None),
-                            len(xs))
+                            min(xs, default=None), max(xs, default=None), None)
 
 
 def _many_lines(copied):
@@ -530,8 +548,8 @@ def test_block_scan_over_several_blocks(copied):
     assert 2 * (scans.SCAN_BLOCK // len(lines)) < len(lines)   # >= 3 blocks
     below, above = lines[:90], lines[90:]
     for kmax in (0, 60, len(lines)):
-        res = scan_vertices(LineSet(below, above), kmax)
-        exchanged = scan_vertices(LineSet(above, below), kmax)
+        res = scan(below, above, kmax)
+        exchanged = scan(above, below, kmax)
         assert res == rowwise_scan(below, above, kmax)
         assert exchanged == rowwise_scan(above, below, kmax)
         assert exchanged == unfiltered_scan(above, below, kmax)
