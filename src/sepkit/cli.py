@@ -11,7 +11,8 @@ flag with exit code 2.
 
 --k is required for kmm and kmm-approx and rejected for the other
 problems; --eps is required for kmm-approx and rejected for the others.
-Exit codes: 0 ok, 2 usage/parse error, 3 infeasible, 4 schedule
+Exit codes: 0 ok, 2 usage/parse error, 3 infeasible (for maxstrip also
+not separable, an empty side or a vertical separator), 4 schedule
 violation, 5 internal invariant failure.
 """
 
@@ -27,7 +28,7 @@ from .chains import DLine
 from .core import Color, LabeledPoint, Orientation, split_colors, validate_points, \
     perturb_points
 from .errors import ParseError, ScheduleViolation, SepkitError, UnknownId, \
-    ValidationError
+    ValidationError, VerticalSeparator
 from .exactkmm import ExactSolver, duals, minmax_curve, solve_exact
 from .hullmargin import StripStatus, max_margin_static
 from .levels import overlay_and_label
@@ -95,7 +96,12 @@ def _line_doc(line) -> dict:
 
 def _solve_2d(args, pts, use_oracle: bool) -> tuple[dict, int]:
     if args.problem == "maxstrip":
-        res = max_margin_static(pts)
+        try:
+            res = max_margin_static(pts)
+        except VerticalSeparator:
+            # a defined outcome: y = m*x + c cannot state the separator
+            return {"status": "vertical-separator",
+                    "problem": "maxstrip"}, EXIT_INFEASIBLE
         if res.status is StripStatus.SEPARABLE:
             return {
                 "status": "ok", "problem": "maxstrip",

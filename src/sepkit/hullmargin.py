@@ -1,11 +1,13 @@
 """Maximum-margin strip for separable inputs, static and dynamic.
 
-The separator is the perpendicular bisector of the segment realizing the
-distance between the two convex hulls; the strip width equals that distance.
-Hulls are maintained per color over a sorted point set with the hull chains
-rebuilt on demand (correctness-first; the chains always equal a from-scratch
-hull of the live set).  Distances are computed by an exact feature walk over
-vertex/edge pairs, the short-chain fallback the design allows.
+The separator is the perpendicular bisector of the closest red-blue pair of
+the two convex hulls; the strip width is that pair's distance.  One exact
+vertex-edge walk over both hulls (`hull_distance`) finds the pair, which is
+exact because a closest pair of two convex polygons always has a vertex at
+one end.  The same pair decides separability: the hulls are disjoint exactly
+when its bisector strictly separates every vertex of both.  Hulls are kept
+per color over an x-sorted point set and rebuilt from it on demand, so they
+always equal a from-scratch hull of the live set.
 """
 
 from __future__ import annotations
@@ -75,55 +77,6 @@ def _segments(hull: list[PointR2]):
             yield hull[i], hull[(i + 1) % n]
 
 
-def _point_in_hull(p: PointR2, hull: list[PointR2]) -> bool:
-    """Containment including the boundary."""
-    n = len(hull)
-    if n == 1:
-        return p.x == hull[0].x and p.y == hull[0].y
-    if n == 2:
-        a, b = hull
-        if _cross(a, b, p) != 0:
-            return False
-        return min(a.x, b.x) <= p.x <= max(a.x, b.x) and \
-            min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    for i in range(n):
-        if _cross(hull[i], hull[(i + 1) % n], p) < 0:
-            return False
-    return True
-
-
-def _segs_intersect(p1, p2, q1, q2) -> bool:
-    """Closed-segment intersection test, exact."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
-            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
-        return True
-
-    def on_seg(a, b, c):
-        return _cross(a, b, c) == 0 and min(a.x, b.x) <= c.x <= max(a.x, b.x) \
-            and min(a.y, b.y) <= c.y <= max(a.y, b.y)
-
-    return on_seg(q1, q2, p1) or on_seg(q1, q2, p2) or \
-        on_seg(p1, p2, q1) or on_seg(p1, p2, q2)
-
-
-def hulls_intersect(ha: list[PointR2], hb: list[PointR2]) -> bool:
-    if not ha or not hb:
-        return False
-    if any(_point_in_hull(p, hb) for p in ha):
-        return True
-    if any(_point_in_hull(p, ha) for p in hb):
-        return True
-    for a1, a2 in _segments(ha):
-        for b1, b2 in _segments(hb):
-            if _segs_intersect(a1, a2, b1, b2):
-                return True
-    return False
-
-
 def _closest_point_on_segment(p: PointR2, a: PointR2, b: PointR2) -> PointR2:
     abx, aby = b.x - a.x, b.y - a.y
     ab_sq = abx * abx + aby * aby
@@ -140,7 +93,8 @@ def _closest_point_on_segment(p: PointR2, a: PointR2, b: PointR2) -> PointR2:
 def hull_distance(
     red_hull: list[PointR2], blue_hull: list[PointR2]
 ) -> tuple[RatT, PointR2, PointR2]:
-    """(squared distance, red point, blue point) between two disjoint hulls."""
+    """(squared distance, red point, blue point) of a closest pair of two
+    non-empty hulls; the distance is 0 when they meet."""
     best = None
     for p in red_hull:
         for b1, b2 in _segments(blue_hull):
@@ -155,6 +109,32 @@ def hull_distance(
             if best is None or d < best[0]:
                 best = (d, q, p)
     return best
+
+
+def _bisector_separates(
+    red_hull: list[PointR2], blue_hull: list[PointR2], rp: PointR2, bp: PointR2
+) -> bool:
+    """Whether the bisector of rp and bp puts every red hull vertex strictly
+    on rp's side and every blue one strictly on bp's side: v.w < c for red and
+    v.w > c for blue, with w = bp - rp and c = (|bp|^2 - |rp|^2) / 2 (compared
+    doubled).  For a closest pair this holds exactly when the hulls are
+    disjoint; hulls that meet, touching ones (w = 0) included, have no strict
+    separator.
+    """
+    wx, wy = bp.x - rp.x, bp.y - rp.y
+    c2 = bp.x * bp.x + bp.y * bp.y - rp.x * rp.x - rp.y * rp.y
+    return all(2 * (v.x * wx + v.y * wy) < c2 for v in red_hull) and \
+        all(2 * (v.x * wx + v.y * wy) > c2 for v in blue_hull)
+
+
+# Closed-hull intersection as one call.  The strip runs the same check on
+# its own closest pair; this name is kept for tests/test_hullmargin.py and
+# for the benchmark's span tracer (perfbench/spans.py), which wraps it.
+def hulls_intersect(ha: list[PointR2], hb: list[PointR2]) -> bool:
+    if not ha or not hb:
+        return False
+    _, rp, bp = hull_distance(ha, hb)
+    return not _bisector_separates(ha, hb, rp, bp)
 
 
 def _bisector(r: PointR2, b: PointR2) -> LineR2:
@@ -176,9 +156,11 @@ def _strip_from_hulls(
 ) -> StripResult:
     if not red_hull or not blue_hull:
         return StripResult(StripStatus.EMPTY_SIDE)
-    if hulls_intersect(red_hull, blue_hull):
-        return StripResult(StripStatus.NOT_SEPARABLE)
     d, rp, bp = hull_distance(red_hull, blue_hull)
+    # decided before _bisector: touching hulls with a horizontal witness are
+    # NOT_SEPARABLE, not a vertical separator
+    if not _bisector_separates(red_hull, blue_hull, rp, bp):
+        return StripResult(StripStatus.NOT_SEPARABLE)
     line = _bisector(rp, bp)
     orient = (
         Orientation.BLUE_ABOVE
@@ -269,6 +251,10 @@ class HullPair:
             self._add(p)
 
     def _add(self, p: LabeledPoint) -> None:
+        # ids are unique across both colors, or the other color's point
+        # could never be deleted
+        if p.id in self._color_of:
+            raise UnknownId(f"id {p.id} already present")
         side = self.red if p.color is Color.RED else self.blue
         side.insert(p.point, p.id)
         self._color_of[p.id] = p.color

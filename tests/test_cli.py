@@ -49,6 +49,18 @@ def test_solve_maxstrip(capsys):
     _schema().validate(docs[0])
 
 
+def test_solve_maxstrip_vertical_separator_exit_3(capsys, tmp_path):
+    # the max-margin separator of red (0,0) and blue (4,0) is x = 2
+    data = tmp_path / "vertical.csv"
+    data.write_text("0,0,R\n4,0,B\n")
+    code = main(["solve", "--problem", "maxstrip", str(data)])
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    doc = json.loads(out)
+    assert doc == {"status": "vertical-separator", "problem": "maxstrip"}
+    _schema().validate(doc)
+
+
 def test_solve_infeasible_exit_3(capsys):
     code, docs = run(capsys, "solve", "--problem", "kmm", "--k", "0", DS3)
     assert code == 3

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from sepkit.core import Color, LabeledPoint, PointR2, vertical_distance
+from sepkit.core import Color, LabeledPoint, PointR2, split_colors, \
+    vertical_distance
 from sepkit.errors import UnknownId, VerticalSeparator
 from sepkit.hullmargin import (
     HullPair,
@@ -171,3 +172,149 @@ def test_hulls_intersect_cases():
     far = [PointR2.of(10, 10), PointR2.of(11, 12)]
     assert hulls_intersect(convex_hull(sq), convex_hull(inner))
     assert not hulls_intersect(convex_hull(sq), convex_hull(far))
+
+
+def test_id_live_in_other_color_rejected():
+    red0 = LabeledPoint.of(0, 0, Color.RED, 0)
+    pair = HullPair([red0, LabeledPoint.of(1, 5, Color.BLUE, 1)])
+    before = pair.result()
+    with pytest.raises(UnknownId):
+        pair.insert(LabeledPoint.of(3, 3, Color.BLUE, 0))
+    assert pair.result() == before
+    assert (len(pair.red), len(pair.blue)) == (1, 1)
+    assert pair.delete(0).status is StripStatus.EMPTY_SIDE
+    assert (len(pair.red), len(pair.blue)) == (0, 1)
+    with pytest.raises(UnknownId):
+        HullPair([red0, LabeledPoint.of(3, 3, Color.BLUE, 0)])
+
+
+# The pairwise closed-hull intersection predicate the strip used before it
+# decided separability from the closest pair: point-in-hull tests, then every
+# edge pair.  Kept here as the reference.
+
+def _cross(o, a, b):
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def _ref_segments(hull):
+    n = len(hull)
+    if n == 1:
+        return [(hull[0], hull[0])]
+    return [(hull[i], hull[(i + 1) % n]) for i in range(n if n > 2 else 1)]
+
+
+def _ref_point_in_hull(p, hull):
+    n = len(hull)
+    if n == 1:
+        return p.x == hull[0].x and p.y == hull[0].y
+    if n == 2:
+        a, b = hull
+        return _cross(a, b, p) == 0 and _ref_on_seg(a, b, p)
+    return all(_cross(hull[i], hull[(i + 1) % n], p) >= 0 for i in range(n))
+
+
+def _ref_on_seg(a, b, c):
+    return _cross(a, b, c) == 0 and min(a.x, b.x) <= c.x <= max(a.x, b.x) \
+        and min(a.y, b.y) <= c.y <= max(a.y, b.y)
+
+
+def _ref_segs_intersect(p1, p2, q1, q2):
+    d1, d2 = _cross(q1, q2, p1), _cross(q1, q2, p2)
+    d3, d4 = _cross(p1, p2, q1), _cross(p1, p2, q2)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return _ref_on_seg(q1, q2, p1) or _ref_on_seg(q1, q2, p2) or \
+        _ref_on_seg(p1, p2, q1) or _ref_on_seg(p1, p2, q2)
+
+
+def _ref_hulls_intersect(ha, hb):
+    if not ha or not hb:
+        return False
+    if any(_ref_point_in_hull(p, hb) for p in ha) or \
+            any(_ref_point_in_hull(p, ha) for p in hb):
+        return True
+    return any(_ref_segs_intersect(a1, a2, b1, b2)
+               for a1, a2 in _ref_segments(ha) for b1, b2 in _ref_segments(hb))
+
+
+def _check_against_reference(pts):
+    """max_margin_static against the reference decision: NOT_SEPARABLE exactly
+    when the closed hulls meet; otherwise the strip of hull_distance's pair,
+    or VerticalSeparator when that pair is horizontal."""
+    reds, blues = split_colors(pts)
+    rh = convex_hull([p.point for p in reds])
+    bh = convex_hull([p.point for p in blues])
+    meet = _ref_hulls_intersect(rh, bh)
+    assert hulls_intersect(rh, bh) == meet
+    if not rh or not bh:
+        assert max_margin_static(pts).status is StripStatus.EMPTY_SIDE
+        return None
+    if meet:
+        assert max_margin_static(pts).status is StripStatus.NOT_SEPARABLE
+        return StripStatus.NOT_SEPARABLE
+    d, rp, bp = hull_distance(rh, bh)
+    if rp.y == bp.y:
+        with pytest.raises(VerticalSeparator):
+            max_margin_static(pts)
+        return VerticalSeparator
+    res = max_margin_static(pts)
+    assert res.status is StripStatus.SEPARABLE
+    assert (res.width_sq, res.witness_points) == (d, (rp, bp))
+    _check_invariants(pts, res)
+    ids = {(p.point.x, p.point.y): p.id for p in pts}
+    for got, p in zip(res.witness, (rp, bp)):
+        assert got == ids.get((p.x, p.y), got)
+    return StripStatus.SEPARABLE
+
+
+def test_matches_pairwise_reference_on_grids():
+    rng = random.Random(2121)
+    seen = set()
+    for _ in range(3000):
+        side = rng.randint(2, 5)
+        cells = rng.sample(list(itertools.product(range(side), repeat=2)),
+                           rng.randint(2, min(9, side * side)))
+        pts = [LabeledPoint.of(x, y, rng.choice((Color.RED, Color.BLUE)), i)
+               for i, (x, y) in enumerate(cells)]
+        seen.add(_check_against_reference(pts))
+    assert {StripStatus.SEPARABLE, StripStatus.NOT_SEPARABLE,
+            VerticalSeparator, None} <= seen
+
+
+def _pts(red, blue):
+    return [LabeledPoint.of(x, y, Color.RED, i) for i, (x, y) in enumerate(red)] + \
+        [LabeledPoint.of(x, y, Color.BLUE, len(red) + i)
+         for i, (x, y) in enumerate(blue)]
+
+
+@pytest.mark.parametrize("red, blue, want", [
+    # crossing thin rectangles: every vertex-edge distance is positive
+    ([(5, 1), (-5, 1), (-5, -1), (5, -1)], [(1, 5), (-1, 5), (-1, -5), (1, -5)],
+     StripStatus.NOT_SEPARABLE),
+    # touching hulls whose witness is horizontal: no vertical separator
+    ([(0, 0), (2, 0)], [(1, 0), (1, 5)], StripStatus.NOT_SEPARABLE),
+    # collinear segments: disjoint, disjoint on a horizontal, overlapping
+    ([(0, 0), (1, 1)], [(3, 3), (4, 4)], StripStatus.SEPARABLE),
+    ([(0, 0), (1, 0)], [(3, 0), (4, 0)], VerticalSeparator),
+    ([(0, 0), (2, 2)], [(1, 1), (3, 3)], StripStatus.NOT_SEPARABLE),
+    # single-point hulls
+    ([(0, 0)], [(3, 4)], StripStatus.SEPARABLE),
+    ([(1, 1)], [(0, 0), (2, 2)], StripStatus.NOT_SEPARABLE),
+    ([(1, 3)], [(0, 0), (2, 2)], StripStatus.SEPARABLE),
+    # a point strictly inside the other hull
+    ([(0, 0), (4, 0), (4, 4), (0, 4)], [(1, 2)], StripStatus.NOT_SEPARABLE),
+    ([(2, 1)], [(0, 0), (6, 0), (0, 6)], StripStatus.NOT_SEPARABLE),
+])
+def test_named_reference_cases(red, blue, want):
+    assert _check_against_reference(_pts(red, blue)) is want
+
+
+def test_named_case_details():
+    # the crossing rectangles are not separable at a positive vertex-edge
+    # distance; the collinear segments' strip is the bisector of (1,1), (3,3)
+    rh = convex_hull([PointR2.of(x, y) for x in (-5, 5) for y in (-1, 1)])
+    bh = convex_hull([PointR2.of(x, y) for x in (-1, 1) for y in (-5, 5)])
+    assert hull_distance(rh, bh)[0] == 16
+    res = max_margin_static(_pts([(0, 0), (1, 1)], [(3, 3), (4, 4)]))
+    assert res.width_sq == 8 and res.witness == (1, 2)
+    assert (res.separator.line.m, res.separator.line.c) == (-1, 4)
