@@ -93,8 +93,10 @@ def _closest_point_on_segment(p: PointR2, a: PointR2, b: PointR2) -> PointR2:
 def hull_distance(
     red_hull: list[PointR2], blue_hull: list[PointR2]
 ) -> tuple[RatT, PointR2, PointR2]:
-    """(squared distance, red point, blue point) of a closest pair of two
-    non-empty hulls; the distance is 0 when they meet."""
+    """(squared distance, red point, blue point) of the closest vertex-edge
+    pair of two non-empty hulls: a closest pair when they are disjoint.  When
+    they meet the distance need not be 0 (crossing rectangles, no vertex in
+    the other hull), so disjointness is decided by `_bisector_separates`."""
     best = None
     for p in red_hull:
         for b1, b2 in _segments(blue_hull):
