@@ -57,7 +57,7 @@ from .core import (
     split_colors,
 )
 from .errors import EmptyColor, NonPositiveEps, SepkitError, check_k
-from .exactkmm import OrientationAnalysis, VerticalError
+from .exactkmm import OrientationAnalysis, VerticalError, ranks_before
 from .lpviol import PlyStructure, check_schedule, violations_at
 from .rat import R0, Rat, RatLike, RatT, rat
 from .scans import ColumnProfile, LineSet
@@ -259,11 +259,13 @@ def _find_p_min(ctx: DeltaContext) -> Optional[tuple[RatT, RatT, int, RatT]]:
                 mis = ctx.red_ply[i].ply(x) + ctx.blue_ply[j].ply(x)
                 if mis > ctx.k:
                     continue
-                err = ctx.vert_err(x, y)
-                key = (err, x, y)
-                if best is None or key < best[0]:
-                    best = (key, (x, y, mis, err))
-    return best[1] if best else None
+                num, den = ctx.vert_err_pair(x, y)
+                if ranks_before(num, den, (x, y), best):
+                    best = (num, den, (x, y), mis)
+    if best is None:
+        return None
+    num, den, (x, y), mis = best
+    return x, y, mis, Rat(num, den)
 
 
 def _shifted(chain: Chain, delta: RatT, up: bool) -> Chain:
@@ -301,19 +303,18 @@ def decide_delta(ctx: DeltaContext, delta: RatT) -> Optional[PointR2]:
                   col.nearest_valid_below(cy, ctx.k)):
             if y is not None:
                 cands.append((wall, y))
-    best = None
+    best = None     # (num, den, (x, y)): the error is num/den
     for x, y in cands:
         if not ctx.in_slab(x):
             continue
-        err = ctx.vert_err(x, y)
-        if err > delta:
-            continue
+        num, den = ctx.vert_err_pair(x, y)
+        if num * delta.denominator > delta.numerator * den:
+            continue                                        # err > delta
         if ctx.mis_at(x, y) > ctx.k:
             continue
-        key = (err, x, y)
-        if best is None or key < best[0]:
-            best = (key, PointR2(x, y))
-    return best[1] if best else None
+        if ranks_before(num, den, (x, y), best):
+            best = (num, den, (x, y))
+    return None if best is None else PointR2(*best[2])
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +340,11 @@ def wedge_optimum(
     candidates are its families a-d plus the same column search on the two
     slab walls, where clipping can move the optimum.  Columns also give
     the valid heights next to a valid curve height: across a zero-error band
-    the (err, x, y) key prefers the lower one.  Candidates whose separator
-    would be vertical in the original frame are skipped (outside the
-    solver's domain).
+    the (err, x, y) key prefers the lower one.  The candidates are ranked
+    on the integer error pairs of `vert_err_pair`, compared by
+    cross-multiplication, and only the winner's error becomes a rational.
+    Candidates whose separator would be vertical in the original frame are
+    skipped (outside the solver's domain).
     """
     if ana.empty:
         return None
@@ -351,18 +354,17 @@ def wedge_optimum(
         cy = ana.curve.value_at(wall)
         cands += [(wall, y, mis) for y, mis in
                   ana.column(wall).valid_near(cy, k, neighbours=True)]
-    best = None
+    best = None     # (num, den, (x, y), mis): the error is num/den
     for x, y, mis in cands:
         if vskip is not None and x == vskip:
             continue
-        err = ana.vert_err(x, y)
-        key = (err, x, y)
-        if best is None or key < best[0]:
-            best = (key, PointR2(x, y), mis)
+        num, den = ana.vert_err_pair(x, y)
+        if ranks_before(num, den, (x, y), best):
+            best = (num, den, (x, y), mis)
     if best is None:
         return None
-    (err, _, _), pt, mis = best
-    return WedgeSolution(err, pt, mis)
+    num, den, (x, y), mis = best
+    return WedgeSolution(Rat(num, den), PointR2(x, y), mis)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .errors import (
     DuplicateCoordinate,
     ValidationError,
 )
-from .rat import R0, R1, Rat, RatLike, RatT, rat
+from .rat import R1, Rat, RatLike, RatT, homogeneous, rat
 
 
 class Color(enum.Enum):
@@ -125,24 +125,33 @@ def euclid_dist_sq(p: PointR2, l: LineR2) -> RatT:
 
 def classify_mis(sep: Separator, pts: Sequence[LabeledPoint]) -> MisReport:
     """Count misclassified points and the exact squared distance to the
-    farthest one (0 when nothing is misclassified)."""
+    farthest one (0 when nothing is misclassified).
+
+    The separator is scaled to integers, L*y = M*x + C with L > 0 (its
+    `rat.homogeneous` form).  A point (px/qx, py/qy) has the vertical
+    distance s / (L*qx*qy), s = L*py*qx - (M*px*qy + C*qx*qy), so the sign
+    of s decides its side, and its squared distance is s^2 / ((qx*qy)^2 *
+    (L^2 + M^2)).  The farthest misclassified point is kept by comparing
+    |s| / (qx*qy) by cross-multiplication, and one rational is built for
+    `max_sq`."""
+    L, M, C = homogeneous(sep.line.m, sep.line.c)
+    # a point above the line is wrong when it is red under BLUE_ABOVE, or
+    # blue under RED_ABOVE
+    wrong_above = (Color.RED if sep.orientation is Orientation.BLUE_ABOVE
+                   else Color.BLUE)
     bad: list[int] = []
-    max_sq = R0
-    denom = sep.line.m * sep.line.m + R1
+    far_s, far_q = 0, 1           # |s| and qx*qy of the farthest so far
     for lp in pts:
-        v = vertical_distance(lp.point, sep.line)
-        if v == 0:
+        x, y = lp.point.x, lp.point.y
+        qx, qy = x.denominator, y.denominator
+        s = L * y.numerator * qx - (M * x.numerator + C * qx) * qy
+        if s == 0 or (s > 0) != (lp.color is wrong_above):
             continue
-        above = v > 0
-        if sep.orientation is Orientation.BLUE_ABOVE:
-            wrong = above if lp.color is Color.RED else not above
-        else:
-            wrong = above if lp.color is Color.BLUE else not above
-        if wrong:
-            bad.append(lp.id)
-            d = v * v / denom
-            if d > max_sq:
-                max_sq = d
+        bad.append(lp.id)
+        s, q = abs(s), qx * qy
+        if s * far_q > far_s * q:
+            far_s, far_q = s, q
+    max_sq = Rat(far_s * far_s, far_q * far_q * (L * L + M * M))
     return MisReport(len(bad), max_sq, tuple(sorted(bad)))
 
 

@@ -12,6 +12,11 @@ per-slope unconstrained optima), and enumerates every candidate optimum:
      sorts only the crossings in a piece's own x-range, and skips a piece
      whose count bound already exceeds kmax (scans.segment_valid_crossings).
 
+Candidates are ranked on integers: `VerticalError.vert_err_pair` gives a
+dual point's vertical error as a (num, den) pair from the envelopes'
+integer breakpoints and piece lines, and the squared Euclidean error
+follows as a pair too; only the winner's error becomes a rational.
+
 The approximate solver runs the same enumeration per t-gon wedge,
 restricted to the wedge's slope slab (OrientationAnalysis's `slab`).
 
@@ -35,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .chains import Chain, ChainKind, ChainPiece, Direction, DLine, \
@@ -48,7 +54,7 @@ from .core import (
     split_colors,
 )
 from .errors import EmptyColor, check_k
-from .rat import R0, R1, Rat, RatT
+from .rat import Rat, RatT
 from .scans import (
     ColumnProfile,
     FarGap,
@@ -60,15 +66,19 @@ from .scans import (
     segment_valid_crossings,
 )
 
-KIND_ORDER = {"a": 0, "b": 1, "c": 2, "d": 3, "probe": 4}
+KIND_ORDER = {"a": 0, "b": 1, "c": 2, "d": 3}
 
 
-@dataclass(frozen=True)
-class CandidatePoint:
-    location: PointR2
-    kind: str              # 'a' | 'b' | 'c' | 'd'
-    mis: int
-    max_sq: RatT
+def ranks_before(num: int, den: int, tie: tuple, best: Optional[tuple]
+                 ) -> bool:
+    """Whether the error num/den (den > 0) with the tie-break key `tie`
+    comes strictly before `best`, a tuple that starts (num, den, tie), or
+    None: the errors are compared by cross-multiplication, and equal ones
+    by their tie keys."""
+    if best is None:
+        return True
+    v = num * best[1] - best[0] * den
+    return v < 0 or v == 0 and tie < best[2]
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,13 @@ class MinMaxCurve:
 class ExactSolveReport:
     """The optimum for one k; `best` is None when no separator misclassifies
     at most k points.
+
+    `best` is the candidate with the least key (max_sq, x, y, kind,
+    orientation), over the dual point (x, y), the family order a-d and
+    BLUE_ABOVE before RED_ABOVE.  The candidates are ranked on integer
+    (num, den) pairs of max_sq compared by cross-multiplication, and
+    `max_sq` is the one rational built, for the winner.  `counts` holds
+    how many candidates of each family were ranked.
 
     `probe_limit_sq` is the least far-gap limit: a value that near-vertical
     separators approach but do not attain.  When it is below `max_sq`,
@@ -107,7 +124,17 @@ class ExactSolveReport:
 
 
 def duals(pts: Sequence[LabeledPoint]) -> list[DLine]:
-    return [DLine(p.id, p.point.x, -p.point.y) for p in pts]
+    """The dual line y = x0*x - y0 of each point (x0, y0), built in its
+    integer form: with x0 = p/qx and y0 = r/qy, A = lcm(qx, qy), B = p*A/qx
+    and C = -r*A/qy, which is primitive as both fractions are reduced."""
+    out = []
+    for lp in pts:
+        x, y = lp.point.x, lp.point.y
+        qx, qy = x.denominator, y.denominator
+        a = lcm(qx, qy)
+        out.append(DLine.of_abc(lp.id, (a, x.numerator * (a // qx),
+                                        -y.numerator * (a // qy))))
+    return out
 
 
 def midpoint_curve(env_lo: Chain, env_hi: Chain,
@@ -158,15 +185,39 @@ class VerticalError:
     env_lo: Chain
     env_hi: Chain
 
-    def vert_err(self, x: RatT, y: RatT) -> RatT:
-        e = R0
-        g = y - self.env_lo.value_at(x)
-        if g > e:
-            e = g
-        g = self.env_hi.value_at(x) - y
-        if g > e:
-            e = g
-        return e
+    def vert_err_pair(self, x: RatT, y: RatT) -> tuple[int, int]:
+        """The vertical error at (x, y) as an integer pair (num, den), den >
+        0, not reduced.  With x = p/q and y = r/s, each envelope's piece is
+        found by bisecting its integer breakpoints, and its line A*y = B*x
+        + C gives the gap over the common denominator s*q*A."""
+        p, q = x.numerator, x.denominator
+        r, s = y.numerator, y.denominator
+        a1, b1, c1 = _line_at(self.env_lo, p, q)
+        a2, b2, c2 = _line_at(self.env_hi, p, q)
+        # y - env_lo(x) = n1 / (s*q*a1) and env_hi(x) - y = n2 / (s*q*a2)
+        n1 = r * q * a1 - s * (b1 * p + c1 * q)
+        n2 = s * (b2 * p + c2 * q) - r * q * a2
+        if n1 <= 0 and n2 <= 0:
+            return 0, 1
+        if n2 * a1 > n1 * a2:
+            return n2, s * q * a2
+        return n1, s * q * a1
+
+
+def _line_at(chain: Chain, p: int, q: int) -> tuple[int, int, int]:
+    """The integer form of the piece of `chain` at x = p/q, q > 0: the
+    first piece whose right breakpoint is not left of x, as
+    `Chain.piece_at` picks it."""
+    bounds = chain.bounds
+    lo, hi = 0, len(bounds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        num, den = bounds[mid]
+        if num * q < p * den:
+            lo = mid + 1
+        else:
+            hi = mid
+    return chain.pieces[lo].line.abc
 
 
 class OrientationAnalysis(VerticalError):
@@ -250,9 +301,16 @@ class OrientationAnalysis(VerticalError):
 
     # -- error evaluation --------------------------------------------------
 
+    def max_sq_pair(self, x: RatT, y: RatT) -> tuple[int, int]:
+        """The squared Euclidean error e^2 / (x^2 + 1) of the separator at
+        (x, y) = (p/q, y), with e = num/den its vertical error, as the
+        integer pair (num^2 * q^2, den^2 * (p^2 + q^2))."""
+        num, den = self.vert_err_pair(x, y)
+        p, q = x.numerator, x.denominator
+        return num * num * q * q, den * den * (p * p + q * q)
+
     def max_sq(self, x: RatT, y: RatT) -> RatT:
-        e = self.vert_err(x, y)
-        return e * e / (x * x + R1)
+        return Rat(*self.max_sq_pair(x, y))
 
     # -- candidate families --------------------------------------------------
 
@@ -274,12 +332,6 @@ class OrientationAnalysis(VerticalError):
             if mis <= k:
                 yield "d", x, y, mis
 
-    def candidates(self, k: int) -> list[CandidatePoint]:
-        return [
-            CandidatePoint(PointR2(x, y), kind, mis, self.max_sq(x, y))
-            for kind, x, y, mis in self.points(k)
-        ]
-
     @cached_property
     def _d_crossings(self) -> list[tuple[RatT, RatT, int]]:
         """Family d at kmax, computed when first read: every k <= kmax
@@ -298,15 +350,16 @@ class OrientationAnalysis(VerticalError):
 
     def far_limit_sq(self, k: int) -> Optional[RatT]:
         """Best squared limit of the error toward x -> +-infinity over the
-        far gaps valid for k (the unattained-optimum bound)."""
-        best = None
-        for gaps in (self.gaps_left, self.gaps_right):
-            for i, mis in enumerate(gaps.mis):
-                if mis <= k:
-                    lim = gaps[i].limit
-                    if best is None or lim * lim < best:
-                        best = lim * lim
-        return best
+        far gaps valid for k (the unattained-optimum bound).  Limits are
+        not negative, so the least limit is squared once; a side whose
+        least gap mis exceeds k is skipped without a walk."""
+        lims = [gaps[i].limit for gaps in (self.gaps_left, self.gaps_right)
+                if min(gaps.mis) <= k
+                for i, mis in enumerate(gaps.mis) if mis <= k]
+        if not lims:
+            return None
+        lim = min(lims)
+        return lim * lim
 
     def far_probes(self) -> Iterator[tuple[FarGap, PointR2]]:
         """Each far gap with a probe point strictly inside it, at an x beyond
@@ -333,7 +386,8 @@ class OrientationAnalysis(VerticalError):
         such inputs the zero optimum would otherwise go unreported.
         """
         for gap, p in self.far_probes():
-            if gap.mis == 0 and gap.limit == 0 and self.vert_err(p.x, p.y) == 0:
+            if (gap.mis == 0 and gap.limit == 0
+                    and self.vert_err_pair(p.x, p.y)[0] == 0):
                 return p
         return None
 
@@ -388,65 +442,61 @@ class ExactSolver:
         if k > self.kmax:
             raise ValueError(f"k = {k} exceeds this solver's kmax = {self.kmax}")
         counts = {"a": 0, "b": 0, "c": 0, "d": 0}
-        best = None   # (max_sq, x, y, kind_rank, orient_rank, mis, orientation)
+        # best = (num, den, tie, mis, orientation) with max_sq = num/den and
+        # tie = (x, y, KIND_ORDER[kind], orientation rank)
+        best = None
         best_limit_sq = None
-        for rank, orient in enumerate(
-            (Orientation.BLUE_ABOVE, Orientation.RED_ABOVE)
-        ):
+        orients = (Orientation.BLUE_ABOVE, Orientation.RED_ABOVE)
+        for rank, orient in enumerate(orients):
             ana = self.analyses[orient]
-            for c in ana.candidates(k):
-                counts[c.kind] += 1
-                key = (c.max_sq, c.location.x, c.location.y,
-                       KIND_ORDER[c.kind], rank)
-                if best is None or key < best[0]:
-                    best = (key, c, orient)
+            for kind, x, y, mis in ana.points(k):
+                counts[kind] += 1
+                num, den = ana.max_sq_pair(x, y)
+                tie = (x, y, KIND_ORDER[kind], rank)
+                if ranks_before(num, den, tie, best):
+                    best = (num, den, tie, mis, orient)
             # far gaps only bound the unattained infimum; they never compete
             # (for general-position inputs every attained optimum is type a-d)
             lim_sq = ana.far_limit_sq(k)
             if lim_sq is not None and (best_limit_sq is None or lim_sq < best_limit_sq):
                 best_limit_sq = lim_sq
-        if self.k_min == 0 and (best is None or best[1].max_sq > 0):
+        if self.k_min == 0 and (best is None or best[0] > 0):
             # degenerate separable band without arrangement vertices (parallel
             # duals): the zero optimum lives in a far gap and is exact
-            for rank, orient in enumerate(
-                (Orientation.BLUE_ABOVE, Orientation.RED_ABOVE)
-            ):
+            for orient in orients:
                 pt = self.analyses[orient].zero_band_point()
                 if pt is not None:
-                    best = (None, CandidatePoint(pt, "a", 0, R0), orient)
+                    best = (0, 1, (pt.x, pt.y), 0, orient)
                     break
         if best is None and k >= self.k_min:
             # no attained candidate (e.g. all duals parallel: the points
             # share one x), yet some far gap is valid: report the best probe
             # point, flagged below where a gap's limit beats it
-            for orient in (Orientation.BLUE_ABOVE, Orientation.RED_ABOVE):
+            for orient in orients:
                 ana = self.analyses[orient]
                 for gap, p in ana.far_probes():
                     if gap.mis <= k:
-                        cand = CandidatePoint(p, "probe", gap.mis,
-                                              ana.max_sq(p.x, p.y))
-                        if best is None or cand.max_sq < best[1].max_sq:
-                            best = (None, cand, orient)
+                        num, den = ana.max_sq_pair(p.x, p.y)
+                        if best is None or num * best[1] < best[0] * den:
+                            best = (num, den, (p.x, p.y), gap.mis, orient)
         if best is None:
             return ExactSolveReport(
                 best=None, mis=None, max_sq=None, k_min=self.k_min,
                 counts=counts, orientation=None, separable=self.k_min == 0,
             )
-        _, cand, orient = best
-        line = LineR2(cand.location.x, -cand.location.y)
-        probe_wins = (
-            best_limit_sq is not None and best_limit_sq < cand.max_sq
-        )
+        _, _, (x, y, *_), mis, orient = best
+        max_sq = self.analyses[orient].max_sq(x, y)
         return ExactSolveReport(
-            best=Separator(line, orient),
-            mis=cand.mis,
-            max_sq=cand.max_sq,
+            best=Separator(LineR2(x, -y), orient),
+            mis=mis,
+            max_sq=max_sq,
             k_min=self.k_min,
             counts=counts,
             orientation=orient,
             separable=self.k_min == 0,
-            dual_point=cand.location,
-            infinity_probe_wins=probe_wins,
+            dual_point=PointR2(x, y),
+            infinity_probe_wins=(best_limit_sq is not None
+                                 and best_limit_sq < max_sq),
             probe_limit_sq=best_limit_sq,
         )
 

@@ -8,7 +8,8 @@ import pytest
 
 from sepkit.chains import Chain, ChainKind, ChainPiece, ChainSet, \
     Direction, DLine
-from sepkit.core import Color, LabeledPoint
+from sepkit.core import Color, LabeledPoint, MisReport, Orientation, \
+    Separator
 from sepkit.errors import EmptyInput, ValidationError
 from sepkit.parttree import PTPoint
 from sepkit.rat import Rat, RatT, rat
@@ -80,6 +81,34 @@ def random_separable_instance(rng, n, coord=50, gap=8):
                 )
                 break
         return pts
+
+
+def reference_vert_err(err, x: RatT, y: RatT) -> RatT:
+    """The vertical error of the dual point (x, y) against `err.env_lo` and
+    `err.env_hi` (an analysis or a delta context), in Fraction arithmetic
+    read off the envelopes' `value_at`: the reference for
+    `VerticalError.vert_err_pair`."""
+    return max(Rat(0), y - err.env_lo.value_at(x), err.env_hi.value_at(x) - y)
+
+
+def reference_classify_mis(sep: Separator, pts: Sequence[LabeledPoint]
+                            ) -> MisReport:
+    """`core.classify_mis` in Fraction arithmetic: each point's vertical
+    distance v to the line, its side from the sign of v, and v^2 / (m^2 + 1)
+    per misclassified point.  The reference for the integer version."""
+    bad: list[int] = []
+    max_sq = Rat(0)
+    m, c = sep.line.m, sep.line.c
+    for lp in pts:
+        v = lp.point.y - (m * lp.point.x + c)
+        if v == 0:
+            continue
+        wrong_color = (Color.RED if sep.orientation is Orientation.BLUE_ABOVE
+                       else Color.BLUE)
+        if (v > 0) == (lp.color is wrong_color):
+            bad.append(lp.id)
+            max_sq = max(max_sq, v * v / (m * m + 1))
+    return MisReport(len(bad), max_sq, tuple(sorted(bad)))
 
 
 def random_lines(rng, n, first_id=0, slope=400, icept=40):

@@ -25,7 +25,8 @@ from sepkit.core import Color, LabeledPoint, PointR2, classify_mis
 from sepkit.errors import NonPositiveEps, ScheduleViolation, UnknownId
 from sepkit.exactkmm import ExactSolver, midpoint_curve
 from sepkit.rat import R0, Rat, homogeneous
-from tests.conftest import random_instance, random_separable_instance
+from tests.conftest import random_instance, random_separable_instance, \
+    reference_vert_err
 
 WIDE = Wedge(0, (Rat(0), Rat(-1)), Rat(-10), Rat(10))
 
@@ -164,7 +165,7 @@ def test_solve_beyond_kmax_refused():
 def test_decide_delta_examples(ds3, ds2):
     ctx = build_delta_context(ds3, 1, WIDE)
     r = decide_delta(ctx, Rat(2))
-    assert r is not None and ctx.vert_err(r.x, r.y) <= 2
+    assert r is not None and reference_vert_err(ctx, r.x, r.y) <= 2
     assert decide_delta(ctx, Rat(0)) is None
     ctx2 = build_delta_context(ds2, 0, WIDE)
     assert decide_delta(ctx2, Rat(0)) is not None

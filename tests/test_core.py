@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepkit.core import (
     Color,
     LabeledPoint,
     LineR2,
+    MisReport,
     Orientation,
     PointR2,
     Separator,
@@ -17,6 +19,7 @@ from sepkit.core import (
 )
 from sepkit.errors import CollinearPointsError, DuplicateCoordinate
 from sepkit.rat import Rat
+from tests.conftest import reference_classify_mis
 
 
 def test_dualize_point_examples():
@@ -53,6 +56,53 @@ def test_classify_mis_ds3(ds3):
     assert set(rep.misclassified_ids) == {1, 3}
     assert classify_mis(Separator(LineR2.of(0, 1), Orientation.BLUE_ABOVE), []) \
         == classify_mis(Separator(LineR2.of(0, 1), Orientation.BLUE_ABOVE), [])
+
+
+_NON_DYADIC = st.builds(Rat, st.integers(-60, 60),
+                        st.sampled_from([1, 3, 7, 9, 11, 2**70 + 1]))
+_COORD = st.one_of(_NON_DYADIC, st.integers(-(2**80), 2**80).map(Rat))
+
+
+@st.composite
+def separated_inputs(draw):
+    """A line y = m*x + c with non-dyadic m and c, and points in both
+    colours: non-dyadic ones, ints above 2**64, and points on the line."""
+    m, c = draw(_NON_DYADIC), draw(_COORD)
+    pts = []
+    for i in range(draw(st.integers(0, 12))):
+        x = draw(_COORD)
+        y = m * x + c if draw(st.booleans()) else draw(_COORD)
+        pts.append(LabeledPoint(PointR2(x, y),
+                                draw(st.sampled_from(list(Color))), i))
+    return LineR2(m, c), pts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=separated_inputs())
+def test_classify_mis_matches_fraction_reference(case):
+    """The integer classification gives the Fraction reference's report
+    in both orientations: the same ids, with points on the line correct,
+    and the same max_sq."""
+    line, pts = case
+    for orient in Orientation:
+        sep = Separator(line, orient)
+        assert classify_mis(sep, pts) == reference_classify_mis(sep, pts)
+
+
+def test_classify_mis_named_cases():
+    """Points on the line, huge ints and a non-dyadic line, checked by
+    hand: the line y = x/3 + 1/7 through (3, 8/7)."""
+    line = LineR2(Rat(1, 3), Rat(1, 7))
+    big = 2**70
+    pts = [LabeledPoint.of(3, Rat(8, 7), Color.RED, 0),       # on the line
+           LabeledPoint.of(0, 1, Color.RED, 1),               # above, 6/7
+           LabeledPoint.of(big, 0, Color.BLUE, 2),            # far below
+           LabeledPoint.of(-3, 0, Color.BLUE, 3)]             # above, 6/7
+    rep = classify_mis(Separator(line, Orientation.BLUE_ABOVE), pts)
+    v = Rat(big, 3) + Rat(1, 7)
+    assert rep == MisReport(2, v * v / Rat(10, 9), (1, 2))
+    rep = classify_mis(Separator(line, Orientation.RED_ABOVE), pts)
+    assert rep == MisReport(1, Rat(36, 49) / Rat(10, 9), (3,))
 
 
 def test_classify_empty():

@@ -1,6 +1,7 @@
 """A dual line is stored as its integer form: `DLine(id, m, c)` and
-`DLine.of_abc` agree on every read, and the paths that start from integer
-forms or integer points build no Fraction at all."""
+`DLine.of_abc` agree on every read, `exactkmm.duals` builds the same lines,
+and the paths that start from integer forms or integer points build no
+Fraction at all."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from sepkit.approxkmm import make_tgon, rotated_duals
 from sepkit.chains import DLine
-from sepkit.core import Color, LabeledPoint
+from sepkit.core import Color, LabeledPoint, PointR2
+from sepkit.exactkmm import duals
 from sepkit.lpviol import ConstraintSet, DynState
 from sepkit.rat import Rat
 from tests.conftest import TIED_X, TIED_Y, random_lines
@@ -41,6 +43,18 @@ def test_fraction_and_integer_constructors_agree(id_, m, c):
     assert twin.y_at(x) == line.y_at(x) == m * x + c
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(xy=st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=6))
+def test_duals_match_the_fraction_constructor(xy):
+    """`duals` builds each integer form from the point's numerators and
+    denominators; it is the line `DLine(id, x, -y)` builds from Fractions."""
+    pts = [LabeledPoint(PointR2(x, y), Color.RED, i)
+           for i, (x, y) in enumerate(xy)]
+    got = duals(pts)
+    want = [DLine(i, x, -y) for i, (x, y) in enumerate(xy)]
+    assert got == want and [l.abc for l in got] == [l.abc for l in want]
+
+
 @pytest.fixture
 def fraction_calls(monkeypatch):
     """A counter of `fractions.Fraction.__new__` calls: reset it, run the
@@ -64,6 +78,7 @@ def test_integer_paths_build_no_fraction(fraction_calls):
     wedges = make_tgon(Rat(1, 10)).wedges
     line = DLine(3, Rat(5, 7), Rat(-2, 3))
     fraction_calls[0] = 0
+    duals(pts)
     for w in wedges:
         rotated_duals(pts, w)
     twin = DLine.of_abc(3, line.abc)

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from unittest import mock
 
 import pytest
@@ -9,16 +10,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sepkit
 from sepkit import exactkmm, scans
-from sepkit.approxkmm import ApproxSolver, Infeasible, solve_approx
+from sepkit.approxkmm import ApproxSolver, Infeasible, solve_approx, \
+    wedge_optimum
 from sepkit.core import (
     Color,
     LabeledPoint,
     Orientation,
+    PointR2,
     classify_mis,
     split_colors,
 )
 from sepkit.errors import EmptyColor
 from sepkit.exactkmm import (
+    KIND_ORDER,
     ExactSolver,
     _analysis_for,
     minmax_curve,
@@ -26,7 +30,8 @@ from sepkit.exactkmm import (
 )
 from sepkit.oracle import KmmCandidateTable, oracle_minmis
 from sepkit.rat import Rat
-from tests.conftest import random_instance, random_separable_instance
+from tests.conftest import random_instance, random_separable_instance, \
+    reference_vert_err
 from tests.test_scans import whole_line_valid_crossings
 
 
@@ -81,8 +86,19 @@ def test_solve_examples(ds2, ds3):
     assert rep.max_sq == 0 and rep.separable
 
 
+@dataclass(frozen=True)
+class _Candidate:
+    location: PointR2
+    kind: str
+    mis: int
+    max_sq: Rat
+
+
 def _candidates(pts, k, orientation):
-    return ExactSolver(pts, k).analyses[orientation].candidates(k)
+    """Every candidate of one orientation with its squared error."""
+    ana = ExactSolver(pts, k).analyses[orientation]
+    return [_Candidate(PointR2(x, y), kind, mis, ana.max_sq(x, y))
+            for kind, x, y, mis in ana.points(k)]
 
 
 def test_candidate_examples(ds3):
@@ -198,8 +214,8 @@ def best_at_slope(pts, k, m):
     cands = ana.column(m).valid_near(ana.curve.value_at(m), k, neighbours=True)
     if not cands:
         return None
-    best, _ = min(cands, key=lambda c: (ana.vert_err(m, c[0]), c[0]))
-    return best, ana.vert_err(m, best)
+    best, _ = min(cands, key=lambda c: (reference_vert_err(ana, m, c[0]), c[0]))
+    return best, reference_vert_err(ana, m, best)
 
 
 def test_vertical_optimality(rng):
@@ -223,7 +239,7 @@ def test_vertical_optimality(rng):
             if not cands:
                 assert res is None
             else:
-                best = min(ana.vert_err(m, y) for y in cands)
+                best = min(reference_vert_err(ana, m, y) for y in cands)
                 assert res is not None and res[1] == best
 
 
@@ -546,3 +562,131 @@ def test_empty_analyses_build_no_envelopes(monkeypatch):
     assert len(calls) == 2
     assert solver.solve(8).best is not None
     assert len(calls) == 2
+
+
+# -- integer error pairs -------------------------------------------------------
+
+
+def _ref_max_sq(ana, x, y):
+    e = reference_vert_err(ana, x, y)
+    return e * e / (x * x + 1)
+
+
+@st.composite
+def non_dyadic_grids(draw):
+    """A degenerate grid (shared x, collinear points) moved off the dyadic
+    rationals: scaled by 1/3, 2/7 or 10**12/7 and shifted by a third."""
+    pts = draw(grid_instances())
+    f = draw(st.sampled_from([Rat(1, 3), Rat(2, 7), Rat(10**12, 7)]))
+    sx, sy = draw(st.sampled_from([Rat(0), Rat(1, 3)])), draw(
+        st.sampled_from([Rat(0), Rat(-2, 9)]))
+    return [LabeledPoint.of(p.point.x * f + sx, p.point.y * f + sy, p.color,
+                            p.id) for p in pts]
+
+
+def _probe_points(ana, k):
+    """Every candidate of the analysis; and each envelope breakpoint, the
+    midpoint of two adjacent ones and a point beyond either end, with the
+    heights of both envelopes, the curve and a third above them."""
+    out = [(x, y) for _, x, y, _ in ana.points(k, neighbours=True)]
+    for env in (ana.env_lo, ana.env_hi):
+        bps = env.breakpoints()
+        xs = bps + [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+        xs += [bps[0] - Rat(1, 7), bps[-1] + Rat(5, 3)] if bps else [Rat(1, 3)]
+        for x in xs:
+            for y in (ana.env_lo.value_at(x), ana.env_hi.value_at(x),
+                      ana.curve.value_at(x)):
+                out += [(x, y), (x, y + Rat(1, 3))]
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pts=non_dyadic_grids())
+def test_error_pairs_match_fraction_reference(pts):
+    """The integer (num, den) of `vert_err_pair` and `max_sq_pair` equals
+    the Fraction error and squared error at every candidate and on every
+    envelope breakpoint, in both orientations and in every t-gon wedge;
+    `max_sq`, the one Fraction the exact solver builds, reads the same
+    pair."""
+    analyses = list(ExactSolver(pts, 3).analyses.values())
+    analyses += [a for a in ApproxSolver(pts, 3, Rat(1, 2)).analyses
+                 if not a.empty]
+    checked = 0
+    for ana in analyses:
+        for x, y in _probe_points(ana, 3):
+            num, den = ana.vert_err_pair(x, y)
+            assert den > 0 and Rat(num, den) == reference_vert_err(ana, x, y)
+            num, den = ana.max_sq_pair(x, y)
+            assert den > 0 and Rat(num, den) == _ref_max_sq(ana, x, y)
+            assert ana.max_sq(x, y) == Rat(num, den)
+            checked += 1
+    assert checked
+
+
+def _ref_exact_best(solver, k):
+    """The least (max_sq, x, y, kind, orientation) key over the candidates
+    of both orientations, with max_sq a Fraction, as (key, mis,
+    orientation)."""
+    best = None
+    for rank, orient in enumerate((Orientation.BLUE_ABOVE,
+                                   Orientation.RED_ABOVE)):
+        ana = solver.analyses[orient]
+        for kind, x, y, mis in ana.points(k):
+            key = (_ref_max_sq(ana, x, y), x, y, KIND_ORDER[kind], rank)
+            if best is None or key < best[0]:
+                best = (key, mis, orient)
+    return best
+
+
+def _ref_wedge_best(ana, wedge, k):
+    """The least (err, x, y) over a wedge's candidates, with err a
+    Fraction, as (key, mis)."""
+    if ana.empty:
+        return None
+    cands = [(x, y, mis) for _, x, y, mis in ana.points(k, neighbours=True)]
+    for wall in (wedge.m_lo, wedge.m_hi):
+        cands += [(wall, y, mis) for y, mis in ana.column(wall).valid_near(
+            ana.curve.value_at(wall), k, neighbours=True)]
+    vskip = wedge.vertical_slope_in_frame()
+    keys = [((reference_vert_err(ana, x, y), x, y), mis) for x, y, mis in cands
+            if x != vskip]
+    return min(keys, key=lambda t: t[0]) if keys else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pts=st.one_of(grid_instances(), non_dyadic_grids()))
+def test_rankings_match_fraction_keys(pts):
+    """The integer rankings pick what the Fraction keys pick, ties
+    included: on degenerate grids many candidates share an error (a zero
+    error band, or one farthest point), and the rest of the key decides."""
+    solver = ExactSolver(pts, 3)
+    approx = ApproxSolver(pts, 3, Rat(1, 2))
+    for k in range(4):
+        rep, ref = solver.solve(k), _ref_exact_best(solver, k)
+        if ref is not None and not (solver.k_min == 0 and ref[0][0] > 0):
+            (max_sq, x, y, _, _), mis, orient = ref
+            assert (rep.max_sq, rep.dual_point.x, rep.dual_point.y, rep.mis,
+                    rep.orientation) == (max_sq, x, y, mis, orient)
+        for wedge, ana in zip(approx.tgon.wedges, approx.analyses):
+            got, ref = wedge_optimum(ana, wedge, k), _ref_wedge_best(ana, wedge, k)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                (err, x, y), mis = ref
+                assert (got.delta, got.point.x, got.point.y, got.mis) == (
+                    err, x, y, mis)
+
+
+def test_exact_solve_builds_one_fraction_error(monkeypatch):
+    """A solve ranks its candidates on integer pairs: on the benchmark's
+    kmm-exact shape it reads the Fraction max_sq once, for the winner."""
+    calls = []
+    real = exactkmm.OrientationAnalysis.max_sq
+
+    def max_sq(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(exactkmm.OrientationAnalysis, "max_sq", max_sq)
+    rep = ExactSolver(_nearly_separable(1, 1000, 5), 8).solve(8)
+    assert sum(rep.counts.values()) > 1 and rep.best is not None
+    assert calls == [(rep.dual_point.x, rep.dual_point.y)]
